@@ -32,30 +32,23 @@ from .objectives import (
 )
 from .radar import (
     ClutterBank,
-    ClutterOperator,
     ClutterScatterer,
     ClutterScene,
     DegenerateSceneError,
-    apply_shift,
-    apply_shift_adjoint,
     clutter_energy,
-    operator_for,
-    operators,
-    quadratic_form,
     scnr,
     scr,
     staf,
     steering_vector,
 )
 from .rcg import RcgConfig, solve_rcg
-from .rtr import TcgStop, TrustRegionConfig, TrustRegionTrace, check_termination, solve, tcg
+from .rtr import TcgStop, TrustRegionConfig, TrustRegionTrace, solve, tcg
 from .scenario import ScenarioConfig, ScenarioError, load_scenario, parse_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ClutterBank",
-    "ClutterOperator",
     "ClutterScatterer",
     "ClutterScene",
     "DegenerateRetractionError",
@@ -74,9 +67,6 @@ __all__ = [
     "WorstCaseObjective",
     "WrtrConfig",
     "WrtrResult",
-    "apply_shift",
-    "apply_shift_adjoint",
-    "check_termination",
     "clutter_energy",
     "design_nonrobust",
     "epsilon_from_doppler",
@@ -86,12 +76,9 @@ __all__ = [
     "load_scenario",
     "monte_carlo_scr",
     "norm",
-    "operator_for",
-    "operators",
     "optimize",
     "parse_scenario",
     "project_tangent",
-    "quadratic_form",
     "random_point",
     "random_tangent",
     "retract",

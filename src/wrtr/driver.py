@@ -11,7 +11,11 @@ not st (the min-max, or Danskin, gradient): it minimizes clutter energy
 / |sum w|^2, with the worst steering s (.) w moving along with s. The
 first adversary solve starts from a seeded tangent nudge of norm
 sqrt(eps) off the sequence (the sequence itself is a stationary saddle
-of the steering cost); later ones restart from s (.) w. The loop stops
+of the steering cost); later ones restart from s (.) w. Warm-started
+solves begin close to stationary, where a tolerance relative to their
+own start gradient cannot be met, so after the first outer iteration
+both solvers run to the absolute tolerance the first solves reached
+(grad_tol_effective of their traces). The loop stops
 once the output SCNR moves by less than scnr_tol_db across consecutive
 outer iterations, or at max_outer; the overall alternation is
 monitored, not proven, so hitting the cap is a warning outcome rather
@@ -20,7 +24,7 @@ than an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,6 +103,10 @@ def _nudge(s: UnitModulusSequence, epsilon: float, seed: int) -> TangentVector:
     return random_tangent(s, rng, scale=float(np.sqrt(epsilon)))
 
 
+def _absolute_tol(solver: rtr.TrustRegionConfig, trace: rtr.TrustRegionTrace) -> rtr.TrustRegionConfig:
+    return replace(solver, grad_tol=trace.grad_tol_effective, grad_tol_relative=False)
+
+
 def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
     """Alternate worst-case steering and sequence solves from a seeded start.
 
@@ -115,6 +123,7 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
     s0 = random_point(n, seed)
     s = s0
     w = np.ones(n, dtype=np.complex128)
+    worst_solver, seq_solver = cfg.worst_solver, cfg.seq_solver
     history = []
     prev_scnr = None
     converged = False
@@ -127,14 +136,18 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
                 start = retract(s, _nudge(s, eps, seed))
             else:
                 start = UnitModulusSequence(s.entries * w)
-            st, worst_trace = rtr.solve(worst_obj, start, cfg.worst_solver)
+            st, worst_trace = rtr.solve(worst_obj, start, worst_solver)
             worst_cost = worst_obj.cost(st)
             w = np.conj(s.entries) * st.entries
         else:
             worst_trace = None
             worst_cost = 0.0
         seq_obj = SequenceObjective(scene, distortion=w)
-        s, seq_trace = rtr.solve(seq_obj, s, cfg.seq_solver)
+        s, seq_trace = rtr.solve(seq_obj, s, seq_solver)
+        if outer == 0:
+            seq_solver = _absolute_tol(seq_solver, seq_trace)
+            if worst_trace is not None:
+                worst_solver = _absolute_tol(worst_solver, worst_trace)
         st = UnitModulusSequence(s.entries * w)
         scr_db = radar.scr(s, st, scene)
         scnr_db = radar.scnr(s, st, scene, cfg.noise_power, cfg.target_power)

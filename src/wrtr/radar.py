@@ -3,10 +3,11 @@
 The clutter seen by the slow-time matched filter is a sum of scatterer
 operators Psi_k = amp_k * diag(p(v_t)) J^{r_k} diag(p(v_k)), where p(v)
 is the Doppler steering vector, J^r the down-shift by r pulses and
-amp_k the scatterer amplitude (sqrt of its mean power). Operators are
-stored factored and applied in O(n); dense matrices exist only in the
-test oracles. The Doppler axis is centered on the target, so the
-target's own steering phase defaults to the all-ones vector.
+amp_k the scatterer amplitude (sqrt of its mean power). The Doppler axis
+is centred on the target, so v_t = 0, p(v_t) is the all-ones vector and
+Psi_k = amp_k * J^{r_k} diag(p(v_k)). ClutterBank applies every Psi_k at
+once, in O(n) per scatterer; dense matrices exist only in the test
+oracles.
 """
 
 from __future__ import annotations
@@ -31,28 +32,6 @@ def steering_vector(doppler: float, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * doppler * np.arange(n))
 
 
-def apply_shift(r: int, x: np.ndarray) -> np.ndarray:
-    """Down-shift by r pulses: out[m] = x[m-r] for m >= r, else 0."""
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"shift {r} out of range for length {n}")
-    out = np.zeros_like(x)
-    out[..., r:] = x[..., : n - r]
-    return out
-
-
-def apply_shift_adjoint(r: int, x: np.ndarray) -> np.ndarray:
-    """Up-shift (transpose of apply_shift): out[m] = x[m+r] for m <= n-1-r."""
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"shift {r} out of range for length {n}")
-    out = np.zeros_like(x)
-    out[..., : n - r] = x[..., r:]
-    return out
-
-
 @dataclass(frozen=True)
 class ClutterScatterer:
     """One interfering scatterer: range lag, normalized Doppler, mean power."""
@@ -70,11 +49,13 @@ class ClutterScatterer:
 
 @dataclass(frozen=True)
 class ClutterScene:
-    """Scatterer collection for a code length n, Doppler axis centered on the target."""
+    """Scatterer collection for a code length n.
+
+    Scatterer Dopplers are measured from the target's, which sits at 0.
+    """
 
     scatterers: tuple
     n: int
-    target_doppler: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
@@ -87,42 +68,12 @@ class ClutterScene:
                 )
 
 
-@dataclass(frozen=True)
-class ClutterOperator:
-    """Factored Psi_k; apply/apply_adjoint run in O(n)."""
-
-    range_shift: int
-    left_phase: np.ndarray
-    right_phase: np.ndarray
-    amplitude: float
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        shifted = apply_shift(self.range_shift, self.right_phase * v)
-        return self.amplitude * self.left_phase * shifted
-
-    def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
-        shifted = apply_shift_adjoint(self.range_shift, np.conj(self.left_phase) * v)
-        return self.amplitude * np.conj(self.right_phase) * shifted
-
-
-def operator_for(scatterer: ClutterScatterer, n: int, target_doppler: float = 0.0) -> ClutterOperator:
-    return ClutterOperator(
-        range_shift=scatterer.range_shift,
-        left_phase=steering_vector(target_doppler, n),
-        right_phase=steering_vector(scatterer.doppler, n),
-        amplitude=float(np.sqrt(scatterer.power)),
-    )
-
-
-def operators(scene: ClutterScene) -> tuple:
-    return tuple(operator_for(sc, scene.n, scene.target_doppler) for sc in scene.scatterers)
-
-
 class ClutterBank:
-    """All scene operators stacked for vectorized application.
+    """All scene operators Psi_k = amp_k * J^{r_k} diag(p(v_k)), stacked.
 
     apply / apply_adjoint map a length-n vector to the (N_t, n) array of
-    per-scatterer operator outputs; quadratic_forms gives s^H Psi_k s for
+    per-scatterer outputs Psi_k v / Psi_k^H v: a Doppler twiddle and a
+    shift by gather, O(N_t n). quadratic_forms gives s^H Psi_k s for
     every k at once. Read-only after construction.
     """
 
@@ -133,8 +84,7 @@ class ClutterBank:
         self.size = nt
         shifts = np.array([sc.range_shift for sc in scene.scatterers], dtype=np.intp)
         self.amplitude = np.sqrt(np.array([sc.power for sc in scene.scatterers]))
-        self.left = np.tile(steering_vector(scene.target_doppler, n), (nt, 1)) if nt else np.zeros((0, n), complex)
-        self.right = (
+        self.phase = (
             np.array([steering_vector(sc.doppler, n) for sc in scene.scatterers])
             if nt
             else np.zeros((0, n), complex)
@@ -148,24 +98,18 @@ class ClutterBank:
     def apply(self, v: np.ndarray) -> np.ndarray:
         if self.size == 0:
             return np.zeros((0, self.n), dtype=np.complex128)
-        tmp = self.right * v[None, :]
+        tmp = self.phase * v[None, :]
         shifted = np.where(self._down_mask, np.take_along_axis(tmp, self._down_src, axis=1), 0.0)
-        return self.amplitude[:, None] * self.left * shifted
+        return self.amplitude[:, None] * shifted
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         if self.size == 0:
             return np.zeros((0, self.n), dtype=np.complex128)
-        tmp = np.conj(self.left) * v[None, :]
-        shifted = np.where(self._up_mask, np.take_along_axis(tmp, self._up_src, axis=1), 0.0)
-        return self.amplitude[:, None] * np.conj(self.right) * shifted
+        shifted = np.where(self._up_mask, v[self._up_src], 0.0)
+        return self.amplitude[:, None] * np.conj(self.phase) * shifted
 
     def quadratic_forms(self, s: np.ndarray) -> np.ndarray:
         return self.apply(s) @ np.conj(s)
-
-
-def quadratic_form(s: UnitModulusSequence, op: ClutterOperator) -> complex:
-    """s^H Psi_k s via phase twiddle + shift + dot product, O(n)."""
-    return complex(np.vdot(s.entries, op.apply(s.entries)))
 
 
 def clutter_energy(s: UnitModulusSequence, scene: ClutterScene) -> float:
@@ -208,17 +152,12 @@ def scr(s: UnitModulusSequence, s_tilde: UnitModulusSequence, scene: ClutterScen
     return scnr(s, s_tilde, scene, noise_power=0.0, target_power=1.0)
 
 
-def staf(
-    s: UnitModulusSequence,
-    range_bins,
-    doppler_grid,
-    target_doppler: float = 0.0,
-) -> np.ndarray:
+def staf(s: UnitModulusSequence, range_bins, doppler_grid) -> np.ndarray:
     """Slow-time ambiguity surface in dB, peak-normalized to 0 dB.
 
-    Entry (r, v) is 20*log10 |s^H diag(p(v_t)) J^r (s (.) p(v))|, rows
-    following range_bins and columns doppler_grid. Normalizing to the
-    peak makes null depths comparable across sequences.
+    Entry (r, v) is 20*log10 |s^H J^r (s (.) p(v))|, rows following
+    range_bins and columns doppler_grid. Normalizing to the peak makes
+    null depths comparable across sequences.
     """
     n = s.n
     range_bins = [int(r) for r in range_bins]
@@ -228,7 +167,7 @@ def staf(
     doppler_grid = np.asarray(doppler_grid, dtype=float)
     phases = np.exp(2j * np.pi * np.outer(doppler_grid, np.arange(n)))
     modulated = s.entries[None, :] * phases
-    weight = np.conj(s.entries) * steering_vector(target_doppler, n)
+    weight = np.conj(s.entries)
     amp = np.empty((len(range_bins), doppler_grid.size))
     for i, r in enumerate(range_bins):
         amp[i] = np.abs(modulated[:, : n - r] @ weight[r:])

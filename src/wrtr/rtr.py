@@ -9,7 +9,9 @@ outer iteration minimizes the quadratic model
 by truncated conjugate gradients, retracts the step, and accepts or
 rejects it on the actual-to-predicted decrease ratio rho. The radius
 shrinks by 1/4 when rho < 1/4 and doubles (capped at delta_bar) only
-when rho > 3/4 with the step on the boundary.
+when rho > 3/4 with the step on the boundary. A run of rejections that
+shrinks the radius below machine epsilon times delta_bar ends the solve:
+no step that short can move the iterate in floating point.
 """
 
 from __future__ import annotations
@@ -159,9 +161,12 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
     """Run the trust-region outer loop from x0.
 
     Terminates when the gradient norm reaches the (relative or absolute)
-    tolerance or after max_iters; returns (x_final, TrustRegionTrace).
-    Accepted-iterate costs are strictly decreasing; a nonpositive model
-    decrease rejects the step with rho = -inf and shrinks the radius.
+    tolerance, when a rejected step leaves the radius below
+    eps_machine * delta_bar (converged stays false: the tolerance was not
+    met, but no further step can change x), or after max_iters; returns
+    (x_final, TrustRegionTrace). Accepted-iterate costs are strictly
+    decreasing; a nonpositive model decrease rejects the step with
+    rho = -inf and shrinks the radius.
     """
     delta_bar, delta = cfg.resolved_radii(x0.n)
     x = x0
@@ -207,20 +212,9 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
             x, fx = candidate, f_cand
             g = problem.rgrad(x)
             gn = norm(g)
+        elif delta < eps * delta_bar:
+            break
     trace.final_grad_norm = gn
     trace.final_cost = fx
     trace.converged = gn <= tol
     return x, trace
-
-
-def check_termination(trace: TrustRegionTrace, cfg: TrustRegionConfig) -> bool:
-    """Gradient-norm stopping rule on a recorded trace.
-
-    The spectral condition lambda_min(Hess) >= eps_h is not gated here;
-    the spectrum costs an O(n) Hessian assembly and is exposed separately
-    as a diagnostic (driver.hessian_spectrum).
-    """
-    tol = (
-        cfg.grad_tol * trace.initial_grad_norm if cfg.grad_tol_relative else cfg.grad_tol
-    )
-    return trace.final_grad_norm <= tol

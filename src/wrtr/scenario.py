@@ -2,8 +2,8 @@
 
 A scenario file is a JSON object; clutter can be given as explicit
 scatterers (linear power) and/or rectangular blocks of range bins x
-Doppler bins with a power in dB. Doppler bin h maps to normalized
-Doppler h/n. Example:
+Doppler bins with a power in dB (10 log10 of the linear power). Doppler
+bin h maps to normalized Doppler h/n. Example:
 
     {
       "n": 64,
@@ -61,14 +61,6 @@ def _bin_list(value, key: str) -> list:
     raise ScenarioError(f"{key} must be a list of bins or a start/stop object")
 
 
-def _power_to_linear(power_db: float, scale: str) -> float:
-    if scale == "power":
-        return 10.0 ** (power_db / 10.0)
-    # non-standard reading: the dB value describes the amplitude through
-    # the power formula, sigma = 10^(dB/10)
-    return 10.0 ** (power_db / 5.0)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     n: int
@@ -116,7 +108,6 @@ _KNOWN_KEYS = {
     "seed",
     "noise_power",
     "target_power",
-    "power_db_scale",
     "interval_grid_points",
     "max_outer",
     "scnr_tol_db",
@@ -149,9 +140,6 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     n = _as_int(raw["n"], "n")
     _require(n >= 1, "n must be >= 1")
 
-    scale = raw.get("power_db_scale", "power")
-    _require(scale in ("power", "amplitude"), "power_db_scale must be 'power' or 'amplitude'")
-
     scatterers = []
     for i, entry in enumerate(raw.get("scatterers", [])):
         _require(isinstance(entry, dict), f"scatterers[{i}] must be an object")
@@ -171,7 +159,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         _require(not unknown, f"{key}: unknown keys {sorted(unknown)}")
         ranges = _bin_list(block.get("range_bins"), f"{key}.range_bins")
         dopplers = _bin_list(block.get("doppler_bins"), f"{key}.doppler_bins")
-        power = _power_to_linear(_as_number(block.get("power_db"), f"{key}.power_db"), scale)
+        power = 10.0 ** (_as_number(block.get("power_db"), f"{key}.power_db") / 10.0)
         for r in ranges:
             _require(0 <= r <= n - 1, f"{key}: range bin {r} outside 0..{n - 1}")
             for h in dopplers:

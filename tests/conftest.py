@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from wrtr.manifold import UnitModulusSequence, project_tangent, retract
-from wrtr.radar import ClutterOperator, ClutterScatterer, ClutterScene
+from wrtr.radar import ClutterScatterer, ClutterScene
 
 
-def dense_psi(op: ClutterOperator, n: int) -> np.ndarray:
-    """Dense matrix oracle for a factored clutter operator."""
-    shift = np.eye(n, k=-op.range_shift)
-    return op.amplitude * np.diag(op.left_phase) @ shift @ np.diag(op.right_phase)
+def dense_psi(scatterer: ClutterScatterer, n: int) -> np.ndarray:
+    """Dense oracle Psi_k = amp_k * J^{r_k} diag(p(v_k)), built from the scatterer's fields."""
+    shift = np.eye(n, k=-scatterer.range_shift)
+    phase = np.exp(2j * np.pi * scatterer.doppler * np.arange(n))
+    return np.sqrt(scatterer.power) * shift @ np.diag(phase)
 
 
 def random_scene(n: int, n_scatterers: int, rng, power_scale: float = 1.0) -> ClutterScene:

@@ -85,6 +85,18 @@ class TestOptimize:
             final = radar.scr(result.sequence, result.worst_steering, scene)
             assert final == pytest.approx(scrs[-1], abs=1e-12)
 
+    def test_warm_started_adversary_solves_take_no_iterations(self):
+        # the warm start s (.) w is as stationary as the first solve left
+        # it, and later solves hold that solve's absolute tolerance
+        scenes = [(tiny_scene(), small_cfg())]
+        scenes += [(random_scene(16, 40, np.random.default_rng(100 + k)),
+                    small_cfg(epsilon=20.0, max_outer=6)) for k in range(3)]
+        for k, (scene, cfg) in enumerate(scenes):
+            result = driver.optimize(scene, cfg, seed=40 + k)
+            assert len(result.history) >= 2
+            assert result.history[0].worst_trace.converged
+            assert [len(h.worst_trace) for h in result.history[1:]] == [0] * (len(result.history) - 1)
+
     def test_seeded_determinism(self):
         scene = tiny_scene()
         a = driver.optimize(scene, small_cfg(), seed=8)

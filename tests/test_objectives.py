@@ -15,7 +15,7 @@ from wrtr.objectives import (
     WorstCaseObjective,
     epsilon_from_doppler,
 )
-from wrtr.radar import ClutterScatterer, ClutterScene, operators
+from wrtr.radar import ClutterScatterer, ClutterScene
 
 from conftest import dense_psi, loglog_slope, make_tangent, pullback, random_scene
 
@@ -176,8 +176,8 @@ class TestSequenceCost:
         s = random_point(n, 23)
         obj = SequenceObjective(scene, steering=st)
         num = sum(
-            abs(np.vdot(s.entries, dense_psi(op, n) @ s.entries)) ** 2
-            for op in operators(scene)
+            abs(np.vdot(s.entries, dense_psi(sc, n) @ s.entries)) ** 2
+            for sc in scene.scatterers
         )
         expected = num / abs(np.vdot(s.entries, st.entries)) ** 2
         assert obj.cost(s) == pytest.approx(expected, rel=1e-10)
@@ -380,3 +380,23 @@ class TestBoundaryProperty:
             ball_residual, corr_residual = obj.boundary_residuals(st)
             assert ball_residual <= 10.0 / np.sqrt(lam)
             assert corr_residual <= 5.0 / np.sqrt(lam)
+
+
+class TestClosedFormWorstCase:
+    def test_rtr_adversary_attains_the_closed_form_gain(self):
+        # with st = s (.) w, s^H st = sum w and ||st - s||^2 = 2n - 2 Re sum w,
+        # so the worst coupling over the ball is |s^H st|^2 = (n - eps/2)^2
+        # whatever s is (for eps < 2n)
+        from wrtr import rtr
+        from wrtr.manifold import random_tangent
+
+        n = 64
+        for eps in (5.0, 20.0, 100.0):
+            for seed in range(5):
+                s = random_point(n, 300 + seed)
+                obj = WorstCaseObjective(s, lam=100.0, epsilon=eps)
+                rng = np.random.default_rng([seed, 0])
+                start = retract(s, random_tangent(s, rng, scale=float(np.sqrt(eps))))
+                st, _ = rtr.solve(obj, start, rtr.TrustRegionConfig())
+                gain = abs(np.vdot(s.entries, st.entries)) ** 2
+                assert gain == pytest.approx((n - eps / 2) ** 2, rel=1e-6), (eps, seed)

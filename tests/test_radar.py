@@ -7,12 +7,7 @@ from wrtr.radar import (
     ClutterScatterer,
     ClutterScene,
     DegenerateSceneError,
-    apply_shift,
-    apply_shift_adjoint,
     clutter_energy,
-    operator_for,
-    operators,
-    quadratic_form,
     scnr,
     scr,
     staf,
@@ -37,91 +32,121 @@ class TestSteeringVector:
         assert np.allclose(np.abs(p), 1.0, atol=1e-15)
 
 
+def pure_shifts(n: int) -> ClutterBank:
+    """Bank whose row r is the bare shift J^r (zero Doppler, unit power)."""
+    return ClutterBank(ClutterScene([ClutterScatterer(r, 0.0, 1.0) for r in range(n)], n))
+
+
+def every_shift_scene(n: int, rng) -> ClutterScene:
+    """One random scatterer at each shift 0..n-1, so both edges are covered."""
+    return ClutterScene(
+        [ClutterScatterer(r, float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.2, 2.0)))
+         for r in range(n)],
+        n,
+    )
+
+
+def random_vector(n: int, rng) -> np.ndarray:
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def assert_rows_match_dense(scene: ClutterScene, v: np.ndarray) -> None:
+    bank = ClutterBank(scene)
+    rows, rows_adj = bank.apply(v), bank.apply_adjoint(v)
+    for k, sc in enumerate(scene.scatterers):
+        psi = dense_psi(sc, scene.n)
+        assert np.allclose(rows[k], psi @ v, atol=1e-12)
+        assert np.allclose(rows_adj[k], psi.conj().T @ v, atol=1e-12)
+
+
 class TestShift:
+    """The J^r factor of the bank, seen through zero-Doppler unit-power scatterers."""
+
     def test_identity(self, rng):
-        x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        assert np.array_equal(apply_shift(0, x), x)
+        x = random_vector(6, rng)
+        bank = ClutterBank(ClutterScene([ClutterScatterer(0, 0.0, 1.0)], 6))
+        assert np.array_equal(bank.apply(x)[0], x)
+        assert np.array_equal(bank.apply_adjoint(x)[0], x)
 
     def test_small_example(self):
         a, b, c, d = 1 + 1j, 2.0, 3 - 1j, 4j
-        out = apply_shift(2, np.array([a, b, c, d]))
-        assert np.allclose(out, [0, 0, a, b])
+        bank = ClutterBank(ClutterScene([ClutterScatterer(2, 0.0, 1.0)], 4))
+        assert np.allclose(bank.apply(np.array([a, b, c, d]))[0], [0, 0, a, b])
+        assert np.allclose(bank.apply_adjoint(np.array([a, b, c, d]))[0], [c, d, 0, 0])
 
     def test_matches_dense_matrix(self, rng):
         n = 8
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = random_vector(n, rng)
+        bank = pure_shifts(n)
+        rows, rows_adj = bank.apply(x), bank.apply_adjoint(x)
         for r in range(n):
-            dense = np.eye(n, k=-r) @ x
-            assert np.allclose(apply_shift(r, x), dense, atol=1e-15)
+            assert np.allclose(rows[r], np.eye(n, k=-r) @ x, atol=1e-15)
+            assert np.allclose(rows_adj[r], np.eye(n, k=-r).T @ x, atol=1e-15)
 
     def test_adjoint_identity(self, rng):
         n = 8
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for r in range(n):
-            lhs = np.vdot(apply_shift(r, u), v)
-            rhs = np.vdot(u, apply_shift_adjoint(r, v))
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+        u, v = random_vector(n, rng), random_vector(n, rng)
+        bank = pure_shifts(n)
+        lhs = bank.apply(u) @ np.conj(v)
+        rhs = np.conj(bank.apply_adjoint(v)) @ u
+        assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_shift(4, np.ones(4))
+            ClutterScene([ClutterScatterer(4, 0.0, 1.0)], 4)
         with pytest.raises(ValueError):
-            apply_shift(-1, np.ones(4))
+            ClutterScatterer(-1, 0.0, 1.0)
 
 
 class TestClutterOperator:
+    """Each row of the bank against the dense oracle Psi_k = amp_k J^{r_k} diag(p(v_k))."""
+
     def test_quadratic_form_identity_case(self):
         n = 8
         s = random_point(n, 0)
-        op = operator_for(ClutterScatterer(0, 0.0, 1.0), n)
-        assert quadratic_form(s, op) == pytest.approx(n, abs=1e-12)
+        bank = ClutterBank(ClutterScene([ClutterScatterer(0, 0.0, 1.0)], n))
+        assert bank.quadratic_forms(s.entries)[0] == pytest.approx(n, abs=1e-12)
 
     def test_quadratic_form_max_shift_single_overlap(self):
         n = 8
         s = random_point(n, 1)
         amp = 1.7
-        op = operator_for(ClutterScatterer(n - 1, 0.3, amp**2), n)
-        assert abs(quadratic_form(s, op)) == pytest.approx(amp, abs=1e-12)
+        bank = ClutterBank(ClutterScene([ClutterScatterer(n - 1, 0.3, amp**2)], n))
+        assert abs(bank.quadratic_forms(s.entries)[0]) == pytest.approx(amp, abs=1e-12)
 
     def test_matches_dense_oracle(self, rng):
         n = 8
         s = random_point(n, 2)
-        scene = random_scene(n, 5, rng)
-        for sc in scene.scatterers:
-            op = operator_for(sc, n)
-            psi = dense_psi(op, n)
-            expected = np.vdot(s.entries, psi @ s.entries)
-            assert quadratic_form(s, op) == pytest.approx(expected, abs=1e-12)
+        scene = every_shift_scene(n, rng)
+        q = ClutterBank(scene).quadratic_forms(s.entries)
+        for k, sc in enumerate(scene.scatterers):
+            expected = np.vdot(s.entries, dense_psi(sc, n) @ s.entries)
+            assert q[k] == pytest.approx(expected, abs=1e-12)
 
     def test_apply_adjoint_matches_dense(self, rng):
         n = 8
-        scene = random_scene(n, 4, rng)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for op in operators(scene):
-            psi = dense_psi(op, n)
-            assert np.allclose(op.apply(v), psi @ v, atol=1e-12)
-            assert np.allclose(op.apply_adjoint(v), psi.conj().T @ v, atol=1e-12)
+        scene = every_shift_scene(n, rng)
+        u, v = random_vector(n, rng), random_vector(n, rng)
+        assert_rows_match_dense(scene, v)
+        # <Psi_k u, v> = <u, Psi_k^H v> at every shift
+        bank = ClutterBank(scene)
+        lhs = bank.apply(u) @ np.conj(v)
+        rhs = np.conj(bank.apply_adjoint(v)) @ u
+        assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 class TestClutterBank:
     def test_matches_per_operator_application(self, rng):
+        # random shifts with repeats, one dense Psi_k per row
         n = 12
-        scene = random_scene(n, 6, rng)
-        bank = ClutterBank(scene)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        rows = bank.apply(v)
-        rows_adj = bank.apply_adjoint(v)
-        for i, op in enumerate(operators(scene)):
-            assert np.allclose(rows[i], op.apply(v), atol=1e-12)
-            assert np.allclose(rows_adj[i], op.apply_adjoint(v), atol=1e-12)
+        assert_rows_match_dense(random_scene(n, 6, rng), random_vector(n, rng))
 
     def test_quadratic_forms(self, rng):
         n = 10
         scene = random_scene(n, 5, rng)
         s = random_point(n, 3)
         q = ClutterBank(scene).quadratic_forms(s.entries)
-        expected = [quadratic_form(s, op) for op in operators(scene)]
+        expected = [np.vdot(s.entries, dense_psi(sc, n) @ s.entries) for sc in scene.scatterers]
         assert np.allclose(q, expected, atol=1e-12)
 
     def test_empty_scene(self):
@@ -145,8 +170,8 @@ class TestClutterEnergy:
         scene = random_scene(n, 3, rng)
         s = random_point(n, 6)
         expected = sum(
-            abs(np.vdot(s.entries, dense_psi(op, n) @ s.entries)) ** 2
-            for op in operators(scene)
+            abs(np.vdot(s.entries, dense_psi(sc, n) @ s.entries)) ** 2
+            for sc in scene.scatterers
         )
         assert clutter_energy(s, scene) == pytest.approx(expected, rel=1e-10)
 
@@ -221,8 +246,8 @@ class TestStaf:
         raw = np.empty((n, grid.size))
         for r in range(n):
             for j, v in enumerate(grid):
-                op = operator_for(ClutterScatterer(r, float(v), 1.0), n)
-                raw[r, j] = abs(np.vdot(s.entries, dense_psi(op, n) @ s.entries))
+                psi = dense_psi(ClutterScatterer(r, float(v), 1.0), n)
+                raw[r, j] = abs(np.vdot(s.entries, psi @ s.entries))
         expected = 20 * np.log10(np.maximum(raw / raw.max(), 1e-15))
         assert np.allclose(surface, expected, atol=1e-10)
 

@@ -5,7 +5,7 @@ from wrtr import rtr
 from wrtr.driver import tangent_basis
 from wrtr.manifold import TangentVector, inner, norm, random_point, random_tangent, retract
 from wrtr.objectives import WorstCaseObjective
-from wrtr.rtr import TcgStop, TrustRegionConfig, TrustRegionTrace, check_termination, solve, tcg
+from wrtr.rtr import TcgStop, TrustRegionConfig, solve, tcg
 
 from conftest import make_tangent
 
@@ -183,31 +183,34 @@ class TestSolve:
 
     def test_trace_records_are_complete(self):
         obj, start = worst_case_instance(16, 14)
-        _, trace = solve(obj, start, TrustRegionConfig(max_iters=50))
-        assert trace.initial_grad_norm > 0
-        for it in trace.iterations:
-            assert it.delta > 0
-            assert it.step_norm >= 0
-            assert isinstance(it.tcg_stop, TcgStop)
+        for cfg in (
+            TrustRegionConfig(max_iters=50),
+            TrustRegionConfig(max_iters=5, grad_tol=1e-9, grad_tol_relative=False),
+        ):
+            _, trace = solve(obj, start, cfg)
+            assert trace.initial_grad_norm > 0
+            tol = cfg.grad_tol * trace.initial_grad_norm if cfg.grad_tol_relative else cfg.grad_tol
+            assert trace.grad_tol_effective == tol
+            assert trace.converged == (trace.final_grad_norm <= trace.grad_tol_effective)
+            for it in trace.iterations:
+                assert it.delta > 0
+                assert it.step_norm >= 0
+                assert isinstance(it.tcg_stop, TcgStop)
 
-
-class TestCheckTermination:
-    def test_zero_gradient(self):
-        trace = TrustRegionTrace(initial_grad_norm=1.0, final_grad_norm=0.0)
-        assert check_termination(trace, TrustRegionConfig())
-
-    def test_relative_threshold_boundary(self):
-        trace = TrustRegionTrace(initial_grad_norm=1.0, final_grad_norm=1e-9)
-        assert check_termination(trace, TrustRegionConfig(grad_tol=1e-9))
-
-    def test_just_above_threshold(self):
-        trace = TrustRegionTrace(initial_grad_norm=1.0, final_grad_norm=1.001e-9)
-        assert not check_termination(trace, TrustRegionConfig(grad_tol=1e-9))
-
-    def test_absolute_mode(self):
-        trace = TrustRegionTrace(initial_grad_norm=5.0, final_grad_norm=1e-4)
-        cfg = TrustRegionConfig(grad_tol=1e-3, grad_tol_relative=False)
-        assert check_termination(trace, cfg)
+    def test_collapsed_radius_ends_the_solve(self):
+        # at a worst-case solution no step lowers the cost in floating
+        # point: rejections shrink the radius below eps * delta_bar, and the
+        # solve stops there instead of running to max_iters
+        obj, start = worst_case_instance(16, 14)
+        x, _ = solve(obj, start, TrustRegionConfig())
+        cfg = TrustRegionConfig(grad_tol=0.0, grad_tol_relative=False, max_iters=500)
+        _, trace = solve(obj, x, cfg)
+        assert len(trace) < 100
+        assert not trace.converged
+        delta_bar, _ = cfg.resolved_radii(16)
+        last = trace.iterations[-1]
+        assert not last.accepted
+        assert 0.25 * last.delta < np.finfo(float).eps * delta_bar
 
 
 class TestConfigValidation:

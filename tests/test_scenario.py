@@ -42,12 +42,6 @@ class TestBlockExpansion:
         assert len(cfg.scatterers) == 5
         assert cfg.scatterers[0].power == pytest.approx(2.5)
 
-    def test_amplitude_scale_flips_interpretation(self):
-        power_cfg = parse_scenario(base_config(power_db_scale="power"))
-        amp_cfg = parse_scenario(base_config(power_db_scale="amplitude"))
-        assert power_cfg.scatterers[0].power == pytest.approx(10.0)
-        assert amp_cfg.scatterers[0].power == pytest.approx(100.0)
-
     def test_block_bins_validated(self):
         with pytest.raises(ScenarioError):
             parse_scenario(
@@ -65,8 +59,9 @@ class TestValidation:
             parse_scenario(cfg)
 
     def test_unknown_key(self):
-        with pytest.raises(ScenarioError, match="unknown config keys"):
-            parse_scenario(base_config(bogus=1))
+        for key, value in (("bogus", 1), ("power_db_scale", "power")):
+            with pytest.raises(ScenarioError, match="unknown config keys"):
+                parse_scenario(base_config(**{key: value}))
 
     def test_needs_interval_or_epsilon(self):
         cfg = base_config()
