@@ -213,6 +213,49 @@ class TestSolve:
         assert 0.25 * last.delta < np.finfo(float).eps * delta_bar
 
 
+class TestCheckTermination:
+    """The stopping rule of solve: converged iff the final gradient norm is
+    at most grad_tol_effective (grad_tol, scaled by the initial gradient
+    norm in relative mode)."""
+
+    def test_zero_gradient(self):
+        x = random_point(8, 20)
+        problem = QuadraticModelProblem(x, np.eye(8), np.zeros(8))
+        _, trace = solve(problem, x, TrustRegionConfig())
+        assert len(trace) == 0
+        assert trace.final_grad_norm == 0.0
+        assert trace.converged
+
+    def test_relative_threshold_boundary(self):
+        # grad_tol = 1 puts the relative tolerance exactly at the initial
+        # gradient norm; equality counts as converged
+        x = random_point(8, 21)
+        problem = QuadraticModelProblem(x, np.eye(8), [3.0, 4.0, 0, 0, 0, 0, 0, 0])
+        _, trace = solve(problem, x, TrustRegionConfig(grad_tol=1.0))
+        assert trace.grad_tol_effective == trace.initial_grad_norm
+        assert len(trace) == 0
+        assert trace.final_grad_norm == trace.grad_tol_effective
+        assert trace.converged
+
+    def test_just_above_threshold(self):
+        x = random_point(8, 22)
+        problem = QuadraticModelProblem(x, np.eye(8), [3.0, 4.0, 0, 0, 0, 0, 0, 0])
+        _, trace = solve(problem, x, TrustRegionConfig(grad_tol=1.0 / 1.001, max_iters=0))
+        assert trace.grad_tol_effective == pytest.approx(trace.initial_grad_norm / 1.001, rel=1e-15)
+        assert trace.final_grad_norm == trace.initial_grad_norm
+        assert trace.final_grad_norm > trace.grad_tol_effective
+        assert not trace.converged
+
+    def test_absolute_mode(self):
+        obj, start = worst_case_instance(16, 23)
+        cfg = TrustRegionConfig(grad_tol=1e-3, grad_tol_relative=False)
+        _, trace = solve(obj, start, cfg)
+        assert trace.initial_grad_norm > 1.0
+        assert trace.grad_tol_effective == 1e-3
+        assert trace.final_grad_norm <= 1e-3
+        assert trace.converged
+
+
 class TestConfigValidation:
     def test_rho_bar_range(self):
         with pytest.raises(ValueError):
