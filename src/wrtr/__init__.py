@@ -12,8 +12,6 @@ from .driver import (
     optimize,
 )
 from .manifold import (
-    DegenerateRetractionError,
-    TangentVector,
     UnitModulusSequence,
     inner,
     norm,
@@ -22,13 +20,13 @@ from .manifold import (
     random_tangent,
     retract,
     transport,
-    zero_tangent,
 )
 from .objectives import (
     NearOrthogonalSteeringError,
     SequenceObjective,
     WorstCaseObjective,
     epsilon_from_doppler,
+    worst_case_gain,
 )
 from .radar import (
     ClutterBank,
@@ -51,7 +49,6 @@ __all__ = [
     "ClutterBank",
     "ClutterScatterer",
     "ClutterScene",
-    "DegenerateRetractionError",
     "DegenerateSceneError",
     "NearOrthogonalSteeringError",
     "RcgConfig",
@@ -59,7 +56,6 @@ __all__ = [
     "ScenarioError",
     "ScrStats",
     "SequenceObjective",
-    "TangentVector",
     "TcgStop",
     "TrustRegionConfig",
     "TrustRegionTrace",
@@ -90,5 +86,5 @@ __all__ = [
     "steering_vector",
     "tcg",
     "transport",
-    "zero_tangent",
+    "worst_case_gain",
 ]

@@ -22,14 +22,19 @@ from pathlib import Path
 import numpy as np
 
 from . import driver, fileio, radar
-from .manifold import DegenerateRetractionError, random_point
-from .objectives import NearOrthogonalSteeringError, SequenceObjective, WorstCaseObjective
+from .manifold import random_point
+from .objectives import (
+    NearOrthogonalSteeringError,
+    SequenceObjective,
+    WorstCaseObjective,
+    worst_case_gain,
+)
 from .radar import DegenerateSceneError
 from .rcg import RcgConfig, solve_rcg
 from .scenario import ScenarioConfig, ScenarioError, load_scenario
 
 BASELINE_METHODS = ("rtr_nonrobust", "rcg_nonrobust", "random")
-_SOLVER_ERRORS = (DegenerateSceneError, NearOrthogonalSteeringError, DegenerateRetractionError)
+_SOLVER_ERRORS = (DegenerateSceneError, NearOrthogonalSteeringError)
 
 
 @dataclass
@@ -86,6 +91,21 @@ def _write_report(out: Path, report: RunReport, config_path, elapsed: float) -> 
     fileio.check_manifest(out, files)
 
 
+def _certificate(result: driver.WrtrResult) -> dict:
+    """The adversary's coupling |s^H st|^2 against the closed-form worst case (a report only)."""
+    n, eps = result.sequence.n, result.epsilon
+    closed = worst_case_gain(n, eps)
+    achieved = abs(complex(np.vdot(result.sequence.entries, result.worst_steering.entries))) ** 2
+    return {
+        "c": n - 0.5 * eps,
+        "closed_form_gain": closed,
+        "achieved_gain": achieved,
+        # undefined once eps >= 2n, where the closed-form gain is 0
+        "relative_gap": abs(achieved - closed) / closed if closed > 0 else None,
+        "eps_ge_2n": eps >= 2 * n,
+    }
+
+
 def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> RunReport:
     scene = cfg.to_scene()
     result = driver.optimize(scene, cfg.to_wrtr_config(), seed)
@@ -130,6 +150,7 @@ def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> RunReport:
         "scnr_db": last.scnr_db,
         "nominal_scr_initial_db": _nominal_scr_db(result.initial_sequence, scene),
         "nominal_scr_final_db": _nominal_scr_db(result.sequence, scene),
+        "certificate": _certificate(result),
         "outer_history": [
             {"scr_db": h.scr_db, "scnr_db": h.scnr_db, "worst_cost": h.worst_cost, "seq_cost": h.seq_cost}
             for h in result.history

@@ -20,6 +20,10 @@ once the output SCNR moves by less than scnr_tol_db across consecutive
 outer iterations, or at max_outer; the overall alternation is
 monitored, not proven, so hitting the cap is a warning outcome rather
 than an error.
+
+The diagnostics work in tangent coordinates (see manifold): the Hessian
+matrix is rhess applied to the identity columns, and its spectrum is
+that of the Riemannian Hessian on T_x M.
 """
 
 from __future__ import annotations
@@ -29,13 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import radar, rtr
-from .manifold import (
-    TangentVector,
-    UnitModulusSequence,
-    random_point,
-    random_tangent,
-    retract,
-)
+from .manifold import UnitModulusSequence, random_point, random_tangent, retract
 from .objectives import SequenceObjective, WorstCaseObjective, epsilon_from_doppler
 from .radar import ClutterScene, clutter_energy, steering_vector
 
@@ -98,7 +96,7 @@ class WrtrResult:
     converged: bool
 
 
-def _nudge(s: UnitModulusSequence, epsilon: float, seed: int) -> TangentVector:
+def _nudge(s: UnitModulusSequence, epsilon: float, seed: int) -> np.ndarray:
     rng = np.random.default_rng([seed, 0])
     return random_tangent(s, rng, scale=float(np.sqrt(epsilon)))
 
@@ -177,24 +175,9 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
     )
 
 
-def tangent_basis(x: UnitModulusSequence) -> list:
-    """Orthonormal real basis of T_x M: the i-th vector is j*x_i on entry i."""
-    basis = []
-    for i in range(x.n):
-        e = np.zeros(x.n, dtype=np.complex128)
-        e[i] = 1j * x.entries[i]
-        basis.append(TangentVector(e, x))
-    return basis
-
-
 def hessian_matrix(problem, x: UnitModulusSequence) -> np.ndarray:
-    """Matrix of the Riemannian Hessian operator on the tangent basis."""
-    phase = np.conj(1j * x.entries)
-    cols = []
-    for b in tangent_basis(x):
-        h = problem.rhess(x, b)
-        cols.append(np.real(phase * h.entries))
-    return np.column_stack(cols)
+    """Matrix of the Riemannian Hessian in tangent coordinates: rhess of each identity column."""
+    return np.column_stack([problem.rhess(x, e) for e in np.eye(x.n)])
 
 
 def hessian_spectrum(problem, x: UnitModulusSequence) -> np.ndarray:

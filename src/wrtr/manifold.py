@@ -3,44 +3,31 @@
 A point is a length-n complex vector with every entry on the unit circle
 (a constant-modulus sequence). The tangent space at x is
 
-    T_x M = { xi in C^n : Re(xi_i * conj(x_i)) = 0 for all i },
+    T_x M = { xi in C^n : Re(xi_i * conj(x_i)) = 0 for all i }
+          = { j * a (.) x : a in R^n },
 
-equivalently xi = j * a (.) x with a real. The Riemannian metric is the
-real part of the complex Euclidean inner product, which makes M a
-Riemannian submanifold of C^n ~ R^{2n}. Retraction is element-wise
-normalization (x_i + xi_i)/|x_i + xi_i| -- the only map of this family
-that lands back on the product of circles -- and vector transport is
-orthogonal projection onto the target tangent space.
+so a tangent vector is held as its real coordinates a, a float64 array
+(Manopt's complex-circle manifold in coordinates). The Riemannian metric,
+the real part of the complex Euclidean inner product, is then a.b, which
+makes M a Riemannian submanifold of C^n ~ R^{2n}. Projection of an
+ambient v is Im(conj(x) (.) v). Retraction is element-wise normalization
+(x_i + xi_i)/|x_i + xi_i| = x_i (1 + j a_i) / sqrt(1 + a_i^2), defined for
+every a; vector transport is orthogonal projection onto the target
+tangent space, a (.) Re(conj(y) (.) x) in coordinates.
 
-All values are immutable after construction and safe to share across
+Points are immutable after construction and safe to share across
 threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 UNIT_MODULUS_ATOL = 1e-12
 SQUARED_NORM_RTOL = 1e-10
-TANGENT_ATOL = 1e-10
-ANCHOR_ATOL = 1e-12
-DEGENERATE_ENTRY_TOL = 1e-14
-
-
-class DegenerateRetractionError(ValueError):
-    """Raised when an entry of x + xi has modulus below the representable floor."""
-
-
-def _as_complex_vector(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128, copy=True)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D complex vector, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must have at least one entry")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -50,7 +37,11 @@ class UnitModulusSequence:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _as_complex_vector(self.entries, "entries")
+        arr = np.array(self.entries, dtype=np.complex128, copy=True)
+        if arr.ndim != 1:
+            raise ValueError(f"entries must be a 1-D complex vector, got shape {arr.shape}")
+        if arr.size == 0:
+            raise ValueError("entries must have at least one entry")
         moduli = np.abs(arr)
         if not np.all(np.abs(moduli - 1.0) <= UNIT_MODULUS_ATOL):
             worst = float(np.max(np.abs(moduli - 1.0)))
@@ -59,6 +50,7 @@ class UnitModulusSequence:
         sq_norm = float(np.sum(moduli * moduli))
         if abs(sq_norm - n) > SQUARED_NORM_RTOL * n:
             raise ValueError(f"squared norm {sq_norm!r} deviates from n={n}")
+        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -69,107 +61,35 @@ class UnitModulusSequence:
         return self.entries.size
 
 
-def _same_point(a: UnitModulusSequence, b: UnitModulusSequence) -> bool:
-    if a is b:
-        return True
-    if a.n != b.n:
-        return False
-    return float(np.max(np.abs(a.entries - b.entries))) <= ANCHOR_ATOL
+def inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Riemannian metric of two tangent vectors in coordinates at one point."""
+    return float(a @ b)
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """A vector in T_x M, carrying its anchor point x.
-
-    Real-linear combinations of tangent vectors at the same anchor stay
-    tangent; all binary operations verify the anchors agree (by value,
-    per entry) to prevent silent cross-tangent-space arithmetic.
-    """
-
-    entries: np.ndarray
-    anchor: UnitModulusSequence
-
-    def __post_init__(self):
-        arr = _as_complex_vector(self.entries, "entries")
-        if arr.size != self.anchor.n:
-            raise ValueError(f"tangent length {arr.size} != anchor length {self.anchor.n}")
-        radial = np.real(arr * np.conj(self.anchor.entries))
-        worst = float(np.max(np.abs(radial)))
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        if worst > TANGENT_ATOL * scale:
-            raise ValueError(f"not tangent at anchor: max radial component {worst:.3e}")
-        if worst > 0.0:
-            # Scrub float dust off the radial direction so the invariant
-            # holds to machine precision and cannot accumulate across
-            # tangent arithmetic.
-            arr = arr - radial * self.anchor.entries
-            arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    def _require_same_anchor(self, other: "TangentVector") -> None:
-        if not _same_point(self.anchor, other.anchor):
-            raise ValueError("tangent vectors are anchored at different points")
-
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        self._require_same_anchor(other)
-        return TangentVector(self.entries + other.entries, self.anchor)
-
-    def __sub__(self, other: "TangentVector") -> "TangentVector":
-        self._require_same_anchor(other)
-        return TangentVector(self.entries - other.entries, self.anchor)
-
-    def __neg__(self) -> "TangentVector":
-        return TangentVector(-self.entries, self.anchor)
-
-    def __mul__(self, scalar) -> "TangentVector":
-        return TangentVector(self.entries * float(scalar), self.anchor)
-
-    __rmul__ = __mul__
+def norm(a: np.ndarray) -> float:
+    return math.sqrt(float(a @ a))
 
 
-def zero_tangent(x: UnitModulusSequence) -> TangentVector:
-    return TangentVector(np.zeros(x.n, dtype=np.complex128), x)
+def project_tangent(x: UnitModulusSequence, v) -> np.ndarray:
+    """Coordinates Im(conj(x) (.) v) of the orthogonal projection of v onto T_x M.
 
-
-def inner(xi: TangentVector, eta: TangentVector) -> float:
-    """Riemannian metric Re(sum conj(xi_i) * eta_i); anchors must match."""
-    xi._require_same_anchor(eta)
-    return float(np.real(np.vdot(xi.entries, eta.entries)))
-
-
-def norm(xi: TangentVector) -> float:
-    return float(np.linalg.norm(xi.entries))
-
-
-def project_tangent(x: UnitModulusSequence, v) -> TangentVector:
-    """Orthogonal projection of an ambient vector onto T_x M.
-
-    P_x(v) = v - Re(v (.) conj(x)) (.) x. Idempotent, and orthogonal with
-    respect to the metric: v - P_x(v) is radial in every entry.
+    The projected vector j a (.) x differs from v by Re(v (.) conj(x)) (.) x,
+    which is radial in every entry.
     """
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (x.n,):
         raise ValueError(f"ambient vector shape {v.shape} does not match point length {x.n}")
-    radial = np.real(v * np.conj(x.entries))
-    return TangentVector(v - radial * x.entries, x)
+    return np.imag(np.conj(x.entries) * v)
 
 
-def retract(x: UnitModulusSequence, xi: TangentVector) -> UnitModulusSequence:
-    """Element-wise normalization retraction (x_i + xi_i)/|x_i + xi_i|."""
-    if not _same_point(xi.anchor, x):
-        raise ValueError("tangent vector is not anchored at the retraction point")
-    w = x.entries + xi.entries
-    mag = np.abs(w)
-    if np.any(mag < DEGENERATE_ENTRY_TOL):
-        raise DegenerateRetractionError(
-            f"retraction degenerate: min |x + xi| = {float(np.min(mag)):.3e}"
-        )
-    return UnitModulusSequence(w / mag)
+def retract(x: UnitModulusSequence, a: np.ndarray) -> UnitModulusSequence:
+    """Element-wise normalization retraction x (.) (1 + j a) / sqrt(1 + a^2)."""
+    return UnitModulusSequence(x.entries * ((1.0 + 1j * a) / np.hypot(1.0, a)))
 
 
-def transport(target: UnitModulusSequence, xi: TangentVector) -> TangentVector:
-    """Transport xi into T_target M by projecting its entries there."""
-    return project_tangent(target, xi.entries)
+def transport(x: UnitModulusSequence, y: UnitModulusSequence, a: np.ndarray) -> np.ndarray:
+    """Project the tangent vector a at x onto T_y M: a (.) Re(conj(y) (.) x)."""
+    return a * np.real(np.conj(y.entries) * x.entries)
 
 
 def random_point(n: int, seed: int) -> UnitModulusSequence:
@@ -181,13 +101,12 @@ def random_point(n: int, seed: int) -> UnitModulusSequence:
     return UnitModulusSequence(np.exp(1j * phases))
 
 
-def random_tangent(x: UnitModulusSequence, rng, scale: float | None = None) -> TangentVector:
-    """Random tangent vector at x; if scale is given, normalized to that norm."""
-    ambient = rng.standard_normal(x.n) + 1j * rng.standard_normal(x.n)
-    xi = project_tangent(x, ambient)
+def random_tangent(x: UnitModulusSequence, rng, scale: float | None = None) -> np.ndarray:
+    """Random tangent vector at x (projected complex Gaussian); if scale is given, of that norm."""
+    a = project_tangent(x, rng.standard_normal(x.n) + 1j * rng.standard_normal(x.n))
     if scale is not None:
-        current = norm(xi)
+        current = norm(a)
         if current == 0.0:
             raise ValueError("degenerate random tangent draw")
-        xi = xi * (scale / current)
-    return xi
+        a = a * (scale / current)
+    return a

@@ -22,19 +22,21 @@ fixed instead, so the numerator |s^H st|^2 varies with s; the
 derivative oracles and the final-point diagnostics use that form.
 
 Gradients follow the convention Grad = 2 * df/dconj(z), so the real
-directional derivative is Df(x)[v] = Re<Grad, v>, and the Riemannian
-gradient/Hessian are the tangent projection of Grad and of its
-directional derivative minus the radial correction Re{Grad (.) x*}(.)xi.
-All derivatives are validated against finite differences in the tests;
-no automatic differentiation is involved.
+directional derivative is Df(x)[v] = Re<Grad, v>. egrad and ehess_dir
+work on ambient vectors (ehess_dir takes the direction j a (.) x); rgrad
+and rhess return tangent coordinates (see manifold): the projection of
+Grad, and the projection of its directional derivative minus the radial
+correction Re{Grad (.) conj(x)} (.) a. All derivatives are validated
+against finite differences in the tests; no automatic differentiation
+is involved.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .manifold import TangentVector, UnitModulusSequence, project_tangent
-from .radar import ClutterBank, ClutterScene, steering_vector
+from .manifold import UnitModulusSequence, project_tangent
+from .radar import ClutterBank, ClutterScene
 
 NEAR_ORTHOGONAL_RTOL = 1e-12
 
@@ -46,17 +48,26 @@ class NearOrthogonalSteeringError(ValueError):
 def epsilon_from_doppler(doppler_set, target_doppler: float, n: int) -> float:
     """Uncertainty radius: max over the set of ||p(v) - p(v_t)||^2.
 
-    Zero when the set collapses to the target Doppler, and monotone
-    nondecreasing as the set grows; bounded by 4n.
+    Uses ||p(v) - p(v_t)||^2 = sum_m 4 sin^2(pi (v - v_t) m), which has no
+    cancellation. Zero when the set collapses to the target Doppler, and
+    monotone nondecreasing as the set grows; bounded by 4n.
     """
     dopplers = np.atleast_1d(np.asarray(doppler_set, dtype=float))
     if dopplers.size == 0:
         raise ValueError("doppler set must be nonempty")
-    nominal = steering_vector(target_doppler, n)
-    worst = 0.0
-    for v in dopplers:
-        worst = max(worst, float(np.sum(np.abs(steering_vector(v, n) - nominal) ** 2)))
-    return worst
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    angles = np.outer(dopplers - target_doppler, np.pi * np.arange(n))
+    return float(4.0 * np.max(np.sum(np.sin(angles) ** 2, axis=1)))
+
+
+def worst_case_gain(n: int, epsilon: float) -> float:
+    """Closed-form worst coupling min |s^H st|^2 over ||st - s||^2 <= eps: max(n - eps/2, 0)^2.
+
+    With st = s (.) w, s^H st = sum w and ||st - s||^2 = 2n - 2 Re sum w,
+    so the minimum does not depend on s; it is 0 once eps >= 2n.
+    """
+    return max(n - 0.5 * epsilon, 0.0) ** 2
 
 
 def _entries(point) -> np.ndarray:
@@ -66,22 +77,17 @@ def _entries(point) -> np.ndarray:
     return np.asarray(point, dtype=np.complex128)
 
 
-def _tangent_entries(xi) -> np.ndarray:
-    if isinstance(xi, TangentVector):
-        return xi.entries
-    return np.asarray(xi, dtype=np.complex128)
-
-
 class _ManifoldObjective:
     """Shared projection machinery for objectives on the circle product."""
 
-    def rgrad(self, x: UnitModulusSequence) -> TangentVector:
+    def rgrad(self, x: UnitModulusSequence) -> np.ndarray:
         return project_tangent(x, self.egrad(x))
 
-    def rhess(self, x: UnitModulusSequence, xi: TangentVector) -> TangentVector:
-        radial = np.real(self.egrad(x) * np.conj(x.entries))
-        projected = project_tangent(x, self.ehess_dir(x, xi))
-        return TangentVector(projected.entries - radial * xi.entries, x)
+    def rhess(self, x: UnitModulusSequence, a: np.ndarray) -> np.ndarray:
+        return project_tangent(x, self.ehess_dir(x, 1j * a * x.entries)) - self._radial(x) * a
+
+    def _radial(self, x: UnitModulusSequence) -> np.ndarray:
+        return np.real(self.egrad(x) * np.conj(x.entries))
 
 
 class WorstCaseObjective(_ManifoldObjective):
@@ -110,7 +116,7 @@ class WorstCaseObjective(_ManifoldObjective):
         return (2j * a.imag + 2.0 * self.lam * (a.real - self._target)) * self.s.entries
 
     def ehess_dir(self, st, xi) -> np.ndarray:
-        a_xi = complex(np.vdot(self.s.entries, _tangent_entries(xi)))
+        a_xi = complex(np.vdot(self.s.entries, xi))
         return (2j * a_xi.imag + 2.0 * self.lam * a_xi.real) * self.s.entries
 
     def boundary_residuals(self, st) -> tuple[float, float]:
@@ -128,6 +134,11 @@ class SequenceObjective(_ManifoldObjective):
     fixes the absolute steering, so the numerator |s^H st|^2 varies with
     s. With neither, the numerator is the nominal n^2, used by the
     non-robust baseline.
+
+    Per point it keeps q_k = s^H Psi_k s, the diagonals of
+    sum_k conj(q_k) Psi_k, the gradient and its radial part, so a
+    Hessian-vector product only forms dq_k from the lag products of
+    (xi, s) and (s, xi) and applies the two diagonal operators.
     """
 
     def __init__(
@@ -166,17 +177,8 @@ class SequenceObjective(_ManifoldObjective):
         if cached is not None and cached[0] is point:
             return cached[1]
         z = _entries(point)
-        psi_s = self._bank.apply(z)
-        psih_s = self._bank.apply_adjoint(z)
-        q = psi_s @ np.conj(z)
-        state = {
-            "z": z,
-            "psi_s": psi_s,
-            "psih_s": psih_s,
-            "q": q,
-            "u": float(np.sum(np.abs(q) ** 2)),
-            "g1": (np.conj(q)[:, None] * psi_s + q[:, None] * psih_s).sum(axis=0),
-        }
+        q = self._bank.quadratic_forms(z)
+        state = {"z": z, "q": q, "u": float(np.sum(np.abs(q) ** 2))}
         if self.steering is None:
             state["gamma"] = self._gamma
         else:
@@ -190,41 +192,59 @@ class SequenceObjective(_ManifoldObjective):
         self._cache = (point, state)
         return state
 
+    def _derivative_state(self, point) -> dict:
+        """_state plus the diagonals d of sum_k conj(q_k) Psi_k and the gradient.
+
+        g1 = d(sum |q_k|^2)/dconj(s) = (D + D^H) s with D = sum_k conj(q_k) Psi_k;
+        the gradient is split by the quotient rule into a clutter and a
+        coupling term (None unless steering= holds st fixed).
+        """
+        st = self._state(point)
+        if "egrad" not in st:
+            z, u, gamma, bank = st["z"], st["u"], st["gamma"], self._bank
+            d = bank.diagonals(np.conj(st["q"]))
+            g1 = bank.apply(d, z) + bank.apply_adjoint(d, z)
+            clutter = 2.0 * g1 / gamma
+            coupling = None
+            egrad = clutter
+            if self.steering is not None:
+                coupling = (2.0 * u / gamma**2) * st["b"] * self.steering.entries
+                egrad = clutter - coupling
+            st.update(d=d, g1=g1, clutter=clutter, coupling=coupling, egrad=egrad,
+                      radial=np.real(egrad * np.conj(z)))
+        return st
+
     def cost(self, s) -> float:
         st = self._state(s)
         return st["u"] / st["gamma"]
 
-    def _grad_terms(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """Quotient-rule split of the gradient: (clutter term, coupling term)."""
-        st = self._state(s)
-        clutter = 2.0 * st["g1"] / st["gamma"]
-        if self.steering is None:
-            return clutter, np.zeros_like(clutter)
-        coupling = (2.0 * st["u"] / st["gamma"] ** 2) * st["b"] * self.steering.entries
-        return clutter, coupling
+    def _grad_terms(self, s) -> tuple[np.ndarray, np.ndarray | None]:
+        """Quotient-rule split of the gradient: (clutter term, coupling term or None)."""
+        st = self._derivative_state(s)
+        return st["clutter"], st["coupling"]
 
     def egrad(self, s) -> np.ndarray:
-        clutter, coupling = self._grad_terms(s)
-        return clutter - coupling
+        return self._derivative_state(s)["egrad"]
 
-    def _dgrad_terms(self, s, xi) -> tuple[np.ndarray, np.ndarray]:
-        """Directional derivatives of the two gradient terms along xi."""
-        st = self._state(s)
-        z, q, gamma = st["z"], st["q"], st["gamma"]
-        xi_z = _tangent_entries(xi)
-        psi_xi = self._bank.apply(xi_z)
-        psih_xi = self._bank.apply_adjoint(xi_z)
-        dq = st["psi_s"] @ np.conj(xi_z) + psi_xi @ np.conj(z)
+    def _radial(self, x) -> np.ndarray:
+        return self._derivative_state(x)["radial"]
+
+    def _dgrad_terms(self, s, xi) -> tuple[np.ndarray, np.ndarray | None]:
+        """Directional derivatives of the two gradient terms along the ambient xi."""
+        st = self._derivative_state(s)
+        z, q, d, gamma, bank = st["z"], st["q"], st["d"], st["gamma"], self._bank
+        dq = bank.forms(bank.lags(xi, z) + bank.lags(z, xi))
+        dd = bank.diagonals(np.conj(dq))
         dg1 = (
-            np.conj(dq)[:, None] * st["psi_s"]
-            + np.conj(q)[:, None] * psi_xi
-            + dq[:, None] * st["psih_s"]
-            + q[:, None] * psih_xi
-        ).sum(axis=0)
+            bank.apply(d, xi)
+            + bank.apply(dd, z)
+            + bank.apply_adjoint(d, xi)
+            + bank.apply_adjoint(dd, z)
+        )
         if self.steering is None:
-            return 2.0 * dg1 / gamma, np.zeros_like(dg1)
+            return 2.0 * dg1 / gamma, None
         b = st["b"]
-        db = complex(np.vdot(self.steering.entries, xi_z))
+        db = complex(np.vdot(self.steering.entries, xi))
         dgamma = 2.0 * np.real(db * np.conj(b))
         du = 2.0 * float(np.real(np.sum(np.conj(q) * dq)))
         d_clutter = 2.0 * dg1 / gamma - 2.0 * st["g1"] * dgamma / gamma**2
@@ -236,4 +256,4 @@ class SequenceObjective(_ManifoldObjective):
 
     def ehess_dir(self, s, xi) -> np.ndarray:
         d_clutter, d_coupling = self._dgrad_terms(s, xi)
-        return d_clutter - d_coupling
+        return d_clutter if d_coupling is None else d_clutter - d_coupling

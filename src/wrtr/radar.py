@@ -5,9 +5,12 @@ operators Psi_k = amp_k * diag(p(v_t)) J^{r_k} diag(p(v_k)), where p(v)
 is the Doppler steering vector, J^r the down-shift by r pulses and
 amp_k the scatterer amplitude (sqrt of its mean power). The Doppler axis
 is centred on the target, so v_t = 0, p(v_t) is the all-ones vector and
-Psi_k = amp_k * J^{r_k} diag(p(v_k)). ClutterBank applies every Psi_k at
-once, in O(n) per scatterer; dense matrices exist only in the test
-oracles.
+Psi_k = amp_k * J^{r_k} diag(p(v_k)). Every figure of merit goes
+through s^H Psi_k s = amp_k sum_m p_k[m] s[m] conj(s[m + r_k]), a lag
+product, so ClutterBank groups the scatterers by range shift: the lag
+products of a shift are formed once for all its scatterers, and a
+weighted sum of operators is held as a few diagonals per shift. Dense
+matrices exist only in the test oracles.
 """
 
 from __future__ import annotations
@@ -69,47 +72,86 @@ class ClutterScene:
 
 
 class ClutterBank:
-    """All scene operators Psi_k = amp_k * J^{r_k} diag(p(v_k)), stacked.
+    """All scene operators Psi_k = amp_k * J^{r_k} diag(p(v_k)), grouped by range shift.
 
-    apply / apply_adjoint map a length-n vector to the (N_t, n) array of
-    per-scatterer outputs Psi_k v / Psi_k^H v: a Doppler twiddle and a
-    shift by gather, O(N_t n). quadratic_forms gives s^H Psi_k s for
-    every k at once. Read-only after construction.
+    Scatterers are laid out in blocks of at most `width` scatterers that
+    share one shift R_b (a shift with more scatterers spans several
+    blocks), so no operation gathers per-scatterer shifted copies:
+
+    - lags(u, v): the (B, n) lag products u[m] conj(v[m + R_b]), zero for
+      m >= n - R_b;
+    - forms(lags): amp_k sum_m p_k[m] lags[b(k), m] for every scatterer,
+      in scene order, so s^H Psi_k s = forms(lags(s, s))[k];
+    - diagonals(c): sum_k c_k Psi_k written as sum_b J^{R_b} diag(d_b),
+      returned as the (B, n) array of the d_b;
+    - apply(d, v) / apply_adjoint(d, v): that sum, and its adjoint,
+      applied to a length-n vector.
+
+    forms and diagonals are the only operations that read the (N_t, n)
+    scatterer weights; everything else is O(B n). The width is the mean
+    number of scatterers per distinct shift, rounded up, so B is at most
+    twice the number of distinct shifts. Read-only after construction.
     """
 
     def __init__(self, scene: ClutterScene):
         n = scene.n
-        nt = len(scene.scatterers)
+        scs = scene.scatterers
+        shifts = np.array([sc.range_shift for sc in scs], dtype=np.intp)
         self.n = n
-        self.size = nt
-        shifts = np.array([sc.range_shift for sc in scene.scatterers], dtype=np.intp)
-        self.amplitude = np.sqrt(np.array([sc.power for sc in scene.scatterers]))
-        self.phase = (
-            np.array([steering_vector(sc.doppler, n) for sc in scene.scatterers])
-            if nt
-            else np.zeros((0, n), complex)
+        self.size = shifts.size
+        order = np.argsort(shifts, kind="stable")
+        distinct, starts, counts = np.unique(shifts[order], return_index=True, return_counts=True)
+        self.width = max(1, -(-self.size // max(distinct.size, 1)))
+        per_shift = -(-counts // self.width)
+        rank = np.arange(self.size) - np.repeat(starts, counts)
+        self._block = np.empty(self.size, dtype=np.intp)
+        self._slot = np.empty(self.size, dtype=np.intp)
+        self._block[order] = np.repeat(np.cumsum(per_shift) - per_shift, counts) + rank // self.width
+        self._slot[order] = rank % self.width
+        self.shifts = np.repeat(distinct, per_shift)
+        m = np.arange(n)
+        dopplers = np.array([sc.doppler for sc in scs], dtype=float)
+        amplitude = np.sqrt(np.array([sc.power for sc in scs], dtype=float))
+        # Entries m >= n - r_k are zero: J^{r_k} drops them, so the shifts
+        # below may wrap around instead of padding.
+        weights = np.zeros((self.shifts.size, self.width, n), dtype=np.complex128)
+        weights[self._block, self._slot] = (
+            amplitude[:, None]
+            * np.exp(2j * np.pi * dopplers[:, None] * m)
+            * (m < n - shifts[:, None])
         )
-        idx = np.arange(n)[None, :]
-        self._down_src = np.maximum(idx - shifts[:, None], 0)
-        self._down_mask = idx >= shifts[:, None]
-        self._up_src = np.minimum(idx + shifts[:, None], n - 1)
-        self._up_mask = idx <= (n - 1) - shifts[:, None]
+        self._weights = weights
+        self._up = m + self.shifts[:, None]
+        # flat index of entry (b, m - R_b) of a (B, n) array, wrapping for m < R_b
+        self._down = np.arange(self.shifts.size)[:, None] * n + (m - self.shifts[:, None]) % n
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        if self.size == 0:
-            return np.zeros((0, self.n), dtype=np.complex128)
-        tmp = self.phase * v[None, :]
-        shifted = np.where(self._down_mask, np.take_along_axis(tmp, self._down_src, axis=1), 0.0)
-        return self.amplitude[:, None] * shifted
+    def shifted(self, v: np.ndarray) -> np.ndarray:
+        """(B, n) rows v[m + R_b], zero past the end: J^{R_b T} v per block."""
+        padded = np.zeros(2 * self.n, dtype=np.complex128)
+        padded[: self.n] = v
+        return padded[self._up]
 
-    def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
-        if self.size == 0:
-            return np.zeros((0, self.n), dtype=np.complex128)
-        shifted = np.where(self._up_mask, v[self._up_src], 0.0)
-        return self.amplitude[:, None] * np.conj(self.phase) * shifted
+    def lags(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return u * np.conj(self.shifted(v))
+
+    def forms(self, lags: np.ndarray) -> np.ndarray:
+        return np.matmul(self._weights, lags[:, :, None])[self._block, self._slot, 0]
 
     def quadratic_forms(self, s: np.ndarray) -> np.ndarray:
-        return self.apply(s) @ np.conj(s)
+        return self.forms(self.lags(s, s))
+
+    def diagonals(self, c: np.ndarray) -> np.ndarray:
+        coeffs = np.zeros((self.shifts.size, 1, self.width), dtype=np.complex128)
+        coeffs[self._block, 0, self._slot] = c
+        return np.matmul(coeffs, self._weights)[:, 0, :]
+
+    def apply(self, d: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """sum_b J^{R_b} (d_b (.) v) for diagonals d from `diagonals`."""
+        return (d * v).ravel()[self._down].sum(axis=0)
+
+    def apply_adjoint(self, d: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """sum_b conj(d_b) (.) J^{R_b T} v, the adjoint of apply(d, .)."""
+        return (np.conj(d) * self.shifted(v)).sum(axis=0)
 
 
 def clutter_energy(s: UnitModulusSequence, scene: ClutterScene) -> float:

@@ -1,17 +1,22 @@
 """Riemannian trust-region solver with a Steihaug-Toint inner loop.
 
 One engine serves both subproblems: a problem object only has to expose
-cost(x), rgrad(x) and rhess(x, xi) on the circle-product manifold. Each
-outer iteration minimizes the quadratic model
+cost(x), rgrad(x) and rhess(x, a) on the circle-product manifold, with
+tangent vectors as real coordinate arrays (see manifold), so the inner
+loop is plain float64 vector algebra. Each outer iteration minimizes the
+quadratic model
 
-    m(xi) = f(x) + <grad, xi> + 1/2 <Hess xi, xi>,   ||xi|| <= Delta
+    m(a) = f(x) + grad.a + 1/2 a.(Hess a),   ||a|| <= Delta
 
-by truncated conjugate gradients, retracts the step, and accepts or
-rejects it on the actual-to-predicted decrease ratio rho. The radius
-shrinks by 1/4 when rho < 1/4 and doubles (capped at delta_bar) only
-when rho > 3/4 with the step on the boundary. A run of rejections that
+by truncated conjugate gradients (Absil, Mahony & Sepulchre 2008, ch. 7),
+retracts the step, and accepts or rejects it on the actual-to-predicted
+decrease ratio rho. The radius shrinks by 1/4 when rho < 1/4 and doubles
+(capped at delta_bar) only when rho > 3/4 with the step on the boundary. A run of rejections that
 shrinks the radius below machine epsilon times delta_bar ends the solve:
-no step that short can move the iterate in floating point.
+no step that short can move the iterate in floating point. A rejected
+step that tCG ended inside the region is reused while the shrunk radius
+still exceeds its norm: Steihaug iterate norms grow monotonically, so tCG
+would retrace the same path to the same step.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifold import TangentVector, UnitModulusSequence, inner, norm, retract, zero_tangent
+from .manifold import UnitModulusSequence, norm, retract
 
 
 class TcgStop(enum.Enum):
@@ -30,6 +35,9 @@ class TcgStop(enum.Enum):
     BOUNDARY = "boundary"
     RESIDUAL_SMALL = "residual_small"
     MAX_INNER = "max_inner"
+
+
+_INTERIOR_STOPS = (TcgStop.RESIDUAL_SMALL, TcgStop.MAX_INNER)
 
 
 @dataclass(frozen=True)
@@ -106,17 +114,17 @@ class TrustRegionTrace:
         return [it.cost for it in self.iterations if it.accepted]
 
 
-def _boundary_step(eta: TangentVector, d: TangentVector, delta: float) -> TangentVector:
+def _boundary_step(eta: np.ndarray, d: np.ndarray, delta: float) -> np.ndarray:
     """Positive root tau of ||eta + tau d|| = delta along the search direction."""
-    a = inner(d, d)
-    b = 2.0 * inner(eta, d)
-    c = inner(eta, eta) - delta * delta
+    a = float(d @ d)
+    b = 2.0 * float(eta @ d)
+    c = float(eta @ eta) - delta * delta
     tau = (-b + math.sqrt(max(b * b - 4.0 * a * c, 0.0))) / (2.0 * a)
     return eta + tau * d
 
 
 def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig,
-        grad: TangentVector | None = None, on_iterate=None):
+        grad: np.ndarray | None = None, on_iterate=None):
     """Steihaug-Toint truncated CG on the model at x.
 
     Returns (step, TcgStop). The step never exceeds the radius (boundary
@@ -128,17 +136,17 @@ def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig,
     if grad is None:
         grad = problem.rgrad(x)
     max_inner = cfg.tcg_max_inner if cfg.tcg_max_inner is not None else x.n
-    eta = zero_tangent(x)
+    eta = np.zeros(x.n)
     r0 = norm(grad)
     if r0 == 0.0:
         return eta, TcgStop.RESIDUAL_SMALL
     stop_tol = r0 * min(cfg.tcg_kappa, r0**cfg.tcg_theta)
     r = grad
     d = -grad
-    rr = inner(r, r)
+    rr = float(r @ r)
     for _ in range(max_inner):
         hd = problem.rhess(x, d)
-        d_hd = inner(d, hd)
+        d_hd = float(d @ hd)
         if d_hd <= 0.0:
             return _boundary_step(eta, d, delta), TcgStop.NEGATIVE_CURVATURE
         alpha = rr / d_hd
@@ -149,7 +157,7 @@ def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig,
         if on_iterate is not None:
             on_iterate(eta)
         r = r + alpha * hd
-        rr_next = inner(r, r)
+        rr_next = float(r @ r)
         if math.sqrt(rr_next) <= stop_tol:
             return eta, TcgStop.RESIDUAL_SMALL
         d = -r + (rr_next / rr) * d
@@ -176,22 +184,26 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
     tol = cfg.grad_tol * gn if cfg.grad_tol_relative else cfg.grad_tol
     trace = TrustRegionTrace(initial_grad_norm=gn, grad_tol_effective=tol)
     eps = float(np.finfo(float).eps)
+    interior = None  # (stop, step_norm, rho) of the last step if rejected inside the region
     for _ in range(cfg.max_iters):
         if gn <= tol:
             break
-        xi, stop = tcg(problem, x, delta, cfg, grad=g)
-        step_norm = norm(xi)
-        h_xi = problem.rhess(x, xi)
-        model_decrease = -(inner(g, xi) + 0.5 * inner(h_xi, xi))
-        candidate = retract(x, xi)
-        f_cand = problem.cost(candidate)
-        guard = 1e4 * eps * abs(fx)
-        if model_decrease <= 0.0:
-            rho = float("-inf")
-        elif model_decrease < guard:
-            rho = (fx - f_cand) / (model_decrease + guard)
+        if interior is not None and delta > interior[1]:
+            stop, step_norm, rho = interior
         else:
-            rho = (fx - f_cand) / model_decrease
+            xi, stop = tcg(problem, x, delta, cfg, grad=g)
+            step_norm = norm(xi)
+            h_xi = problem.rhess(x, xi)
+            model_decrease = -(float(g @ xi) + 0.5 * float(h_xi @ xi))
+            candidate = retract(x, xi)
+            f_cand = problem.cost(candidate)
+            guard = 1e4 * eps * abs(fx)
+            if model_decrease <= 0.0:
+                rho = float("-inf")
+            elif model_decrease < guard:
+                rho = (fx - f_cand) / (model_decrease + guard)
+            else:
+                rho = (fx - f_cand) / model_decrease
         accepted = rho > cfg.rho_bar
         trace.iterations.append(
             TrustRegionIteration(
@@ -212,8 +224,11 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
             x, fx = candidate, f_cand
             g = problem.rgrad(x)
             gn = norm(g)
-        elif delta < eps * delta_bar:
-            break
+            interior = None
+        else:
+            interior = (stop, step_norm, rho) if stop in _INTERIOR_STOPS else None
+            if delta < eps * delta_bar:
+                break
     trace.final_grad_norm = gn
     trace.final_cost = fx
     trace.converged = gn <= tol

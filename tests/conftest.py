@@ -57,8 +57,9 @@ def rng():
 
 
 def make_tangent(x, rng, scale=None):
+    """Tangent coordinates at x: a projected complex Gaussian, optionally of norm scale."""
     ambient = rng.standard_normal(x.n) + 1j * rng.standard_normal(x.n)
-    xi = project_tangent(x, ambient)
+    a = project_tangent(x, ambient)
     if scale is not None:
-        xi = xi * (scale / np.linalg.norm(xi.entries))
-    return xi
+        a = a * (scale / np.linalg.norm(a))
+    return a

@@ -62,6 +62,28 @@ class TestWrtrCommand:
         b = read_sequence_csv(out_b / "sequence_initial.csv")
         assert not np.allclose(a.entries, b.entries)
 
+    def test_report_certifies_the_worst_case(self, tmp_path):
+        # report.json compares |s^H st|^2 with the closed form max(n - eps/2, 0)^2;
+        # the shipped small config sits in the eps >= 2n regime, a narrower
+        # Doppler interval below it
+        out = tmp_path / "shipped"
+        assert main(["wrtr", "--config", str(SMALL_CONFIG), "--out", str(out)]) == 0
+        cert = read_report(out)["summary"]["certificate"]
+        assert cert["eps_ge_2n"] is True
+        assert cert["closed_form_gain"] == 0.0 and cert["relative_gap"] is None
+        cfg = json.loads(SMALL_CONFIG.read_text())
+        cfg["doppler_interval"] = [-0.01, 0.01]
+        narrow = tmp_path / "narrow.json"
+        narrow.write_text(json.dumps(cfg))
+        out = tmp_path / "narrow"
+        assert main(["wrtr", "--config", str(narrow), "--out", str(out)]) == 0
+        summary = read_report(out)["summary"]
+        cert = summary["certificate"]
+        assert cert["eps_ge_2n"] is False
+        assert cert["c"] == pytest.approx(cfg["n"] - summary["epsilon"] / 2, rel=1e-15)
+        assert cert["closed_form_gain"] == pytest.approx(cert["c"] ** 2, rel=1e-15)
+        assert cert["relative_gap"] < 1e-6
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

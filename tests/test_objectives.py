@@ -1,23 +1,22 @@
 import numpy as np
 import pytest
 
-from wrtr.manifold import (
-    UnitModulusSequence,
-    inner,
-    project_tangent,
-    random_point,
-    retract,
-    zero_tangent,
-)
+from wrtr.manifold import UnitModulusSequence, inner, project_tangent, random_point, retract
 from wrtr.objectives import (
     NearOrthogonalSteeringError,
     SequenceObjective,
     WorstCaseObjective,
     epsilon_from_doppler,
+    worst_case_gain,
 )
 from wrtr.radar import ClutterScatterer, ClutterScene
 
 from conftest import dense_psi, loglog_slope, make_tangent, pullback, random_scene
+
+
+def ambient_tangent(x, rng, scale=None):
+    """A tangent vector as the ambient j a (.) x that egrad / ehess_dir take."""
+    return 1j * make_tangent(x, rng, scale) * x.entries
 
 
 class TestEpsilonFromDoppler:
@@ -42,6 +41,17 @@ class TestEpsilonFromDoppler:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             epsilon_from_doppler([], 0.0, 8)
+
+    def test_matches_steering_vector_differences(self):
+        # the direct definition max_v ||p(v) - p(v_t)||^2, one grid point at a time
+        from wrtr.radar import steering_vector
+
+        n, vt = 64, 0.013
+        grid = np.linspace(-0.1, 0.1, 201)
+        direct = max(
+            float(np.sum(np.abs(steering_vector(v, n) - steering_vector(vt, n)) ** 2)) for v in grid
+        )
+        assert epsilon_from_doppler(grid, vt, n) == pytest.approx(direct, rel=1e-12)
 
     def test_sine_sum_closed_form(self):
         n = 64
@@ -106,20 +116,20 @@ class TestWorstCaseHessian:
     def test_zero_direction(self, rng):
         s, st = random_point(8, 9), random_point(8, 10)
         obj = WorstCaseObjective(s, lam=100.0, epsilon=2.0)
-        assert np.allclose(obj.ehess_dir(st, zero_tangent(st)), 0.0)
+        assert np.allclose(obj.ehess_dir(st, np.zeros(st.n, dtype=complex)), 0.0)
 
     def test_real_linearity(self, rng):
         s, st = random_point(8, 11), random_point(8, 12)
         obj = WorstCaseObjective(s, lam=100.0, epsilon=2.0)
-        xi = make_tangent(st, rng)
+        xi = ambient_tangent(st, rng)
         assert np.allclose(obj.ehess_dir(st, 3.5 * xi), 3.5 * obj.ehess_dir(st, xi), atol=1e-12)
 
     def test_forward_difference_of_gradient(self, rng):
         s, st = random_point(8, 13), random_point(8, 14)
         obj = WorstCaseObjective(s, lam=100.0, epsilon=2.0)
-        xi = make_tangent(st, rng, scale=1.0)
+        xi = ambient_tangent(st, rng, scale=1.0)
         t = 1e-7
-        fd = (obj.egrad(st.entries + t * xi.entries) - obj.egrad(st)) / t
+        fd = (obj.egrad(st.entries + t * xi) - obj.egrad(st)) / t
         analytic = obj.ehess_dir(st, xi)
         assert np.linalg.norm(fd - analytic) / np.linalg.norm(fd) < 1e-5
 
@@ -208,7 +218,7 @@ class TestSequenceCost:
         assert frozen.cost(x) == pytest.approx(scale * nominal.cost(x), rel=1e-12)
         assert np.allclose(frozen.egrad(x), scale * nominal.egrad(x), rtol=1e-12, atol=0)
         assert np.allclose(
-            frozen.rhess(x, xi).entries, scale * nominal.rhess(x, xi).entries, rtol=1e-12, atol=0
+            frozen.rhess(x, xi), scale * nominal.rhess(x, xi), rtol=1e-12, atol=0
         )
 
     def test_frozen_distortion_rejected_when_invalid(self):
@@ -266,13 +276,13 @@ class TestSequenceHessian:
         n = 8
         obj = SequenceObjective(_small_scene(n), steering=random_point(n, 31))
         s = random_point(n, 32)
-        assert np.allclose(obj.ehess_dir(s, zero_tangent(s)), 0.0)
+        assert np.allclose(obj.ehess_dir(s, np.zeros(s.n, dtype=complex)), 0.0)
 
     def test_real_linearity(self, rng):
         n = 8
         obj = SequenceObjective(_small_scene(n), steering=random_point(n, 33))
         s = random_point(n, 34)
-        xi, eta = make_tangent(s, rng), make_tangent(s, rng)
+        xi, eta = ambient_tangent(s, rng), ambient_tangent(s, rng)
         lhs = obj.ehess_dir(s, 2.0 * xi - 0.5 * eta)
         rhs = 2.0 * obj.ehess_dir(s, xi) - 0.5 * obj.ehess_dir(s, eta)
         assert np.allclose(lhs, rhs, atol=1e-12 * max(1.0, np.max(np.abs(rhs))))
@@ -282,9 +292,9 @@ class TestSequenceHessian:
         n = 8
         obj = SequenceObjective(_small_scene(n), steering=random_point(n, 35))
         s = random_point(n, 36)
-        xi = make_tangent(s, rng, scale=1.0)
+        xi = ambient_tangent(s, rng, scale=1.0)
         t = 1e-6
-        fd = (obj.egrad(s.entries + t * xi.entries) - obj.egrad(s)) / t
+        fd = (obj.egrad(s.entries + t * xi) - obj.egrad(s)) / t
         analytic = obj.ehess_dir(s, xi)
         assert np.linalg.norm(fd - analytic) / np.linalg.norm(fd) < 1e-4
 
@@ -294,10 +304,10 @@ class TestSequenceHessian:
         n = 8
         obj = SequenceObjective(_small_scene(n), steering=random_point(n, 37))
         s = random_point(n, 38)
-        xi = make_tangent(s, rng, scale=1.0)
+        xi = ambient_tangent(s, rng, scale=1.0)
         t = 1e-6
-        a_plus, b_plus = obj._grad_terms(s.entries + t * xi.entries)
-        a_minus, b_minus = obj._grad_terms(s.entries - t * xi.entries)
+        a_plus, b_plus = obj._grad_terms(s.entries + t * xi)
+        a_minus, b_minus = obj._grad_terms(s.entries - t * xi)
         da, db = obj._dgrad_terms(s, xi)
         fd_a = (a_plus - a_minus) / (2 * t)
         fd_b = (b_plus - b_minus) / (2 * t)
@@ -332,25 +342,88 @@ class TestSequenceHessian:
         assert loglog_slope(ts, residuals) == pytest.approx(3.0, abs=0.2)
 
 
+def dense_phase_derivatives(scene, x, steering=None, gamma=None):
+    """Gradient and Hessian at 0 of phi -> f(x (.) e^{j phi}), built from dense Psi_k.
+
+    t -> x (.) e^{j t a} is a geodesic of M, so these are the Riemannian
+    gradient and Hessian in tangent coordinates at x (at any point, not
+    only a critical one). f = sum_k |q_k|^2 / gamma, with gamma = |st^H s|^2
+    when the steering st is given, else the constant gamma.
+    """
+    z = x.entries
+    grad_u, hess_u, u = 0.0, 0.0, 0.0
+    for sc in scene.scatterers:
+        a = np.conj(z)[:, None] * dense_psi(sc, scene.n) * z[None, :]
+        q = a.sum()
+        dq = 1j * (a.sum(axis=0) - a.sum(axis=1))
+        d2q = a + a.T - np.diag(a.sum(axis=0) + a.sum(axis=1))
+        u += abs(q) ** 2
+        grad_u = grad_u + 2.0 * np.real(np.conj(q) * dq)
+        hess_u = hess_u + 2.0 * np.real(np.outer(np.conj(dq), dq) + np.conj(q) * d2q)
+    if steering is None:
+        return grad_u / gamma, hess_u / gamma
+    c = np.conj(steering.entries) * z
+    b = c.sum()
+    db = 1j * c
+    grad_g = 2.0 * np.real(np.conj(b) * db)
+    hess_g = 2.0 * np.real(np.outer(np.conj(db), db) - np.conj(b) * np.diag(c))
+    g = abs(b) ** 2
+    grad = grad_u / g - u * grad_g / g**2
+    hess = (
+        hess_u / g
+        - (np.outer(grad_u, grad_g) + np.outer(grad_g, grad_u)) / g**2
+        - u * hess_g / g**2
+        + 2.0 * u * np.outer(grad_g, grad_g) / g**3
+    )
+    return grad, hess
+
+
+class TestDenseHessianOracle:
+    @pytest.mark.parametrize("form", ["nominal", "distortion", "steering"])
+    def test_coordinate_derivatives_match_dense(self, rng, form):
+        # repeated and distinct shifts, shift 0 and n - 1 included
+        n = 12
+        scene = ClutterScene(
+            [ClutterScatterer(r, float(rng.uniform(0, 1)), float(rng.uniform(0.2, 2.0)))
+             for r in (0, 3, 3, 3, 7, n - 1, 5, 3)],
+            n,
+        )
+        x = random_point(n, 50)
+        w = random_point(n, 51).entries
+        if form == "nominal":
+            obj, dense = SequenceObjective(scene), dense_phase_derivatives(scene, x, gamma=n**2)
+        elif form == "distortion":
+            obj = SequenceObjective(scene, distortion=w)
+            dense = dense_phase_derivatives(scene, x, gamma=abs(w.sum()) ** 2)
+        else:
+            st = random_point(n, 52)
+            obj, dense = SequenceObjective(scene, steering=st), dense_phase_derivatives(scene, x, st)
+        grad, hess = dense
+        assert np.max(np.abs(obj.rgrad(x) - grad)) <= 1e-10 * np.max(np.abs(grad))
+        columns = np.column_stack([obj.rhess(x, e) for e in np.eye(n)])
+        assert np.max(np.abs(columns - hess)) <= 1e-10 * np.max(np.abs(hess))
+        a = make_tangent(x, rng, scale=1.0)
+        assert np.max(np.abs(obj.rhess(x, a) - hess @ a)) <= 1e-10 * np.max(np.abs(hess))
+
+
 class TestRiemannianGradient:
     def test_tangent_euclidean_gradient_unchanged(self, rng):
         # when the Euclidean gradient is already tangent, projection is a no-op
         n = 8
         s = random_point(n, 43)
-        xi = make_tangent(s, rng)
-        projected = project_tangent(s, xi.entries)
-        assert np.allclose(projected.entries, xi.entries, atol=1e-12)
+        a = make_tangent(s, rng)
+        assert np.allclose(project_tangent(s, 1j * a * s.entries), a, atol=1e-12)
 
     def test_zero_at_center_zero_radius(self):
         s = random_point(8, 44)
         obj = WorstCaseObjective(s, lam=100.0, epsilon=0.0)
-        assert np.allclose(obj.rgrad(s).entries, 0.0, atol=1e-14)
+        assert np.allclose(obj.rgrad(s), 0.0, atol=1e-14)
 
     def test_center_is_stationary_for_any_radius(self):
         # the radius penalty gradient at st = s is radial, so it projects out
         s = random_point(8, 45)
         obj = WorstCaseObjective(s, lam=100.0, epsilon=3.0)
-        assert np.allclose(obj.rgrad(s).entries, 0.0, atol=1e-10)
+        assert np.allclose(obj.rgrad(s), 0.0, atol=1e-10)
 
     def test_pullback_first_order(self, rng):
         n = 16
@@ -383,6 +456,12 @@ class TestBoundaryProperty:
 
 
 class TestClosedFormWorstCase:
+    def test_closed_form_values(self):
+        assert worst_case_gain(64, 0.0) == 64.0**2
+        assert worst_case_gain(64, 20.0) == 54.0**2
+        assert worst_case_gain(64, 128.0) == 0.0
+        assert worst_case_gain(64, 154.6) == 0.0
+
     def test_rtr_adversary_attains_the_closed_form_gain(self):
         # with st = s (.) w, s^H st = sum w and ||st - s||^2 = 2n - 2 Re sum w,
         # so the worst coupling over the ball is |s^H st|^2 = (n - eps/2)^2
@@ -399,4 +478,4 @@ class TestClosedFormWorstCase:
                 start = retract(s, random_tangent(s, rng, scale=float(np.sqrt(eps))))
                 st, _ = rtr.solve(obj, start, rtr.TrustRegionConfig())
                 gain = abs(np.vdot(s.entries, st.entries)) ** 2
-                assert gain == pytest.approx((n - eps / 2) ** 2, rel=1e-6), (eps, seed)
+                assert gain == pytest.approx(worst_case_gain(n, eps), rel=1e-6), (eps, seed)

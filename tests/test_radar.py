@@ -33,7 +33,7 @@ class TestSteeringVector:
 
 
 def pure_shifts(n: int) -> ClutterBank:
-    """Bank whose row r is the bare shift J^r (zero Doppler, unit power)."""
+    """Bank whose scatterer r is the bare shift J^r (zero Doppler, unit power)."""
     return ClutterBank(ClutterScene([ClutterScatterer(r, 0.0, 1.0) for r in range(n)], n))
 
 
@@ -50,13 +50,30 @@ def random_vector(n: int, rng) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def assert_rows_match_dense(scene: ClutterScene, v: np.ndarray) -> None:
+def single(bank: ClutterBank, k: int):
+    """Diagonals of Psi_k alone: the weighted sum with weight 1 on scatterer k."""
+    c = np.zeros(bank.size, dtype=complex)
+    c[k] = 1.0
+    return bank.diagonals(c)
+
+
+def assert_bank_matches_dense(scene: ClutterScene, rng) -> None:
+    """forms, apply and apply_adjoint against dense Psi_k, one scatterer and all weighted."""
+    n = scene.n
     bank = ClutterBank(scene)
-    rows, rows_adj = bank.apply(v), bank.apply_adjoint(v)
-    for k, sc in enumerate(scene.scatterers):
-        psi = dense_psi(sc, scene.n)
-        assert np.allclose(rows[k], psi @ v, atol=1e-12)
-        assert np.allclose(rows_adj[k], psi.conj().T @ v, atol=1e-12)
+    u, v = random_vector(n, rng), random_vector(n, rng)
+    psis = [dense_psi(sc, n) for sc in scene.scatterers]
+    forms = bank.forms(bank.lags(u, v))
+    for k, psi in enumerate(psis):
+        assert forms[k] == pytest.approx(np.vdot(v, psi @ u), abs=1e-12)
+        d = single(bank, k)
+        assert np.allclose(bank.apply(d, v), psi @ v, atol=1e-12)
+        assert np.allclose(bank.apply_adjoint(d, v), psi.conj().T @ v, atol=1e-12)
+    c = random_vector(bank.size, rng)
+    total = sum((ck * psi for ck, psi in zip(c, psis)), np.zeros((n, n), dtype=complex))
+    d = bank.diagonals(c)
+    assert np.allclose(bank.apply(d, v), total @ v, atol=1e-11)
+    assert np.allclose(bank.apply_adjoint(d, v), total.conj().T @ v, atol=1e-11)
 
 
 class TestShift:
@@ -65,31 +82,33 @@ class TestShift:
     def test_identity(self, rng):
         x = random_vector(6, rng)
         bank = ClutterBank(ClutterScene([ClutterScatterer(0, 0.0, 1.0)], 6))
-        assert np.array_equal(bank.apply(x)[0], x)
-        assert np.array_equal(bank.apply_adjoint(x)[0], x)
+        assert np.array_equal(bank.apply(single(bank, 0), x), x)
+        assert np.array_equal(bank.apply_adjoint(single(bank, 0), x), x)
 
     def test_small_example(self):
         a, b, c, d = 1 + 1j, 2.0, 3 - 1j, 4j
         bank = ClutterBank(ClutterScene([ClutterScatterer(2, 0.0, 1.0)], 4))
-        assert np.allclose(bank.apply(np.array([a, b, c, d]))[0], [0, 0, a, b])
-        assert np.allclose(bank.apply_adjoint(np.array([a, b, c, d]))[0], [c, d, 0, 0])
+        assert np.allclose(bank.apply(single(bank, 0), np.array([a, b, c, d])), [0, 0, a, b])
+        assert np.allclose(bank.apply_adjoint(single(bank, 0), np.array([a, b, c, d])), [c, d, 0, 0])
+        assert np.allclose(bank.shifted(np.array([a, b, c, d]))[0], [c, d, 0, 0])
 
     def test_matches_dense_matrix(self, rng):
         n = 8
         x = random_vector(n, rng)
         bank = pure_shifts(n)
-        rows, rows_adj = bank.apply(x), bank.apply_adjoint(x)
         for r in range(n):
-            assert np.allclose(rows[r], np.eye(n, k=-r) @ x, atol=1e-15)
-            assert np.allclose(rows_adj[r], np.eye(n, k=-r).T @ x, atol=1e-15)
+            d = single(bank, r)
+            assert np.allclose(bank.apply(d, x), np.eye(n, k=-r) @ x, atol=1e-15)
+            assert np.allclose(bank.apply_adjoint(d, x), np.eye(n, k=-r).T @ x, atol=1e-15)
 
     def test_adjoint_identity(self, rng):
         n = 8
         u, v = random_vector(n, rng), random_vector(n, rng)
         bank = pure_shifts(n)
-        lhs = bank.apply(u) @ np.conj(v)
-        rhs = np.conj(bank.apply_adjoint(v)) @ u
-        assert np.allclose(lhs, rhs, atol=1e-12)
+        d = bank.diagonals(random_vector(n, rng))
+        lhs = np.vdot(v, bank.apply(d, u))
+        rhs = np.vdot(bank.apply_adjoint(d, v), u)
+        assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -99,7 +118,7 @@ class TestShift:
 
 
 class TestClutterOperator:
-    """Each row of the bank against the dense oracle Psi_k = amp_k J^{r_k} diag(p(v_k))."""
+    """Each scatterer of the bank against the dense oracle Psi_k = amp_k J^{r_k} diag(p(v_k))."""
 
     def test_quadratic_form_identity_case(self):
         n = 8
@@ -124,22 +143,38 @@ class TestClutterOperator:
             assert q[k] == pytest.approx(expected, abs=1e-12)
 
     def test_apply_adjoint_matches_dense(self, rng):
+        # all distinct shifts 0..n-1, so both edges are covered
         n = 8
         scene = every_shift_scene(n, rng)
-        u, v = random_vector(n, rng), random_vector(n, rng)
-        assert_rows_match_dense(scene, v)
-        # <Psi_k u, v> = <u, Psi_k^H v> at every shift
+        assert_bank_matches_dense(scene, rng)
+        # <Psi u, v> = <u, Psi^H v> for a weighted sum over every shift
         bank = ClutterBank(scene)
-        lhs = bank.apply(u) @ np.conj(v)
-        rhs = np.conj(bank.apply_adjoint(v)) @ u
-        assert np.allclose(lhs, rhs, atol=1e-12)
+        u, v = random_vector(n, rng), random_vector(n, rng)
+        d = bank.diagonals(random_vector(n, rng))
+        assert np.vdot(v, bank.apply(d, u)) == pytest.approx(
+            np.vdot(bank.apply_adjoint(d, v), u), abs=1e-12
+        )
 
 
 class TestClutterBank:
     def test_matches_per_operator_application(self, rng):
-        # random shifts with repeats, one dense Psi_k per row
+        # random shifts with repeats, one dense Psi_k per scatterer
         n = 12
-        assert_rows_match_dense(random_scene(n, 6, rng), random_vector(n, rng))
+        assert_bank_matches_dense(random_scene(n, 6, rng), rng)
+
+    def test_repeated_shifts_span_several_blocks(self, rng):
+        # 9 scatterers on shift 3 and one each on 0 and n - 1: the crowded
+        # shift is split over blocks of the bank's width
+        n = 10
+        dopplers = rng.uniform(0.0, 1.0, 11)
+        shifts = [3] * 9 + [0, n - 1]
+        scene = ClutterScene(
+            [ClutterScatterer(r, float(v), 0.5 + k) for k, (r, v) in enumerate(zip(shifts, dopplers))], n
+        )
+        bank = ClutterBank(scene)
+        assert bank.width == 4
+        assert sorted(bank.shifts.tolist()) == [0, 3, 3, 3, n - 1]
+        assert_bank_matches_dense(scene, rng)
 
     def test_quadratic_forms(self, rng):
         n = 10
@@ -149,9 +184,16 @@ class TestClutterBank:
         expected = [np.vdot(s.entries, dense_psi(sc, n) @ s.entries) for sc in scene.scatterers]
         assert np.allclose(q, expected, atol=1e-12)
 
-    def test_empty_scene(self):
-        bank = ClutterBank(ClutterScene((), 4))
-        assert bank.apply(np.ones(4, dtype=complex)).shape == (0, 4)
+    def test_empty_scene(self, rng):
+        n = 4
+        bank = ClutterBank(ClutterScene((), n))
+        v = random_vector(n, rng)
+        assert bank.quadratic_forms(v).shape == (0,)
+        d = bank.diagonals(np.zeros(0, dtype=complex))
+        assert d.shape == (0, n)
+        assert np.array_equal(bank.apply(d, v), np.zeros(n))
+        assert np.array_equal(bank.apply_adjoint(d, v), np.zeros(n))
+        assert clutter_energy(random_point(n, 3), ClutterScene((), n)) == 0.0
 
 
 class TestClutterEnergy:

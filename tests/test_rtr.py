@@ -1,37 +1,35 @@
 import numpy as np
 import pytest
 
-from wrtr import rtr
-from wrtr.driver import tangent_basis
-from wrtr.manifold import TangentVector, inner, norm, random_point, random_tangent, retract
+from wrtr.manifold import inner, norm, random_point, random_tangent, retract
 from wrtr.objectives import WorstCaseObjective
 from wrtr.rtr import TcgStop, TrustRegionConfig, solve, tcg
 
-from conftest import make_tangent
-
 
 class QuadraticModelProblem:
-    """Fixed quadratic model on the tangent space at one point (test double)."""
+    """Fixed quadratic model on the tangent space at one point (test double).
+
+    Its cost never decreases, so every step is rejected; it counts its
+    cost evaluations and Hessian-vector products.
+    """
 
     def __init__(self, x, matrix, grad_coords):
         self.x = x
         self.matrix = np.asarray(matrix, dtype=float)
         self.grad_coords = np.asarray(grad_coords, dtype=float)
-
-    def _coords(self, xi):
-        return np.imag(np.conj(self.x.entries) * xi.entries)
-
-    def _from_coords(self, c):
-        return TangentVector(1j * self.x.entries * c, self.x)
+        self.cost_calls = 0
+        self.hvp_calls = 0
 
     def cost(self, x):
+        self.cost_calls += 1
         return 0.0
 
     def rgrad(self, x):
-        return self._from_coords(self.grad_coords)
+        return self.grad_coords.copy()
 
-    def rhess(self, x, xi):
-        return self._from_coords(self.matrix @ self._coords(xi))
+    def rhess(self, x, a):
+        self.hvp_calls += 1
+        return self.matrix @ a
 
 
 def spd_matrix(n, rng):
@@ -53,7 +51,7 @@ class TestTcg:
         problem = QuadraticModelProblem(x, [[h]], [g])
         step, reason = tcg(problem, x, 100.0, TrustRegionConfig())
         assert reason is TcgStop.RESIDUAL_SMALL
-        assert np.imag(np.conj(x.entries) * step.entries)[0] == pytest.approx(-g / h, rel=1e-14)
+        assert step[0] == pytest.approx(-g / h, rel=1e-14)
 
     def test_matches_dense_newton_solve(self, rng):
         n = 8
@@ -65,7 +63,7 @@ class TestTcg:
         step, reason = tcg(problem, x, 1e6, cfg)
         expected = -np.linalg.solve(a, g)
         assert reason is TcgStop.RESIDUAL_SMALL
-        assert np.allclose(np.imag(np.conj(x.entries) * step.entries), expected, atol=1e-8)
+        assert np.allclose(step, expected, atol=1e-8)
 
     def test_step_never_exceeds_radius(self, rng):
         n = 8
@@ -211,6 +209,34 @@ class TestSolve:
         last = trace.iterations[-1]
         assert not last.accepted
         assert 0.25 * last.delta < np.finfo(float).eps * delta_bar
+
+
+    def test_rejected_interior_step_is_reused(self, rng):
+        # tCG stops inside the region at the Newton step; the cost never
+        # decreases, so each row is rejected and the radius shrinks by 4x.
+        # While it still exceeds the step's norm, tCG would retrace the same
+        # path: the row repeats with no new tCG, HVP or cost evaluation.
+        n = 8
+        x = random_point(n, 15)
+        problem = QuadraticModelProblem(x, spd_matrix(n, rng), rng.standard_normal(n))
+        cfg = TrustRegionConfig(delta_bar=100.0, delta0=100.0, tcg_kappa=1e-12,
+                                grad_tol=0.0, grad_tol_relative=False, max_iters=12)
+        _, trace = solve(problem, x, cfg)
+        rows = trace.iterations
+        assert len(rows) == 12 and not any(it.accepted for it in rows)
+        assert rows[0].tcg_stop is TcgStop.RESIDUAL_SMALL
+        reused = [
+            prev.tcg_stop in (TcgStop.RESIDUAL_SMALL, TcgStop.MAX_INNER) and cur.delta > prev.step_norm
+            for prev, cur in zip(rows, rows[1:])
+        ]
+        assert 3 <= sum(reused) < len(rows) - 1
+        for prev, cur, again in zip(rows, rows[1:], reused):
+            if again:
+                assert (cur.step_norm, cur.rho, cur.tcg_stop) == (prev.step_norm, prev.rho, prev.tcg_stop)
+        fresh = len(rows) - sum(reused)
+        assert problem.cost_calls == 1 + fresh
+        first_hvps = n + 1  # at most n inner iterations plus the model-decrease product
+        assert problem.hvp_calls <= fresh * first_hvps
 
 
 class TestCheckTermination:
