@@ -173,7 +173,7 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
     if method == "random":
         final = initial
     elif method == "rtr_nonrobust":
-        objective = SequenceObjective(scene, steering=None)
+        objective = SequenceObjective(scene)
         final, trace = driver.design_nonrobust(scene, cfg.seq_solver, seed)
         sections.append((0, "seq", trace))
         solver_summary = {"iterations": len(trace), "converged": trace.converged}
@@ -182,7 +182,7 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
         )
         files.append("hessian_spectrum_seq.csv")
     else:
-        objective = SequenceObjective(scene, steering=None)
+        objective = SequenceObjective(scene)
         rcg_cfg = RcgConfig(
             grad_tol=cfg.seq_solver.grad_tol,
             grad_tol_relative=cfg.seq_solver.grad_tol_relative,

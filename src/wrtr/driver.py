@@ -6,16 +6,16 @@ solve of the penalized steering cost), then re-optimizes the sequence
 against that worst case. The ball is centred on the sequence, so the
 adversary's answer is the relative distortion w = conj(s) (.) st: both
 the ball constraint ||st - s||^2 = ||w - 1||^2 and the coupling
-s^H st = sum w depend on w alone. The sequence step therefore freezes w,
-not st (the min-max, or Danskin, gradient): it minimizes clutter energy
-/ |sum w|^2, with the worst steering s (.) w moving along with s. The
-first adversary solve starts from a seeded tangent nudge of norm
-sqrt(eps) off the sequence (the sequence itself is a stationary saddle
-of the steering cost); later ones restart from s (.) w. Warm-started
-solves begin close to stationary, where a tolerance relative to their
-own start gradient cannot be met, so after the first outer iteration
-both solvers run to the absolute tolerance the first solves reached
-(grad_tol_effective of their traces). The loop stops
+s^H st = sum w depend on w alone. The sequence step minimizes clutter
+energy / |sum w|^2 with w frozen (SequenceObjective(scene, distortion=w)),
+whose gradient is the min-max (Danskin) gradient; the worst steering
+s (.) w moves along with s. The first adversary solve starts from a
+seeded tangent nudge of norm sqrt(eps) off the sequence (the sequence
+itself is a stationary saddle of the steering cost); later ones restart
+from s (.) w. Warm-started solves begin close to stationary, where a
+tolerance relative to their own start gradient cannot be met, so after
+the first outer iteration both solvers run to the absolute tolerance the
+first solves reached (grad_tol_effective of their traces). The loop stops
 once the output SCNR moves by less than scnr_tol_db across consecutive
 outer iterations, or at max_outer; the overall alternation is
 monitored, not proven, so hitting the cap is a warning outcome rather
@@ -58,6 +58,14 @@ class WrtrConfig:
             raise ValueError("max_outer must be >= 1")
         if self.scnr_tol_db <= 0:
             raise ValueError("scnr_tol_db must be > 0")
+        if self.interval_grid_points < 1:
+            raise ValueError("interval_grid_points must be >= 1")
+        if self.lam <= 0:
+            raise ValueError("lam must be > 0")
+        if self.noise_power < 0:
+            raise ValueError("noise_power must be >= 0")
+        if self.target_power <= 0:
+            raise ValueError("target_power must be > 0")
         if self.epsilon is None and self.doppler_interval is None:
             raise ValueError("either epsilon or doppler_interval must be given")
 
@@ -254,5 +262,5 @@ def monte_carlo_scr(
 
 def design_nonrobust(scene: ClutterScene, solver: rtr.TrustRegionConfig, seed: int):
     """Non-robust trust-region design: minimize clutter energy / n^2."""
-    objective = SequenceObjective(scene, steering=None)
+    objective = SequenceObjective(scene)
     return rtr.solve(objective, random_point(scene.n, seed), solver)

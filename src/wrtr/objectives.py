@@ -5,21 +5,17 @@ eps the squared uncertainty radius; a = s^H st):
 
     f(st) = Im(a)^2 + lam * (Re(a) - n + eps/2)^2
 
-Sequence cost (q_i = s^H Psi_i s):
+Sequence cost (q_i = s^H Psi_i s, w the relative distortion):
 
-    f(s) = sum_i |q_i|^2 / |s^H st|^2
+    f(s) = sum_i |q_i|^2 / |sum_i w_i|^2
 
 The uncertainty ball is centred on s, so the adversary's answer is a
 relative distortion w = conj(s) (.) st with |w_i| = 1: s^H st = sum_i w_i
-and ||st - s||^2 = ||w - 1||^2 do not depend on s. The alternation
-therefore holds w fixed (distortion=w), not the absolute steering:
-st = s (.) w moves with s, the coupling numerator is the constant
-|sum_i w_i|^2, and f is clutter energy / |sum_i w_i|^2 -- the min-max
-(Danskin) gradient in s. With neither steering nor distortion the
-numerator is n^2 (w = 1, the zero-error matched filter gain), the
-non-robust design objective. steering=st holds the absolute steering
-fixed instead, so the numerator |s^H st|^2 varies with s; the
-derivative oracles and the final-point diagnostics use that form.
+and ||st - s||^2 = ||w - 1||^2 do not depend on s. The sequence step
+therefore holds w fixed: the worst steering s (.) w moves with s, the
+denominator is a constant, and the gradient of f is the min-max
+(Danskin) gradient in s. Without a distortion w = 1 and the denominator
+is n^2, the zero-error matched-filter gain of the non-robust design.
 
 Gradients follow the convention Grad = 2 * df/dconj(z), so the real
 directional derivative is Df(x)[v] = Re<Grad, v>. egrad and ehess_dir
@@ -42,7 +38,7 @@ NEAR_ORTHOGONAL_RTOL = 1e-12
 
 
 class NearOrthogonalSteeringError(ValueError):
-    """Raised when |s^H st| underflows the sequence-cost denominator guard."""
+    """Raised when the coupling |sum w| of a distortion underflows the sequence-cost guard."""
 
 
 def epsilon_from_doppler(doppler_set, target_doppler: float, n: int) -> float:
@@ -127,13 +123,13 @@ class WorstCaseObjective(_ManifoldObjective):
 
 
 class SequenceObjective(_ManifoldObjective):
-    """Clutter-to-coupling ratio for a fixed steering error.
+    """Clutter energy over the frozen coupling |sum w|^2.
 
-    distortion=w fixes the relative distortion, so the numerator is the
-    constant |sum w|^2 (the alternation's sequence step). steering=st
-    fixes the absolute steering, so the numerator |s^H st|^2 varies with
-    s. With neither, the numerator is the nominal n^2, used by the
-    non-robust baseline.
+    distortion=w is the adversary's relative distortion (worst steering
+    s (.) w), held fixed by the alternation's sequence step; without it
+    w = 1 and the denominator is the nominal n^2 of the non-robust
+    design. The denominator is a constant, checked once against the
+    near-orthogonality guard.
 
     Per point it keeps q_k = s^H Psi_k s, the diagonals of
     sum_k conj(q_k) Psi_k, the gradient and its radial part, so a
@@ -141,21 +137,10 @@ class SequenceObjective(_ManifoldObjective):
     (xi, s) and (s, xi) and applies the two diagonal operators.
     """
 
-    def __init__(
-        self,
-        scene: ClutterScene,
-        steering: UnitModulusSequence | None = None,
-        distortion: np.ndarray | None = None,
-    ):
-        if steering is not None and distortion is not None:
-            raise ValueError("give either the steering or its relative distortion, not both")
-        if steering is not None and steering.n != scene.n:
-            raise ValueError(f"steering length {steering.n} != scene n={scene.n}")
+    def __init__(self, scene: ClutterScene, distortion: np.ndarray | None = None):
         self.scene = scene
-        self.steering = steering
         self.n = scene.n
         self._bank = ClutterBank(scene)
-        self._guard = NEAR_ORTHOGONAL_RTOL * scene.n
         self._cache: tuple | None = None
         self._gamma = float(self.n) ** 2
         if distortion is not None:
@@ -163,10 +148,9 @@ class SequenceObjective(_ManifoldObjective):
             if w.shape != (scene.n,):
                 raise ValueError(f"distortion shape {w.shape} != ({scene.n},)")
             gain = abs(complex(np.sum(w)))
-            if gain < self._guard:
-                raise NearOrthogonalSteeringError(
-                    f"|sum w| = {gain:.3e} below guard {self._guard:.3e}"
-                )
+            guard = NEAR_ORTHOGONAL_RTOL * scene.n
+            if gain < guard:
+                raise NearOrthogonalSteeringError(f"|sum w| = {gain:.3e} below guard {guard:.3e}")
             self._gamma = gain**2
 
     # Per-point quantities are reused across the many Hessian-vector
@@ -179,49 +163,25 @@ class SequenceObjective(_ManifoldObjective):
         z = _entries(point)
         q = self._bank.quadratic_forms(z)
         state = {"z": z, "q": q, "u": float(np.sum(np.abs(q) ** 2))}
-        if self.steering is None:
-            state["gamma"] = self._gamma
-        else:
-            b = complex(np.vdot(self.steering.entries, z))  # st^H s
-            if abs(b) < self._guard:
-                raise NearOrthogonalSteeringError(
-                    f"|s^H st| = {abs(b):.3e} below guard {self._guard:.3e}"
-                )
-            state["b"] = b
-            state["gamma"] = abs(b) ** 2
         self._cache = (point, state)
         return state
 
     def _derivative_state(self, point) -> dict:
-        """_state plus the diagonals d of sum_k conj(q_k) Psi_k and the gradient.
+        """_state plus the diagonals d of D = sum_k conj(q_k) Psi_k and the gradient.
 
-        g1 = d(sum |q_k|^2)/dconj(s) = (D + D^H) s with D = sum_k conj(q_k) Psi_k;
-        the gradient is split by the quotient rule into a clutter and a
-        coupling term (None unless steering= holds st fixed).
+        d(sum |q_k|^2)/dconj(s) = (D + D^H) s, so Grad = 2 (D + D^H) s / gamma.
         """
         st = self._state(point)
         if "egrad" not in st:
-            z, u, gamma, bank = st["z"], st["u"], st["gamma"], self._bank
+            z, bank = st["z"], self._bank
             d = bank.diagonals(np.conj(st["q"]))
             g1 = bank.apply(d, z) + bank.apply_adjoint(d, z)
-            clutter = 2.0 * g1 / gamma
-            coupling = None
-            egrad = clutter
-            if self.steering is not None:
-                coupling = (2.0 * u / gamma**2) * st["b"] * self.steering.entries
-                egrad = clutter - coupling
-            st.update(d=d, g1=g1, clutter=clutter, coupling=coupling, egrad=egrad,
-                      radial=np.real(egrad * np.conj(z)))
+            egrad = 2.0 * g1 / self._gamma
+            st.update(d=d, egrad=egrad, radial=np.real(egrad * np.conj(z)))
         return st
 
     def cost(self, s) -> float:
-        st = self._state(s)
-        return st["u"] / st["gamma"]
-
-    def _grad_terms(self, s) -> tuple[np.ndarray, np.ndarray | None]:
-        """Quotient-rule split of the gradient: (clutter term, coupling term or None)."""
-        st = self._derivative_state(s)
-        return st["clutter"], st["coupling"]
+        return self._state(s)["u"] / self._gamma
 
     def egrad(self, s) -> np.ndarray:
         return self._derivative_state(s)["egrad"]
@@ -229,10 +189,9 @@ class SequenceObjective(_ManifoldObjective):
     def _radial(self, x) -> np.ndarray:
         return self._derivative_state(x)["radial"]
 
-    def _dgrad_terms(self, s, xi) -> tuple[np.ndarray, np.ndarray | None]:
-        """Directional derivatives of the two gradient terms along the ambient xi."""
+    def ehess_dir(self, s, xi) -> np.ndarray:
         st = self._derivative_state(s)
-        z, q, d, gamma, bank = st["z"], st["q"], st["d"], st["gamma"], self._bank
+        z, d, bank = st["z"], st["d"], self._bank
         dq = bank.forms(bank.lags(xi, z) + bank.lags(z, xi))
         dd = bank.diagonals(np.conj(dq))
         dg1 = (
@@ -241,19 +200,4 @@ class SequenceObjective(_ManifoldObjective):
             + bank.apply_adjoint(d, xi)
             + bank.apply_adjoint(dd, z)
         )
-        if self.steering is None:
-            return 2.0 * dg1 / gamma, None
-        b = st["b"]
-        db = complex(np.vdot(self.steering.entries, xi))
-        dgamma = 2.0 * np.real(db * np.conj(b))
-        du = 2.0 * float(np.real(np.sum(np.conj(q) * dq)))
-        d_clutter = 2.0 * dg1 / gamma - 2.0 * st["g1"] * dgamma / gamma**2
-        d_coupling = (
-            2.0 * (du * b + st["u"] * db) / gamma**2
-            - 4.0 * st["u"] * b * dgamma / gamma**3
-        ) * self.steering.entries
-        return d_clutter, d_coupling
-
-    def ehess_dir(self, s, xi) -> np.ndarray:
-        d_clutter, d_coupling = self._dgrad_terms(s, xi)
-        return d_clutter if d_coupling is None else d_clutter - d_coupling
+        return 2.0 * dg1 / self._gamma

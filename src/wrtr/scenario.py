@@ -80,6 +80,11 @@ class ScenarioConfig:
     doppler_cut_range_bins: tuple = ()
     monte_carlo_trials: int = 100
 
+    def __post_init__(self):
+        # WrtrConfig checks the solver-level values, so a bad config fails
+        # here, before the CLI creates any output.
+        self.to_wrtr_config()
+
     def to_scene(self) -> ClutterScene:
         return ClutterScene(scatterers=self.scatterers, n=self.n)
 

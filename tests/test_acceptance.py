@@ -88,7 +88,7 @@ def test_criterion_01_gradient_oracle():
     for n in (8, 16, 64):
         rng = np.random.default_rng(n)
         worst_obj = WorstCaseObjective(random_point(n, n + 1), lam=LAM, epsilon=2.0)
-        seq_obj = SequenceObjective(random_scene(n, 6, rng), steering=random_point(n, n + 2))
+        seq_obj = SequenceObjective(random_scene(n, 6, rng), distortion=random_point(n, n + 2).entries)
         for obj in (worst_obj, seq_obj):
             for _ in range(100):
                 x = random_point(n, int(rng.integers(0, 2**31)))
@@ -112,7 +112,7 @@ def test_criterion_02_hessian_oracle():
     n = 16
     rng = np.random.default_rng(99)
     worst_obj = WorstCaseObjective(random_point(n, 3), lam=LAM, epsilon=2.0)
-    seq_obj = SequenceObjective(random_scene(n, 5, rng), steering=random_point(n, 4))
+    seq_obj = SequenceObjective(random_scene(n, 5, rng), distortion=random_point(n, 4).entries)
     slopes = []
     asymmetries = []
     ts = np.logspace(-4, -2, 7)
@@ -242,7 +242,7 @@ def test_criterion_06_hessian_spectrum_at_convergence(scenario1):
     scene = scenario1["scene"]
     worst_obj = WorstCaseObjective(robust.sequence, lam=LAM, epsilon=robust.epsilon)
     spec_worst = hessian_spectrum(worst_obj, robust.worst_steering)
-    seq_obj = SequenceObjective(scene, steering=robust.worst_steering)
+    seq_obj = SequenceObjective(scene, distortion=robust.distortion)
     spec_seq = hessian_spectrum(seq_obj, robust.sequence)
     ratios = [spec_worst[0] / abs(spec_worst[-1]), spec_seq[0] / abs(spec_seq[-1])]
     ok = all(r >= -1e-6 for r in ratios)

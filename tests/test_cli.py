@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -5,8 +6,11 @@ import numpy as np
 import pytest
 
 from wrtr.cli import main
+from wrtr.driver import hessian_spectrum
 from wrtr.fileio import read_sequence_csv, write_sequence_csv
 from wrtr.manifold import random_point
+from wrtr.objectives import SequenceObjective
+from wrtr.scenario import load_scenario
 
 SMALL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "small.json"
 
@@ -46,9 +50,26 @@ class TestWrtrCommand:
         assert "doppler_cut_r4.csv" in report["files"]
         assert report["summary"]["outer_iterations"] >= 1
 
-    def test_malformed_config_exits_2_without_outputs(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            pytest.param("n", None, id="missing_n"),
+            ("max_outer", 0),
+            ("scnr_tol_db", 0),
+            ("interval_grid_points", 0),
+            ("lambda", 0),
+            ("noise_power", -1),
+            ("target_power", 0),
+        ],
+    )
+    def test_malformed_config_exits_2_without_outputs(self, tmp_path, key, value):
+        raw = json.loads(SMALL_CONFIG.read_text())
+        if value is None:
+            del raw[key]
+        else:
+            raw[key] = value
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"clutter_blocks": []}))  # missing n
+        cfg.write_text(json.dumps(raw))
         out = tmp_path / "nothing"
         assert main(["wrtr", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
@@ -83,6 +104,23 @@ class TestWrtrCommand:
         assert cert["c"] == pytest.approx(cfg["n"] - summary["epsilon"] / 2, rel=1e-15)
         assert cert["closed_form_gain"] == pytest.approx(cert["c"] ** 2, rel=1e-15)
         assert cert["relative_gap"] < 1e-6
+
+    def test_hessian_spectrum_is_of_the_minimised_cost(self, tmp_path):
+        # hessian_spectrum_seq.csv is the spectrum of clutter / |sum w|^2 at
+        # the final sequence, with w = conj(s) (.) st read back from the run
+        out = tmp_path / "run"
+        assert main(["wrtr", "--config", str(SMALL_CONFIG), "--out", str(out)]) == 0
+        s = read_sequence_csv(out / "sequence_final.csv")
+        st = read_sequence_csv(out / "steering_worst.csv")
+        scene = load_scenario(SMALL_CONFIG).to_scene()
+        minimised = SequenceObjective(scene, distortion=np.conj(s.entries) * st.entries)
+        expected = hessian_spectrum(minimised, s)
+        with open(out / "hessian_spectrum_seq.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["index", "eigenvalue"]
+        exported = np.array([float(r[1]) for r in rows[1:]])
+        assert exported.shape == expected.shape
+        assert np.max(np.abs(exported - expected)) <= 1e-9 * np.max(np.abs(expected))
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"

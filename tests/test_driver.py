@@ -64,14 +64,14 @@ class TestOptimize:
         assert corr <= 5.0 / np.sqrt(100.0)
 
     def test_adversary_never_helps(self, rng):
-        # cost_seq at the worst steering is at least the value at st = s
+        # cost_seq under the worst distortion is at least the nominal (w = 1) value
         for seed in range(3):
             n = 16
             scene = random_scene(n, 4, rng, power_scale=5.0)
             result = driver.optimize(scene, small_cfg(max_outer=2), seed=30 + seed)
             s = result.sequence
-            adversarial = SequenceObjective(scene, steering=result.worst_steering).cost(s)
-            matched = SequenceObjective(scene, steering=s).cost(s)
+            adversarial = SequenceObjective(scene, distortion=result.distortion).cost(s)
+            matched = SequenceObjective(scene).cost(s)
             assert adversarial >= matched - 1e-12
 
     def test_worst_case_scr_never_falls_across_outer_passes(self):
@@ -126,7 +126,7 @@ class TestHessianSpectrum:
 
     def test_matrix_symmetry(self, rng):
         n = 12
-        obj = SequenceObjective(random_scene(n, 4, rng), steering=random_point(n, 11))
+        obj = SequenceObjective(random_scene(n, 4, rng), distortion=random_point(n, 11).entries)
         x = random_point(n, 12)
         h = hessian_matrix(obj, x)
         assert np.max(np.abs(h - h.T)) / np.max(np.abs(h)) < 1e-8
@@ -136,7 +136,7 @@ class TestHessianSpectrum:
         from wrtr.manifold import inner
 
         n = 10
-        obj = SequenceObjective(random_scene(n, 3, rng), steering=random_point(n, 13))
+        obj = SequenceObjective(random_scene(n, 3, rng), distortion=random_point(n, 13).entries)
         x = random_point(n, 14)
         h = hessian_matrix(obj, x)
         xi = make_tangent(x, rng, scale=1.0)
@@ -209,7 +209,7 @@ class TestNonRobustDesigns:
 
     def test_rcg_decreases_cost_with_same_stop_rule(self):
         scene = tiny_scene()
-        objective = SequenceObjective(scene, steering=None)
+        objective = SequenceObjective(scene)
         x0 = random_point(scene.n, 24)
         final, trace = solve_rcg(objective, x0, RcgConfig(max_iters=60))
         assert trace.final_cost < objective.cost(x0)
@@ -218,7 +218,7 @@ class TestNonRobustDesigns:
 
     def test_rcg_deterministic(self):
         scene = tiny_scene()
-        objective = SequenceObjective(scene, steering=None)
+        objective = SequenceObjective(scene)
         x0 = random_point(scene.n, 25)
         a, _ = solve_rcg(objective, x0, RcgConfig(max_iters=30))
         b, _ = solve_rcg(objective, x0, RcgConfig(max_iters=30))

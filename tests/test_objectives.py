@@ -9,7 +9,7 @@ from wrtr.objectives import (
     epsilon_from_doppler,
     worst_case_gain,
 )
-from wrtr.radar import ClutterScatterer, ClutterScene
+from wrtr.radar import ClutterScatterer, ClutterScene, clutter_energy
 
 from conftest import dense_psi, loglog_slope, make_tangent, pullback, random_scene
 
@@ -168,50 +168,49 @@ class TestSequenceCost:
     def test_zero_power_scene(self):
         n = 8
         scene = ClutterScene([ClutterScatterer(1, 0.2, 0.0)], n)
-        obj = SequenceObjective(scene, steering=random_point(n, 19))
+        obj = SequenceObjective(scene, distortion=random_point(n, 19).entries)
         assert obj.cost(random_point(n, 20)) == 0.0
 
     def test_identity_scatterer_matched_steering(self):
         n = 8
         scene = ClutterScene([ClutterScatterer(0, 0.0, 1.0)], n)
         s = random_point(n, 21)
-        obj = SequenceObjective(scene, steering=s)
-        # |s^H I s|^2 / |s^H s|^2 = n^2 / n^2
+        obj = SequenceObjective(scene, distortion=np.ones(n))
+        # matched steering st = s (.) 1: |s^H I s|^2 / |s^H s|^2 = n^2 / n^2
         assert obj.cost(s) == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_dense_brute_force(self, rng):
         n = 8
         scene = _small_scene(n)
-        st = random_point(n, 22)
+        w = random_point(n, 22).entries
         s = random_point(n, 23)
-        obj = SequenceObjective(scene, steering=st)
+        obj = SequenceObjective(scene, distortion=w)
         num = sum(
             abs(np.vdot(s.entries, dense_psi(sc, n) @ s.entries)) ** 2
             for sc in scene.scatterers
         )
-        expected = num / abs(np.vdot(s.entries, st.entries)) ** 2
+        expected = num / abs(np.sum(w)) ** 2
         assert obj.cost(s) == pytest.approx(expected, rel=1e-10)
 
     def test_nominal_mode_is_energy_over_n_squared(self, rng):
         n = 8
         scene = _small_scene(n)
         s = random_point(n, 24)
-        obj = SequenceObjective(scene, steering=None)
-        from wrtr.radar import clutter_energy
-
+        obj = SequenceObjective(scene)
         assert obj.cost(s) == pytest.approx(clutter_energy(s, scene) / n**2, rel=1e-12)
 
     def test_frozen_distortion_matches_steering_and_scales_nominal(self, rng):
-        # at st = s (.) w the two forms agree in value; in s the frozen-w
-        # form is the nominal cost times the constant n^2 / |sum w|^2
+        # at s the frozen-w cost is clutter / |s^H st|^2 with the steering
+        # st = s (.) w; in s it is the nominal cost times the constant
+        # n^2 / |sum w|^2
         n = 8
         scene = _small_scene(n)
         s = random_point(n, 31)
         w = random_point(n, 32).entries
         frozen = SequenceObjective(scene, distortion=w)
-        absolute = SequenceObjective(scene, steering=UnitModulusSequence(s.entries * w))
         nominal = SequenceObjective(scene)
-        assert frozen.cost(s) == pytest.approx(absolute.cost(s), rel=1e-12)
+        coupling = abs(np.vdot(s.entries, s.entries * w)) ** 2
+        assert frozen.cost(s) == pytest.approx(clutter_energy(s, scene) / coupling, rel=1e-12)
         scale = n**2 / abs(np.sum(w)) ** 2
         x = random_point(n, 33)
         xi = make_tangent(x, rng, scale=1.0)
@@ -229,29 +228,18 @@ class TestSequenceCost:
             SequenceObjective(scene, distortion=alternating)
         with pytest.raises(ValueError):
             SequenceObjective(scene, distortion=np.ones(n + 1))
-        with pytest.raises(ValueError):
-            SequenceObjective(scene, steering=random_point(n, 34), distortion=np.ones(n))
-
-    def test_near_orthogonal_guard(self):
-        n = 4
-        scene = ClutterScene([ClutterScatterer(1, 0.2, 1.0)], n)
-        ones = UnitModulusSequence(np.ones(n, dtype=complex))
-        alternating = UnitModulusSequence(np.array([1, -1, 1, -1], dtype=complex))
-        obj = SequenceObjective(scene, steering=ones)
-        with pytest.raises(NearOrthogonalSteeringError):
-            obj.cost(alternating)
 
 
 class TestSequenceGradient:
     def test_zero_power_gradient(self):
         n = 8
         scene = ClutterScene([ClutterScatterer(1, 0.2, 0.0)], n)
-        obj = SequenceObjective(scene, steering=random_point(n, 25))
+        obj = SequenceObjective(scene, distortion=random_point(n, 25).entries)
         assert np.allclose(obj.egrad(random_point(n, 26)), 0.0, atol=1e-14)
 
     def test_global_phase_equivariance(self, rng):
         n = 8
-        obj = SequenceObjective(_small_scene(n), steering=random_point(n, 27))
+        obj = SequenceObjective(_small_scene(n), distortion=random_point(n, 27).entries)
         s = random_point(n, 28)
         phi = float(rng.uniform(0, 2 * np.pi))
         rotated = UnitModulusSequence(np.exp(1j * phi) * s.entries)
@@ -261,7 +249,7 @@ class TestSequenceGradient:
 
     def test_central_finite_differences(self, rng):
         n = 8
-        obj = SequenceObjective(_small_scene(n), steering=random_point(n, 29))
+        obj = SequenceObjective(_small_scene(n), distortion=random_point(n, 29).entries)
         s = random_point(n, 30)
         t = 1e-6
         for _ in range(10):
@@ -274,13 +262,13 @@ class TestSequenceGradient:
 class TestSequenceHessian:
     def test_zero_direction(self):
         n = 8
-        obj = SequenceObjective(_small_scene(n), steering=random_point(n, 31))
+        obj = SequenceObjective(_small_scene(n), distortion=random_point(n, 31).entries)
         s = random_point(n, 32)
         assert np.allclose(obj.ehess_dir(s, np.zeros(s.n, dtype=complex)), 0.0)
 
     def test_real_linearity(self, rng):
         n = 8
-        obj = SequenceObjective(_small_scene(n), steering=random_point(n, 33))
+        obj = SequenceObjective(_small_scene(n), distortion=random_point(n, 33).entries)
         s = random_point(n, 34)
         xi, eta = ambient_tangent(s, rng), ambient_tangent(s, rng)
         lhs = obj.ehess_dir(s, 2.0 * xi - 0.5 * eta)
@@ -290,7 +278,7 @@ class TestSequenceHessian:
     def test_forward_difference_of_gradient(self, rng):
         # primary guard against transcription errors in the curvature terms
         n = 8
-        obj = SequenceObjective(_small_scene(n), steering=random_point(n, 35))
+        obj = SequenceObjective(_small_scene(n), distortion=random_point(n, 35).entries)
         s = random_point(n, 36)
         xi = ambient_tangent(s, rng, scale=1.0)
         t = 1e-6
@@ -298,25 +286,9 @@ class TestSequenceHessian:
         analytic = obj.ehess_dir(s, xi)
         assert np.linalg.norm(fd - analytic) / np.linalg.norm(fd) < 1e-4
 
-    def test_fragment_derivatives_match_fd(self, rng):
-        # quotient-rule split: each gradient fragment's directional
-        # derivative is validated against its own finite difference
-        n = 8
-        obj = SequenceObjective(_small_scene(n), steering=random_point(n, 37))
-        s = random_point(n, 38)
-        xi = ambient_tangent(s, rng, scale=1.0)
-        t = 1e-6
-        a_plus, b_plus = obj._grad_terms(s.entries + t * xi)
-        a_minus, b_minus = obj._grad_terms(s.entries - t * xi)
-        da, db = obj._dgrad_terms(s, xi)
-        fd_a = (a_plus - a_minus) / (2 * t)
-        fd_b = (b_plus - b_minus) / (2 * t)
-        assert np.linalg.norm(fd_a - da) / np.linalg.norm(fd_a) < 1e-5
-        assert np.linalg.norm(fd_b - db) / np.linalg.norm(fd_b) < 1e-5
-
     def test_riemannian_self_adjointness_relative(self, rng):
         n = 16
-        obj = SequenceObjective(random_scene(n, 5, rng), steering=random_point(n, 39))
+        obj = SequenceObjective(random_scene(n, 5, rng), distortion=random_point(n, 39).entries)
         s = random_point(n, 40)
         worst = 0.0
         scale = 0.0
@@ -331,7 +303,7 @@ class TestSequenceHessian:
 
     def test_second_order_taylor_slope(self, rng):
         n = 16
-        obj = SequenceObjective(random_scene(n, 5, rng), steering=random_point(n, 41))
+        obj = SequenceObjective(random_scene(n, 5, rng), distortion=random_point(n, 41).entries)
         s = random_point(n, 42)
         xi = make_tangent(s, rng, scale=1.0)
         f0 = obj.cost(s)
@@ -342,13 +314,12 @@ class TestSequenceHessian:
         assert loglog_slope(ts, residuals) == pytest.approx(3.0, abs=0.2)
 
 
-def dense_phase_derivatives(scene, x, steering=None, gamma=None):
+def dense_phase_derivatives(scene, x, gamma):
     """Gradient and Hessian at 0 of phi -> f(x (.) e^{j phi}), built from dense Psi_k.
 
     t -> x (.) e^{j t a} is a geodesic of M, so these are the Riemannian
     gradient and Hessian in tangent coordinates at x (at any point, not
-    only a critical one). f = sum_k |q_k|^2 / gamma, with gamma = |st^H s|^2
-    when the steering st is given, else the constant gamma.
+    only a critical one). f = sum_k |q_k|^2 / gamma, gamma a constant.
     """
     z = x.entries
     grad_u, hess_u, u = 0.0, 0.0, 0.0
@@ -360,26 +331,11 @@ def dense_phase_derivatives(scene, x, steering=None, gamma=None):
         u += abs(q) ** 2
         grad_u = grad_u + 2.0 * np.real(np.conj(q) * dq)
         hess_u = hess_u + 2.0 * np.real(np.outer(np.conj(dq), dq) + np.conj(q) * d2q)
-    if steering is None:
-        return grad_u / gamma, hess_u / gamma
-    c = np.conj(steering.entries) * z
-    b = c.sum()
-    db = 1j * c
-    grad_g = 2.0 * np.real(np.conj(b) * db)
-    hess_g = 2.0 * np.real(np.outer(np.conj(db), db) - np.conj(b) * np.diag(c))
-    g = abs(b) ** 2
-    grad = grad_u / g - u * grad_g / g**2
-    hess = (
-        hess_u / g
-        - (np.outer(grad_u, grad_g) + np.outer(grad_g, grad_u)) / g**2
-        - u * hess_g / g**2
-        + 2.0 * u * np.outer(grad_g, grad_g) / g**3
-    )
-    return grad, hess
+    return grad_u / gamma, hess_u / gamma
 
 
 class TestDenseHessianOracle:
-    @pytest.mark.parametrize("form", ["nominal", "distortion", "steering"])
+    @pytest.mark.parametrize("form", ["nominal", "distortion"])
     def test_coordinate_derivatives_match_dense(self, rng, form):
         # repeated and distinct shifts, shift 0 and n - 1 included
         n = 12
@@ -391,14 +347,10 @@ class TestDenseHessianOracle:
         x = random_point(n, 50)
         w = random_point(n, 51).entries
         if form == "nominal":
-            obj, dense = SequenceObjective(scene), dense_phase_derivatives(scene, x, gamma=n**2)
-        elif form == "distortion":
-            obj = SequenceObjective(scene, distortion=w)
-            dense = dense_phase_derivatives(scene, x, gamma=abs(w.sum()) ** 2)
+            obj, gamma = SequenceObjective(scene), n**2
         else:
-            st = random_point(n, 52)
-            obj, dense = SequenceObjective(scene, steering=st), dense_phase_derivatives(scene, x, st)
-        grad, hess = dense
+            obj, gamma = SequenceObjective(scene, distortion=w), abs(w.sum()) ** 2
+        grad, hess = dense_phase_derivatives(scene, x, gamma)
         assert np.max(np.abs(obj.rgrad(x) - grad)) <= 1e-10 * np.max(np.abs(grad))
         columns = np.column_stack([obj.rhess(x, e) for e in np.eye(n)])
         assert np.max(np.abs(columns - hess)) <= 1e-10 * np.max(np.abs(hess))
@@ -427,7 +379,7 @@ class TestRiemannianGradient:
 
     def test_pullback_first_order(self, rng):
         n = 16
-        obj = SequenceObjective(random_scene(n, 4, rng), steering=random_point(n, 46))
+        obj = SequenceObjective(random_scene(n, 4, rng), distortion=random_point(n, 46).entries)
         s = random_point(n, 47)
         xi = make_tangent(s, rng, scale=1.0)
         t = 1e-6
