@@ -45,34 +45,25 @@ class RunReport:
     files: list
 
 
-def _doppler_bins(n: int):
-    bins = list(range(n))
-    return bins, np.array(bins, dtype=float) / n
-
-
 def _nominal_scr_db(seq, scene) -> float:
     return 10.0 * np.log10(seq.n**2 / radar.clutter_energy(seq, scene))
 
 
-def _export_staf_products(out: Path, cfg: ScenarioConfig, named_sequences) -> tuple[list, dict]:
-    """Write STAF grids and Doppler cuts; returns (files, clutter-bin means)."""
-    n = cfg.n
-    bins, grid = _doppler_bins(n)
-    staf_bins = list(cfg.staf_range_bins) if cfg.staf_range_bins is not None else bins
+def _export_staf_products(out: Path, cfg: ScenarioConfig, named_sequences) -> list:
+    """Write STAF grids, and Doppler cuts of the last sequence's; returns the file names."""
+    bins, grid = list(range(cfg.n)), np.arange(cfg.n) / cfg.n
+    staf_bins = bins if cfg.staf_range_bins is None else list(cfg.staf_range_bins)
     files = []
-    summaries = {}
     for label, seq in named_sequences:
-        full = radar.staf(seq, bins, grid)
+        full = radar.staf(seq, bins)
         name = f"staf_{label}.csv"
-        fileio.write_staf_csv(out / name, staf_bins, bins, full[staf_bins])
+        fileio.write_staf_csv(out / name, staf_bins, bins, full if staf_bins is bins else full[staf_bins])
         files.append(name)
-        summaries[label] = full
     for b in cfg.doppler_cut_range_bins:
-        label, seq = named_sequences[-1]
         name = f"doppler_cut_r{b}.csv"
-        fileio.write_cut_csv(out / name, bins, grid, summaries[label][b])
+        fileio.write_cut_csv(out / name, bins, grid, full[b])
         files.append(name)
-    return files, summaries
+    return files
 
 
 def _write_report(out: Path, report: RunReport, config_path, elapsed: float) -> None:
@@ -122,10 +113,9 @@ def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> RunReport:
     fileio.write_trace_csv(out / "traces.csv", sections)
     files.append("traces.csv")
 
-    staf_files, _ = _export_staf_products(
+    files += _export_staf_products(
         out, cfg, [("initial", result.initial_sequence), ("final", result.sequence)]
     )
-    files += staf_files
 
     # The cost the sequence step minimised: relative distortion held fixed.
     seq_obj = SequenceObjective(scene, distortion=result.distortion)
@@ -174,7 +164,7 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
         final = initial
     elif method == "rtr_nonrobust":
         objective = SequenceObjective(scene)
-        final, trace = driver.design_nonrobust(scene, cfg.seq_solver, seed)
+        final, trace = driver.design_nonrobust(scene, cfg.seq_solver, seed, objective)
         sections.append((0, "seq", trace))
         solver_summary = {"iterations": len(trace), "converged": trace.converged}
         fileio.write_spectrum_csv(
@@ -197,8 +187,7 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
     if sections:
         fileio.write_trace_csv(out / "traces.csv", sections)
         files.append("traces.csv")
-    staf_files, _ = _export_staf_products(out, cfg, [("initial", initial), ("final", final)])
-    files += staf_files
+    files += _export_staf_products(out, cfg, [("initial", initial), ("final", final)])
 
     summary = {
         "method": method,
@@ -243,8 +232,6 @@ def _load_designs(manifest_path: Path, n: int) -> dict:
 
 
 def run_monte_carlo(cfg: ScenarioConfig, out: Path, seed: int, designs: dict) -> RunReport:
-    if cfg.doppler_interval is None:
-        raise ScenarioError("montecarlo needs doppler_interval in the config")
     scene = cfg.to_scene()
     rows = []
     summary = {"n_trials": cfg.monte_carlo_trials, "designs": {}}
@@ -276,7 +263,7 @@ def run_staf(cfg: ScenarioConfig, out: Path, seed: int, sequence_path: Path) -> 
         raise ScenarioError(f"cannot load sequence {sequence_path}: {exc}") from exc
     if seq.n != cfg.n:
         raise ScenarioError(f"sequence length {seq.n} does not match config n={cfg.n}")
-    files, _ = _export_staf_products(out, cfg, [("recomputed", seq)])
+    files = _export_staf_products(out, cfg, [("recomputed", seq)])
     summary = {"sequence": str(sequence_path), "nominal_scr_db": _nominal_scr_db(seq, cfg.to_scene())}
     return RunReport(command="staf", seed=seed, summary=summary, files=files)
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import radar, rtr
 from .manifold import UnitModulusSequence, random_point, random_tangent, retract
 from .objectives import SequenceObjective, WorstCaseObjective, epsilon_from_doppler
-from .radar import ClutterScene, clutter_energy, steering_vector
+from .radar import ClutterScene, clutter_energy
 
 ERROR_MODELS = ("doppler_interval", "uniform_random_phase")
 
@@ -221,8 +221,11 @@ def monte_carlo_scr(
     trials may run in parallel. Statistics are over per-trial dB values.
 
     For a unit-modulus design the numerator |s^H (s (.) d)|^2 = |sum d|^2
-    does not depend on the design, so within a trial the designs differ
-    only by clutter energy, and mean-SCR gaps equal nominal-SCR gaps.
+    does not depend on the design, so it is computed once per trial:
+    the Dirichlet kernel sin^2(pi v n) / sin^2(pi v) (n^2 at integer v)
+    for a Doppler error, (sum cos phi)^2 + (sum sin phi)^2 for random
+    phases. Within a trial the designs then differ only by clutter
+    energy, and mean-SCR gaps equal nominal-SCR gaps.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -237,17 +240,16 @@ def monte_carlo_scr(
         if ce == 0.0:
             raise radar.DegenerateSceneError(f"design {name!r} sees zero clutter energy")
         energies[name] = ce
-    samples = {name: np.empty(n_trials) for name in designs}
-    for t in range(n_trials):
-        rng = np.random.default_rng([seed, t])
-        if error_model == "doppler_interval":
-            v = rng.uniform(doppler_interval[0], doppler_interval[1])
-            distortion = steering_vector(v, n)
-        else:
-            distortion = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
-        for name, seq in designs.items():
-            num = abs(np.vdot(seq.entries, seq.entries * distortion)) ** 2
-            samples[name][t] = 10.0 * np.log10(num / energies[name])
+    if error_model == "doppler_interval":
+        v = np.array([np.random.default_rng([seed, t]).uniform(*doppler_interval) for t in range(n_trials)])
+        den = np.sin(np.pi * v) ** 2
+        num = np.divide(np.sin(np.pi * n * v) ** 2, den, out=np.full(n_trials, n**2.0), where=den != 0.0)
+    else:
+        num = np.empty(n_trials)
+        for t in range(n_trials):
+            phases = np.random.default_rng([seed, t]).uniform(0.0, 2.0 * np.pi, size=n)
+            num[t] = np.cos(phases).sum() ** 2 + np.sin(phases).sum() ** 2
+    samples = {name: 10.0 * np.log10(num / energy) for name, energy in energies.items()}
     return {
         name: ScrStats(
             mean_db=float(np.mean(vals)),
@@ -260,7 +262,11 @@ def monte_carlo_scr(
     }
 
 
-def design_nonrobust(scene: ClutterScene, solver: rtr.TrustRegionConfig, seed: int):
-    """Non-robust trust-region design: minimize clutter energy / n^2."""
-    objective = SequenceObjective(scene)
+def design_nonrobust(scene: ClutterScene, solver: rtr.TrustRegionConfig, seed: int, objective=None):
+    """Non-robust trust-region design: minimize clutter energy / n^2.
+
+    A caller that reuses the SequenceObjective(scene) passes it as objective.
+    """
+    if objective is None:
+        objective = SequenceObjective(scene)
     return rtr.solve(objective, random_point(scene.n, seed), solver)

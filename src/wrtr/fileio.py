@@ -17,20 +17,22 @@ import numpy as np
 from .manifold import UnitModulusSequence
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
+def _header(names) -> str:
+    return ",".join(names) + "\r\n"
 
 
-def _g10(x: float) -> str:
-    return format(float(x), ".10g")
+def _quoted(field: str) -> str:
+    """A text field as csv.writer quotes it: only if it holds a comma, quote or line break."""
+    if any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
 
 def write_sequence_csv(path, seq: UnitModulusSequence) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "real", "imag"])
-        for i, z in enumerate(seq.entries):
-            w.writerow([i, _g17(z.real), _g17(z.imag)])
+        fh.write(_header(["index", "real", "imag"]))
+        for i, z in enumerate(seq.entries.tolist()):
+            fh.write("%d,%.17g,%.17g\r\n" % (i, z.real, z.imag))
 
 
 def read_sequence_csv(path) -> UnitModulusSequence:
@@ -44,62 +46,60 @@ def read_sequence_csv(path) -> UnitModulusSequence:
 
 def write_staf_csv(path, range_bins, doppler_bins, values_db: np.ndarray) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["range_bin"] + [str(h) for h in doppler_bins])
+        fh.write(_header(["range_bin"] + [str(h) for h in doppler_bins]))
+        line = "%d" + ",%.10g" * len(doppler_bins) + "\r\n"
+        # one row at a time: a list of every value would hold n^2 Python floats
         for r, row in zip(range_bins, values_db):
-            w.writerow([r] + [_g10(v) for v in row])
+            fh.write(line % (r, *row.tolist()))
 
 
 def write_cut_csv(path, doppler_bins, dopplers, values_db) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["doppler_bin", "doppler", "value_db"])
+        fh.write(_header(["doppler_bin", "doppler", "value_db"]))
         for h, v, db in zip(doppler_bins, dopplers, values_db):
-            w.writerow([h, _g10(v), _g10(db)])
+            fh.write("%d,%.10g,%.10g\r\n" % (h, v, db))
 
 
 def write_spectrum_csv(path, eigenvalues) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "eigenvalue"])
+        fh.write(_header(["index", "eigenvalue"]))
         for i, ev in enumerate(eigenvalues):
-            w.writerow([i, _g17(ev)])
+            fh.write("%d,%.17g\r\n" % (i, ev))
 
 
 def write_trace_csv(path, sections) -> None:
     """sections: iterable of (outer, phase, trace) with rtr or rcg traces."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["outer", "phase", "iteration", "cost", "grad_norm", "rho", "delta",
-             "step_norm", "accepted", "tcg_stop"]
+        fh.write(
+            _header(["outer", "phase", "iteration", "cost", "grad_norm", "rho", "delta",
+                     "step_norm", "accepted", "tcg_stop"])
         )
         for outer, phase, trace in sections:
             if trace is None:
                 continue
             for i, it in enumerate(trace.iterations):
                 if hasattr(it, "rho"):
-                    w.writerow(
-                        [outer, phase, i, _g17(it.cost), _g17(it.grad_norm), _g17(it.rho),
-                         _g17(it.delta), _g17(it.step_norm), int(it.accepted),
-                         it.tcg_stop.value]
+                    fh.write(
+                        "%d,%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%s\r\n"
+                        % (outer, phase, i, it.cost, it.grad_norm, it.rho, it.delta,
+                           it.step_norm, it.accepted, it.tcg_stop.value)
                     )
                 else:
-                    w.writerow(
-                        [outer, phase, i, _g17(it.cost), _g17(it.grad_norm), "", "",
-                         _g17(it.step_norm), 1, ""]
+                    fh.write(
+                        "%d,%s,%d,%.17g,%.17g,,,%.17g,1,\r\n"
+                        % (outer, phase, i, it.cost, it.grad_norm, it.step_norm)
                     )
 
 
 def write_mc_csv(path, rows) -> None:
     """rows: iterable of (design, error_model, ScrStats)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["design", "error_model", "n_trials", "mean_db", "std_db", "min_db", "max_db"])
+        fh.write(_header(["design", "error_model", "n_trials", "mean_db", "std_db", "min_db", "max_db"]))
         for design, model, stats in rows:
-            w.writerow(
-                [design, model, stats.n_trials, _g17(stats.mean_db), _g17(stats.std_db),
-                 _g17(stats.min_db), _g17(stats.max_db)]
+            fh.write(
+                "%s,%s,%d,%.17g,%.17g,%.17g,%.17g\r\n"
+                % (_quoted(design), model, stats.n_trials, stats.mean_db, stats.std_db,
+                   stats.min_db, stats.max_db)
             )
 
 

@@ -194,26 +194,31 @@ def scr(s: UnitModulusSequence, s_tilde: UnitModulusSequence, scene: ClutterScen
     return scnr(s, s_tilde, scene, noise_power=0.0, target_power=1.0)
 
 
-def staf(s: UnitModulusSequence, range_bins, doppler_grid) -> np.ndarray:
-    """Slow-time ambiguity surface in dB, peak-normalized to 0 dB.
+def staf(s: UnitModulusSequence, range_bins) -> np.ndarray:
+    """Slow-time ambiguity surface in dB on the DFT grid, peak-normalized to 0 dB.
 
-    Entry (r, v) is 20*log10 |s^H J^r (s (.) p(v))|, rows following
-    range_bins and columns doppler_grid. Normalizing to the peak makes
-    null depths comparable across sequences.
+    Entry (r, k) is 20*log10 |s^H J^r (s (.) p(k/n))| for r in range_bins
+    and k = 0..n-1; per row that magnitude is the DFT's of the lag products
+    s[m + r] conj(s[m]) (zero for m >= n - r). Normalizing to the peak of
+    the rows asked for makes null depths comparable across sequences.
     """
     n = s.n
     range_bins = [int(r) for r in range_bins]
     for r in range_bins:
         if not 0 <= r <= n - 1:
             raise ValueError(f"range bin {r} out of range for n={n}")
-    doppler_grid = np.asarray(doppler_grid, dtype=float)
-    phases = np.exp(2j * np.pi * np.outer(doppler_grid, np.arange(n)))
-    modulated = s.entries[None, :] * phases
-    weight = np.conj(s.entries)
-    amp = np.empty((len(range_bins), doppler_grid.size))
+    x = s.entries
+    lags = np.zeros((len(range_bins), n), dtype=np.complex128)
     for i, r in enumerate(range_bins):
-        amp[i] = np.abs(modulated[:, : n - r] @ weight[r:])
+        np.multiply(x[r:], np.conj(x[: n - r]), out=lags[i, : n - r])
+    # In place throughout: at n = 1024 each (n, n) temporary is 8-16 MB.
+    np.fft.fft(lags, axis=1, out=lags)
+    amp = np.abs(lags)
     peak = float(np.max(amp))
     if peak == 0.0:
         raise DegenerateSceneError("all-zero ambiguity surface")
-    return 20.0 * np.log10(np.maximum(amp / peak, STAF_DB_FLOOR))
+    amp /= peak
+    np.maximum(amp, STAF_DB_FLOOR, out=amp)
+    np.log10(amp, out=amp)
+    amp *= 20.0
+    return amp

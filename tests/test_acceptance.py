@@ -256,7 +256,7 @@ def test_criterion_06_hessian_spectrum_at_convergence(scenario1):
 
 def _clutter_bin_mean(seq, scene) -> float:
     n = scene.n
-    surface = radar.staf(seq, range(n), np.arange(n) / n)
+    surface = radar.staf(seq, range(n))
     values = [surface[sc.range_shift, round(sc.doppler * n)] for sc in scene.scatterers]
     return float(np.mean(values))
 

@@ -9,7 +9,7 @@ from wrtr.radar import ClutterScatterer, ClutterScene, DegenerateSceneError, clu
 from wrtr.rcg import RcgConfig, solve_rcg
 from wrtr.rtr import TrustRegionConfig
 
-from conftest import random_scene
+from conftest import make_tangent, random_scene, random_sequence
 
 
 def small_cfg(**kw):
@@ -63,16 +63,20 @@ class TestOptimize:
         assert ball <= 10.0 / np.sqrt(100.0)
         assert corr <= 5.0 / np.sqrt(100.0)
 
-    def test_adversary_never_helps(self, rng):
-        # cost_seq under the worst distortion is at least the nominal (w = 1) value
-        for seed in range(3):
-            n = 16
+    def test_frozen_distortion_rescales_the_nominal_cost(self, rng):
+        # the sequence step's cost clutter / |sum w|^2 is the nominal cost
+        # clutter / n^2 times n^2 / |sum w|^2: same minimisers, scaled derivatives
+        n = 16
+        for _ in range(3):
             scene = random_scene(n, 4, rng, power_scale=5.0)
-            result = driver.optimize(scene, small_cfg(max_outer=2), seed=30 + seed)
-            s = result.sequence
-            adversarial = SequenceObjective(scene, distortion=result.distortion).cost(s)
-            matched = SequenceObjective(scene).cost(s)
-            assert adversarial >= matched - 1e-12
+            w = random_sequence(n, rng).entries
+            scale = n**2 / abs(np.sum(w)) ** 2
+            distorted, nominal = SequenceObjective(scene, distortion=w), SequenceObjective(scene)
+            x = random_sequence(n, rng)
+            a = make_tangent(x, rng)
+            assert distorted.cost(x) == pytest.approx(scale * nominal.cost(x), rel=1e-12)
+            assert np.allclose(distorted.rgrad(x), scale * nominal.rgrad(x), rtol=1e-12, atol=0)
+            assert np.allclose(distorted.rhess(x, a), scale * nominal.rhess(x, a), rtol=1e-12, atol=0)
 
     def test_worst_case_scr_never_falls_across_outer_passes(self):
         # the sequence step holds the adversary's relative distortion fixed,
@@ -143,7 +147,50 @@ class TestHessianSpectrum:
         assert xi @ h @ xi == pytest.approx(inner(obj.rhess(x, xi), xi), rel=1e-8)
 
 
+def reference_monte_carlo_scr(designs, scene, n_trials, error_model, seed, doppler_interval=None):
+    """Per-trial, per-design oracle: |s^H (s (.) d)|^2 / clutter energy for each draw."""
+    samples = {name: [] for name in designs}
+    for t in range(n_trials):
+        rng = np.random.default_rng([seed, t])
+        if error_model == "doppler_interval":
+            d = radar.steering_vector(rng.uniform(*doppler_interval), scene.n)
+        else:
+            d = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=scene.n))
+        for name, seq in designs.items():
+            num = abs(np.vdot(seq.entries, seq.entries * d)) ** 2
+            samples[name].append(10.0 * np.log10(num / clutter_energy(seq, scene)))
+    return {
+        name: (np.mean(v), np.std(v), np.min(v), np.max(v)) for name, v in samples.items()
+    }
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize("model", driver.ERROR_MODELS)
+    def test_matches_per_trial_reference(self, model, rng):
+        n = 32
+        scene = random_scene(n, 6, rng)
+        designs = {"a": random_point(n, 40), "b": random_point(n, 41), "c": random_sequence(n, rng)}
+        stats = monte_carlo_scr(designs, scene, 200, model, seed=9, doppler_interval=(-0.02, 0.03))
+        expected = reference_monte_carlo_scr(designs, scene, 200, model, 9, (-0.02, 0.03))
+        for name, st in stats.items():
+            assert st.n_trials == 200
+            got = (st.mean_db, st.std_db, st.min_db, st.max_db)
+            assert np.allclose(got, expected[name], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_doppler_numerator_is_the_steering_sum(self, n):
+        # a zero-width interval draws v itself; 10^(SCR/10) * energy is the
+        # trial numerator (the Dirichlet kernel), compared with |sum p(v)|^2
+        scene = tiny_scene(n)
+        s = random_point(n, 42)
+        energy = clutter_energy(s, scene)
+        for v in (0.0, 1e-9, -1e-9, 2e-4, -2e-4, 0.37):
+            stats = monte_carlo_scr({"d": s}, scene, 1, "doppler_interval", seed=3,
+                                    doppler_interval=(v, v))
+            num = 10.0 ** (stats["d"].mean_db / 10.0) * energy
+            expected = abs(np.sum(radar.steering_vector(v, n))) ** 2
+            assert num == pytest.approx(expected, rel=1e-12)
+
     def test_zero_width_interval_has_zero_std(self):
         scene = tiny_scene()
         designs = {"a": random_point(scene.n, 15), "b": random_point(scene.n, 16)}

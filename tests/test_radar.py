@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -270,28 +272,41 @@ class TestStaf:
     def test_peak_at_origin_is_zero_db(self):
         n = 16
         s = random_point(n, 11)
-        grid = np.arange(n) / n
-        surface = staf(s, range(n), grid)
+        surface = staf(s, range(n))
+        assert surface.shape == (n, n)
         assert surface[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert np.max(surface) == pytest.approx(0.0, abs=1e-12)
 
     def test_out_of_range_bin_rejected(self):
         s = random_point(8, 12)
         with pytest.raises(ValueError):
-            staf(s, [8], [0.0])
+            staf(s, [8])
 
-    def test_matches_dense_psi_evaluation(self, rng):
-        n = 8
-        s = random_point(n, 13)
-        grid = rng.uniform(0, 1, 5)
-        surface = staf(s, range(n), grid)
-        raw = np.empty((n, grid.size))
-        for r in range(n):
-            for j, v in enumerate(grid):
-                psi = dense_psi(ClutterScatterer(r, float(v), 1.0), n)
-                raw[r, j] = abs(np.vdot(s.entries, psi @ s.entries))
-        expected = 20 * np.log10(np.maximum(raw / raw.max(), 1e-15))
-        assert np.allclose(surface, expected, atol=1e-10)
+    def test_matches_dense_psi_evaluation(self):
+        # column k is Doppler k/n; a subset of range bins without lag 0 is
+        # normalized to its own peak, not to the zero-lag peak n
+        cases = [(8, range(8)), (8, [5, 1, 3]), (16, [2, 7, 15, 9])]
+        for n, bins in cases:
+            s = random_point(n, 13 + n)
+            surface = staf(s, bins)
+            raw = np.array(
+                [
+                    [abs(np.vdot(s.entries, dense_psi(ClutterScatterer(r, k / n, 1.0), n) @ s.entries))
+                     for k in range(n)]
+                    for r in bins
+                ]
+            )
+            expected = 20 * np.log10(np.maximum(raw / raw.max(), 1e-15))
+            assert surface.shape == (len(bins), n)
+            assert np.allclose(surface, expected, atol=1e-10)
+            assert np.max(surface) == pytest.approx(0.0, abs=1e-12)
+
+    def test_all_zero_surface_rejected(self):
+        # unreachable for a unit-modulus code (lag 0 peaks at n); a stand-in
+        # with zero entries exercises the guard
+        s = SimpleNamespace(n=4, entries=np.zeros(4, dtype=complex))
+        with pytest.raises(DegenerateSceneError):
+            staf(s, range(4))
 
 
 class TestSceneValidation:
