@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 import time
 from dataclasses import dataclass
@@ -50,15 +51,25 @@ def _nominal_scr_db(seq, scene) -> float:
 
 
 def _export_staf_products(out: Path, cfg: ScenarioConfig, named_sequences) -> list:
-    """Write STAF grids, and Doppler cuts of the last sequence's; returns the file names."""
+    """Write STAF grids, and Doppler cuts of the last sequence's; returns the file names.
+
+    A surface is computed and written once per sequence object: a label
+    whose sequence is the one before it (the random baseline's final is
+    its initial) gets a byte copy of that file.
+    """
     bins, grid = list(range(cfg.n)), np.arange(cfg.n) / cfg.n
     staf_bins = bins if cfg.staf_range_bins is None else list(cfg.staf_range_bins)
     files = []
+    previous = None
     for label, seq in named_sequences:
-        full = radar.staf(seq, bins)
         name = f"staf_{label}.csv"
-        fileio.write_staf_csv(out / name, staf_bins, bins, full if staf_bins is bins else full[staf_bins])
+        if seq is previous:
+            shutil.copyfile(out / files[-1], out / name)
+        else:
+            full = radar.staf(seq, bins)
+            fileio.write_staf_csv(out / name, staf_bins, bins, full if staf_bins is bins else full[staf_bins])
         files.append(name)
+        previous = seq
     for b in cfg.doppler_cut_range_bins:
         name = f"doppler_cut_r{b}.csv"
         fileio.write_cut_csv(out / name, bins, grid, full[b])

@@ -216,9 +216,12 @@ def monte_carlo_scr(
     designs maps name -> UnitModulusSequence. Per trial the distortion d
     is drawn once and applied to every design: doppler_interval draws
     v ~ U(lo, hi) and distorts by p(v); uniform_random_phase draws an
-    i.i.d. phase ramp on [0, 2pi). Trial t uses the deterministic
-    substream default_rng([seed, t]), so results are reproducible and
-    trials may run in parallel. Statistics are over per-trial dB values.
+    i.i.d. phase ramp on [0, 2pi). Each error model reads one stream,
+    default_rng([seed, ERROR_MODELS.index(error_model)]), and trial t is
+    row t of it: the t-th Doppler, or the t-th row of n phases. Phases
+    are drawn in blocks of about 2 MB; a generator fills them in C order,
+    so the block size does not change any value. Statistics are over
+    per-trial dB values.
 
     For a unit-modulus design the numerator |s^H (s (.) d)|^2 = |sum d|^2
     does not depend on the design, so it is computed once per trial:
@@ -240,15 +243,17 @@ def monte_carlo_scr(
         if ce == 0.0:
             raise radar.DegenerateSceneError(f"design {name!r} sees zero clutter energy")
         energies[name] = ce
+    rng = np.random.default_rng([seed, ERROR_MODELS.index(error_model)])
     if error_model == "doppler_interval":
-        v = np.array([np.random.default_rng([seed, t]).uniform(*doppler_interval) for t in range(n_trials)])
+        v = rng.uniform(*doppler_interval, size=n_trials)
         den = np.sin(np.pi * v) ** 2
         num = np.divide(np.sin(np.pi * n * v) ** 2, den, out=np.full(n_trials, n**2.0), where=den != 0.0)
     else:
         num = np.empty(n_trials)
-        for t in range(n_trials):
-            phases = np.random.default_rng([seed, t]).uniform(0.0, 2.0 * np.pi, size=n)
-            num[t] = np.cos(phases).sum() ** 2 + np.sin(phases).sum() ** 2
+        rows = max(1, 2**18 // n)
+        for start in range(0, n_trials, rows):
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=(min(rows, n_trials - start), n))
+            num[start : start + rows] = np.cos(phases).sum(axis=1) ** 2 + np.sin(phases).sum(axis=1) ** 2
     samples = {name: 10.0 * np.log10(num / energy) for name, energy in energies.items()}
     return {
         name: ScrStats(

@@ -160,6 +160,21 @@ class TestBaselineCommand:
         final = read_sequence_csv(out / "sequence_final.csv")
         assert np.array_equal(initial.entries, final.entries)
 
+    def test_random_baseline_copies_its_one_surface(self, tmp_path):
+        out = tmp_path / "rand"
+        assert main(["baseline", "--config", str(SMALL_CONFIG), "--out", str(out),
+                     "--method", "random"]) == 0
+        assert (out / "staf_final.csv").read_bytes() == (out / "staf_initial.csv").read_bytes()
+        assert {"staf_initial.csv", "staf_final.csv"} <= set(read_report(out)["files"])
+
+    def test_optimized_baseline_writes_two_surfaces(self, tmp_path):
+        # the copy is keyed on the sequence object, not on the labels
+        out = tmp_path / "rtr"
+        assert main(["baseline", "--config", str(SMALL_CONFIG), "--out", str(out),
+                     "--method", "rtr_nonrobust"]) == 0
+        assert (out / "staf_final.csv").read_bytes() != (out / "staf_initial.csv").read_bytes()
+        assert {"staf_initial.csv", "staf_final.csv"} <= set(read_report(out)["files"])
+
 
 class TestMonteCarloCommand:
     def _make_designs(self, tmp_path) -> Path:

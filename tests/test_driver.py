@@ -148,17 +148,25 @@ class TestHessianSpectrum:
 
 
 def reference_monte_carlo_scr(designs, scene, n_trials, error_model, seed, doppler_interval=None):
-    """Per-trial, per-design oracle: |s^H (s (.) d)|^2 / clutter energy for each draw."""
+    """Per-trial, per-design oracle: |s^H (s (.) d)|^2 / clutter energy for each draw.
+
+    Every trial is drawn in one call from the model's stream; trial t is row t.
+    """
+    rng = np.random.default_rng([seed, driver.ERROR_MODELS.index(error_model)])
+    if error_model == "doppler_interval":
+        draws = rng.uniform(*doppler_interval, size=n_trials)
+    else:
+        draws = rng.uniform(0.0, 2.0 * np.pi, size=(n_trials, scene.n))
+    energies = {name: clutter_energy(seq, scene) for name, seq in designs.items()}
     samples = {name: [] for name in designs}
-    for t in range(n_trials):
-        rng = np.random.default_rng([seed, t])
+    for draw in draws:
         if error_model == "doppler_interval":
-            d = radar.steering_vector(rng.uniform(*doppler_interval), scene.n)
+            d = radar.steering_vector(draw, scene.n)
         else:
-            d = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=scene.n))
+            d = np.exp(1j * draw)
         for name, seq in designs.items():
             num = abs(np.vdot(seq.entries, seq.entries * d)) ** 2
-            samples[name].append(10.0 * np.log10(num / clutter_energy(seq, scene)))
+            samples[name].append(10.0 * np.log10(num / energies[name]))
     return {
         name: (np.mean(v), np.std(v), np.min(v), np.max(v)) for name, v in samples.items()
     }
@@ -176,6 +184,47 @@ class TestMonteCarlo:
             assert st.n_trials == 200
             got = (st.mean_db, st.std_db, st.min_db, st.max_db)
             assert np.allclose(got, expected[name], rtol=0, atol=1e-10)
+
+    def test_matches_per_trial_reference_across_phase_blocks(self, rng):
+        # n = 1024 draws phases in blocks of 256 trials: 600 trials are two
+        # full blocks and a partial one
+        n = 1024
+        scene = random_scene(n, 4, rng)
+        designs = {"a": random_point(n, 43), "b": random_sequence(n, rng)}
+        stats = monte_carlo_scr(designs, scene, 600, "uniform_random_phase", seed=11)
+        expected = reference_monte_carlo_scr(designs, scene, 600, "uniform_random_phase", 11)
+        for name, st in stats.items():
+            got = (st.mean_db, st.std_db, st.min_db, st.max_db)
+            assert np.allclose(got, expected[name], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_uniform_phase_follows_the_exponential_law(self, seed):
+        # |sum d|^2 / n -> Exp(1), and 10 log10 of an Exp(1) variable has
+        # mean -10 gamma / ln 10 and standard deviation 10 pi / (sqrt(6) ln 10)
+        n = 256
+        scene = tiny_scene(n)
+        s = random_point(n, 44)
+        energy = clutter_energy(s, scene)
+        st = monte_carlo_scr({"d": s}, scene, 4000, "uniform_random_phase", seed=seed)["d"]
+        assert abs(st.mean_db - (10.0 * np.log10(n / energy) - 10.0 * np.euler_gamma / np.log(10.0))) < 0.5
+        assert abs(st.std_db - 10.0 * np.pi / (np.sqrt(6.0) * np.log(10.0))) < 0.5
+
+    @pytest.mark.parametrize("interval", [(-0.3, 0.7), (-0.9, 0.1), (0.0, 0.5)])
+    def test_doppler_interval_stays_in_the_main_lobe(self, interval):
+        # inside (-1/n, 1/n) the Dirichlet kernel falls from n^2 at v = 0 as
+        # |v| grows, so every trial lies between its values at 0 and at the
+        # interval end farther from 0 (slack: rounding of the dB values)
+        n = 64
+        lo, hi = interval[0] / n, interval[1] / n
+        scene = tiny_scene(n)
+        s = random_point(n, 45)
+        energy = clutter_energy(s, scene)
+        st = monte_carlo_scr({"d": s}, scene, 500, "doppler_interval", seed=8,
+                             doppler_interval=(lo, hi))["d"]
+        far = max(abs(lo), abs(hi))
+        kernel_far = np.sin(np.pi * n * far) ** 2 / np.sin(np.pi * far) ** 2
+        assert st.max_db <= 10.0 * np.log10(n**2 / energy) + 1e-9
+        assert st.min_db >= 10.0 * np.log10(kernel_far / energy) - 1e-9
 
     @pytest.mark.parametrize("n", [16, 64, 128])
     def test_doppler_numerator_is_the_steering_sum(self, n):
