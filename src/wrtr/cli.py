@@ -53,9 +53,9 @@ def _nominal_scr_db(seq, scene) -> float:
 def _export_staf_products(out: Path, cfg: ScenarioConfig, named_sequences) -> list:
     """Write STAF grids, and Doppler cuts of the last sequence's; returns the file names.
 
-    A surface is computed and written once per sequence object: a label
-    whose sequence is the one before it (the random baseline's final is
-    its initial) gets a byte copy of that file.
+    A sequence that is the same object as the one before it (the random
+    baseline's final is its initial) is not computed again: its file is a
+    byte copy of the previous one.
     """
     bins, grid = list(range(cfg.n)), np.arange(cfg.n) / cfg.n
     staf_bins = bins if cfg.staf_range_bins is None else list(cfg.staf_range_bins)
