@@ -200,10 +200,11 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
         files.append("traces.csv")
     files += _export_staf_products(out, cfg, [("initial", initial), ("final", final)])
 
+    initial_db = _nominal_scr_db(initial, scene)
     summary = {
         "method": method,
-        "nominal_scr_initial_db": _nominal_scr_db(initial, scene),
-        "nominal_scr_final_db": _nominal_scr_db(final, scene),
+        "nominal_scr_initial_db": initial_db,
+        "nominal_scr_final_db": initial_db if final is initial else _nominal_scr_db(final, scene),
         **solver_summary,
     }
     return RunReport(command="baseline", seed=seed, summary=summary, files=files)
@@ -244,6 +245,8 @@ def _load_designs(manifest_path: Path, n: int) -> dict:
 
 def run_monte_carlo(cfg: ScenarioConfig, out: Path, seed: int, designs: dict) -> RunReport:
     scene = cfg.to_scene()
+    # One clutter energy per design, shared by both error models.
+    energies = {name: radar.clutter_energy(seq, scene) for name, seq in designs.items()}
     rows = []
     summary = {"n_trials": cfg.monte_carlo_trials, "designs": {}}
     for model in driver.ERROR_MODELS:
@@ -254,6 +257,7 @@ def run_monte_carlo(cfg: ScenarioConfig, out: Path, seed: int, designs: dict) ->
             error_model=model,
             seed=seed,
             doppler_interval=cfg.doppler_interval,
+            energies=energies,
         )
         for name, st in stats.items():
             rows.append((name, model, st))
@@ -309,6 +313,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_scenario(args.config)
         seed = args.seed if args.seed is not None else cfg.seed
+        if seed < 0:
+            raise ScenarioError(f"--seed must be >= 0, got {seed}")
         designs = None
         if args.command == "montecarlo":
             if cfg.doppler_interval is None:

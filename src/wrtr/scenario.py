@@ -22,6 +22,7 @@ bin h maps to normalized Doppler h/n. Example:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields as dataclass_fields
 
 from .driver import WrtrConfig
@@ -44,7 +45,11 @@ def _as_int(value, key: str) -> int:
 
 
 def _as_number(value, key: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{key} must be a number")
+    # json accepts NaN and Infinity; no config number may be either
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value),
+        f"{key} must be a finite number",
+    )
     return float(value)
 
 
@@ -201,6 +206,8 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
 
     trials = _as_int(raw.get("monte_carlo_trials", 100), "monte_carlo_trials")
     _require(trials >= 1, "monte_carlo_trials must be >= 1")
+    seed = _as_int(raw.get("seed", 0), "seed")
+    _require(seed >= 0, "seed must be >= 0")
 
     try:
         return ScenarioConfig(
@@ -209,7 +216,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             doppler_interval=interval,
             epsilon=epsilon,
             lam=_as_number(raw.get("lambda", 100.0), "lambda"),
-            seed=_as_int(raw.get("seed", 0), "seed"),
+            seed=seed,
             noise_power=_as_number(raw.get("noise_power", 1.0), "noise_power"),
             target_power=_as_number(raw.get("target_power", 1.0), "target_power"),
             interval_grid_points=_as_int(raw.get("interval_grid_points", 2001), "interval_grid_points"),

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,26 @@ class TestWrtrCommand:
             ("lambda", 0),
             ("noise_power", -1),
             ("target_power", 0),
+            # json reads NaN and Infinity; none of them is a valid number here
+            pytest.param("lambda", math.nan, id="lambda-nan"),
+            pytest.param("noise_power", math.nan, id="noise_power-nan"),
+            pytest.param("doppler_interval", [-math.inf, 0.01], id="doppler_interval-neg_inf"),
+            pytest.param(
+                "clutter_blocks",
+                [{"range_bins": [3], "doppler_bins": [7], "power_db": math.inf}],
+                id="block_power_db-inf",
+            ),
+            pytest.param(
+                "scatterers",
+                [{"range_shift": 2, "doppler": 0.1, "power": math.nan}],
+                id="scatterer_power-nan",
+            ),
+            pytest.param(
+                "scatterers",
+                [{"range_shift": 2, "doppler": math.inf, "power": 1.0}],
+                id="scatterer_doppler-inf",
+            ),
+            ("seed", -3),
         ],
     )
     def test_malformed_config_exits_2_without_outputs(self, tmp_path, key, value):
@@ -82,6 +103,12 @@ class TestWrtrCommand:
         a = read_sequence_csv(out_a / "sequence_initial.csv")
         b = read_sequence_csv(out_b / "sequence_initial.csv")
         assert not np.allclose(a.entries, b.entries)
+
+    @pytest.mark.parametrize("command", [["wrtr"], ["baseline", "--method", "random"]], ids=["wrtr", "baseline"])
+    def test_negative_seed_flag_exits_2_without_outputs(self, tmp_path, command):
+        out = tmp_path / "nothing"
+        assert main(command + ["--config", str(SMALL_CONFIG), "--out", str(out), "--seed", "-1"]) == 2
+        assert not out.exists()
 
     def test_report_certifies_the_worst_case(self, tmp_path):
         # report.json compares |s^H st|^2 with the closed form max(n - eps/2, 0)^2;

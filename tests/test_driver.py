@@ -172,6 +172,28 @@ def reference_monte_carlo_scr(designs, scene, n_trials, error_model, seed, doppl
     }
 
 
+class TestPhasorRowSums:
+    def test_each_phasor_matches_libm(self):
+        # one column per row, so the row sums are the phasors themselves;
+        # compared with libm on the rounded phase fl(2 pi u)
+        K = driver._PhasorRowSums.K
+        grid = np.array([1, 2, 3, 255, K // 8, K // 4 - 1, K // 4 + 1, K // 2 + 7, 3 * K // 4 - 1, K - 1]) / K
+        edges = [[0.0, 1.0 - 2.0**-53, 0.25, 0.5, 0.75], grid, np.nextafter(grid, 0.0), np.nextafter(grid, 1.0)]
+        u = np.concatenate([np.random.default_rng(12).random(10**5)] + edges)
+        c, s = driver._PhasorRowSums(u.size, 1)(u[:, None].copy())
+        assert np.max(np.abs(c - np.cos(2.0 * np.pi * u))) <= 1e-15
+        assert np.max(np.abs(s - np.sin(2.0 * np.pi * u))) <= 1e-15
+        assert np.max(np.abs(c**2 + s**2 - 1.0)) <= 1e-15
+
+    def test_row_sums_of_a_partial_block(self):
+        # fewer rows than the work arrays hold, as in the last block of a run
+        u = np.random.default_rng(13).random((5, 64))
+        re, im = driver._PhasorRowSums(8, 64)(u.copy())
+        d = np.exp(2j * np.pi * u).sum(axis=1)
+        assert np.allclose(re, d.real, rtol=0, atol=1e-13)
+        assert np.allclose(im, d.imag, rtol=0, atol=1e-13)
+
+
 class TestMonteCarlo:
     @pytest.mark.parametrize("model", driver.ERROR_MODELS)
     def test_matches_per_trial_reference(self, model, rng):
@@ -186,7 +208,7 @@ class TestMonteCarlo:
             assert np.allclose(got, expected[name], rtol=0, atol=1e-10)
 
     def test_matches_per_trial_reference_across_phase_blocks(self, rng):
-        # n = 1024 draws phases in blocks of 256 trials: 600 trials are two
+        # n = 1024 draws phases in blocks of 128 trials: 600 trials are four
         # full blocks and a partial one
         n = 1024
         scene = random_scene(n, 4, rng)
