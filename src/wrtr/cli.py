@@ -110,7 +110,7 @@ def _certificate(result: driver.WrtrResult) -> dict:
 
 def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> RunReport:
     scene = cfg.to_scene()
-    result = driver.optimize(scene, cfg.to_wrtr_config(), seed)
+    result = driver.optimize(scene, cfg.wrtr, seed)
     files = []
     fileio.write_sequence_csv(out / "sequence_initial.csv", result.initial_sequence)
     fileio.write_sequence_csv(out / "sequence_final.csv", result.sequence)
@@ -135,7 +135,7 @@ def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> RunReport:
     )
     files.append("hessian_spectrum_seq.csv")
     if result.epsilon > 0:
-        worst_obj = WorstCaseObjective(result.sequence, lam=cfg.lam, epsilon=result.epsilon)
+        worst_obj = WorstCaseObjective(result.sequence, lam=cfg.wrtr.lam, epsilon=result.epsilon)
         fileio.write_spectrum_csv(
             out / "hessian_spectrum_worst.csv",
             driver.hessian_spectrum(worst_obj, result.worst_steering),
@@ -175,7 +175,7 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
         final = initial
     elif method == "rtr_nonrobust":
         objective = SequenceObjective(scene)
-        final, trace = driver.design_nonrobust(scene, cfg.seq_solver, seed, objective)
+        final, trace = driver.design_nonrobust(scene, cfg.wrtr.seq_solver, seed, objective)
         sections.append((0, "seq", trace))
         solver_summary = {"iterations": len(trace), "converged": trace.converged}
         fileio.write_spectrum_csv(
@@ -184,10 +184,9 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
         files.append("hessian_spectrum_seq.csv")
     else:
         objective = SequenceObjective(scene)
+        solver = cfg.wrtr.seq_solver
         rcg_cfg = RcgConfig(
-            grad_tol=cfg.seq_solver.grad_tol,
-            grad_tol_relative=cfg.seq_solver.grad_tol_relative,
-            max_iters=cfg.seq_solver.max_iters,
+            grad_tol=solver.grad_tol, grad_tol_relative=solver.grad_tol_relative, max_iters=solver.max_iters
         )
         final, trace = solve_rcg(objective, initial, rcg_cfg)
         sections.append((0, "rcg", trace))
@@ -256,7 +255,7 @@ def run_monte_carlo(cfg: ScenarioConfig, out: Path, seed: int, designs: dict) ->
             n_trials=cfg.monte_carlo_trials,
             error_model=model,
             seed=seed,
-            doppler_interval=cfg.doppler_interval,
+            doppler_interval=cfg.wrtr.doppler_interval,
             energies=energies,
         )
         for name, st in stats.items():
@@ -271,13 +270,17 @@ def run_monte_carlo(cfg: ScenarioConfig, out: Path, seed: int, designs: dict) ->
     return RunReport(command="montecarlo", seed=seed, summary=summary, files=["scr_stats.csv"])
 
 
-def run_staf(cfg: ScenarioConfig, out: Path, seed: int, sequence_path: Path) -> RunReport:
+def _load_sequence(path: Path, n: int):
     try:
-        seq = fileio.read_sequence_csv(sequence_path)
+        seq = fileio.read_sequence_csv(path)
     except (OSError, ValueError) as exc:
-        raise ScenarioError(f"cannot load sequence {sequence_path}: {exc}") from exc
-    if seq.n != cfg.n:
-        raise ScenarioError(f"sequence length {seq.n} does not match config n={cfg.n}")
+        raise ScenarioError(f"cannot load sequence {path}: {exc}") from exc
+    if seq.n != n:
+        raise ScenarioError(f"sequence length {seq.n} does not match config n={n}")
+    return seq
+
+
+def run_staf(cfg: ScenarioConfig, out: Path, seed: int, sequence_path: Path, seq) -> RunReport:
     files = _export_staf_products(out, cfg, [("recomputed", seq)])
     summary = {"sequence": str(sequence_path), "nominal_scr_db": _nominal_scr_db(seq, cfg.to_scene())}
     return RunReport(command="staf", seed=seed, summary=summary, files=files)
@@ -315,9 +318,11 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else cfg.seed
         if seed < 0:
             raise ScenarioError(f"--seed must be >= 0, got {seed}")
-        designs = None
-        if args.command == "montecarlo":
-            if cfg.doppler_interval is None:
+        designs = sequence = None
+        if args.command == "staf":
+            sequence = _load_sequence(Path(args.sequence), cfg.n)
+        elif args.command == "montecarlo":
+            if cfg.wrtr.doppler_interval is None:
                 raise ScenarioError("montecarlo needs doppler_interval in the config")
             designs = _load_designs(Path(args.designs), cfg.n)
     except ScenarioError as exc:
@@ -335,7 +340,7 @@ def main(argv=None) -> int:
         elif args.command == "montecarlo":
             report = run_monte_carlo(cfg, out, seed, designs)
         else:
-            report = run_staf(cfg, out, seed, Path(args.sequence))
+            report = run_staf(cfg, out, seed, Path(args.sequence), sequence)
     except ScenarioError as exc:
         print(f"wrtr: config error: {exc}", file=sys.stderr)
         return 2

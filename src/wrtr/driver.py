@@ -1,25 +1,24 @@
-"""Worst-case alternation driver and its diagnostics.
+"""Worst-case design driver and its diagnostics.
 
-Each outer iteration first lets the adversary pick the worst steering
-vector inside the eps-ball around the current sequence (trust-region
-solve of the penalized steering cost), then re-optimizes the sequence
-against that worst case. The ball is centred on the sequence, so the
-adversary's answer is the relative distortion w = conj(s) (.) st: both
-the ball constraint ||st - s||^2 = ||w - 1||^2 and the coupling
-s^H st = sum w depend on w alone. The sequence step minimizes clutter
-energy / |sum w|^2 with w frozen (SequenceObjective(scene, distortion=w)),
-whose gradient is the min-max (Danskin) gradient; the worst steering
-s (.) w moves along with s. The first adversary solve starts from a
-seeded tangent nudge of norm sqrt(eps) off the sequence (the sequence
-itself is a stationary saddle of the steering cost); later ones restart
-from s (.) w. Warm-started solves begin close to stationary, where a
-tolerance relative to their own start gradient cannot be met, so after
-the first outer iteration both solvers run to the absolute tolerance the
-first solves reached (grad_tol_effective of their traces). The loop stops
-once the output SCNR moves by less than scnr_tol_db across consecutive
-outer iterations, or at max_outer; the overall alternation is
-monitored, not proven, so hitting the cap is a warning outcome rather
-than an error.
+The adversary picks the worst steering vector inside the eps-ball around
+a sequence (trust-region solve of the penalized steering cost). The ball
+is centred on the sequence, so its answer is the relative distortion
+w = conj(s) (.) st: both the ball constraint ||st - s||^2 = ||w - 1||^2
+and the coupling s^H st = sum w depend on w alone, and the adversary's
+cost at s (.) w is the same for every s. The adversary is therefore
+solved once, at the seeded start s0, from a seeded tangent nudge of norm
+sqrt(eps) off s0 (s0 itself is a stationary saddle of the steering cost),
+and w is fixed from that solve. The sequence passes then minimize
+clutter energy / |sum w|^2 with w frozen (SequenceObjective(scene,
+distortion=w)), whose gradient is the min-max (Danskin) gradient; the
+worst steering s (.) w moves along with s. Each pass restarts the
+sequence solve where the previous one stopped; a restart begins close to
+stationary, where a tolerance relative to its own start gradient cannot
+be met, so passes after the first run to the absolute tolerance the first
+reached (grad_tol_effective of its trace). The loop stops once the
+output SCNR moves by less than scnr_tol_db across consecutive passes, or
+at max_outer; the alternation is monitored, not proven, so hitting the
+cap is a warning outcome rather than an error.
 
 The diagnostics work in tangent coordinates (see manifold): the Hessian
 matrix is rhess applied to the identity columns, and its spectrum is
@@ -109,51 +108,40 @@ def _nudge(s: UnitModulusSequence, epsilon: float, seed: int) -> np.ndarray:
     return random_tangent(s, rng, scale=float(np.sqrt(epsilon)))
 
 
-def _absolute_tol(solver: rtr.TrustRegionConfig, trace: rtr.TrustRegionTrace) -> rtr.TrustRegionConfig:
-    return replace(solver, grad_tol=trace.grad_tol_effective, grad_tol_relative=False)
-
-
 def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
-    """Alternate worst-case steering and sequence solves from a seeded start.
+    """Solve the adversary once at a seeded start, then the sequence passes against it.
 
-    The sequence step holds the adversary's relative distortion
+    The sequence passes hold the adversary's relative distortion
     w = conj(s) (.) st fixed, so the returned worst_steering is
     sequence (.) w: the worst case of the returned sequence, with no
-    further adversary solve. With eps = 0 the distortion stays w = 1 and
-    the alternation reduces to the nominal design (numerator n^2).
+    further adversary solve. Only the first pass carries the adversary's
+    trace; later passes have worst_trace None. With eps = 0 there is no
+    adversary solve, w = 1 and the passes reduce to the nominal design
+    (numerator n^2).
     """
     if len(scene.scatterers) < 1:
         raise ValueError("scene must contain at least one scatterer")
     n = scene.n
     eps = cfg.resolve_epsilon(n)
     s0 = random_point(n, seed)
-    s = s0
-    w = np.ones(n, dtype=np.complex128)
-    worst_solver, seq_solver = cfg.worst_solver, cfg.seq_solver
+    if eps > 0.0:
+        worst_obj = WorstCaseObjective(s0, lam=cfg.lam, epsilon=eps)
+        st, worst_trace = rtr.solve(worst_obj, retract(s0, _nudge(s0, eps, seed)), cfg.worst_solver)
+        worst_cost = worst_obj.cost(st)
+        w = np.conj(s0.entries) * st.entries
+    else:
+        worst_trace, worst_cost = None, 0.0
+        w = np.ones(n, dtype=np.complex128)
+    w.setflags(write=False)
+    seq_obj = SequenceObjective(scene, distortion=w)
+    s, seq_solver = s0, cfg.seq_solver
     history = []
     prev_scnr = None
     converged = False
     for outer in range(cfg.max_outer):
-        if eps > 0.0:
-            worst_obj = WorstCaseObjective(s, lam=cfg.lam, epsilon=eps)
-            # Later outers restart from the previous distortion, which the
-            # sequence step left a worst case of the new s as well.
-            if outer == 0:
-                start = retract(s, _nudge(s, eps, seed))
-            else:
-                start = UnitModulusSequence(s.entries * w)
-            st, worst_trace = rtr.solve(worst_obj, start, worst_solver)
-            worst_cost = worst_obj.cost(st)
-            w = np.conj(s.entries) * st.entries
-        else:
-            worst_trace = None
-            worst_cost = 0.0
-        seq_obj = SequenceObjective(scene, distortion=w)
         s, seq_trace = rtr.solve(seq_obj, s, seq_solver)
         if outer == 0:
-            seq_solver = _absolute_tol(seq_solver, seq_trace)
-            if worst_trace is not None:
-                worst_solver = _absolute_tol(worst_solver, worst_trace)
+            seq_solver = replace(seq_solver, grad_tol=seq_trace.grad_tol_effective, grad_tol_relative=False)
         st = UnitModulusSequence(s.entries * w)
         scr_db = radar.scr(s, st, scene)
         scnr_db = radar.scnr(s, st, scene, cfg.noise_power, cfg.target_power)
@@ -163,7 +151,7 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
                 scnr_db=scnr_db,
                 worst_cost=worst_cost,
                 seq_cost=seq_obj.cost(s),
-                worst_trace=worst_trace,
+                worst_trace=worst_trace if outer == 0 else None,
                 seq_trace=seq_trace,
             )
         )
@@ -171,7 +159,6 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
             converged = True
             break
         prev_scnr = scnr_db
-    w.setflags(write=False)
     return WrtrResult(
         sequence=s,
         worst_steering=st,

@@ -40,6 +40,9 @@ def read_sequence_csv(path) -> UnitModulusSequence:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["index", "real", "imag"]:
         raise ValueError(f"{path}: not a sequence CSV (bad header)")
+    for line, r in enumerate(rows[1:], start=2):
+        if len(r) != 3:
+            raise ValueError(f"{path}: line {line} has {len(r)} fields, expected 3")
     values = np.array([complex(float(r[1]), float(r[2])) for r in rows[1:]])
     return UnitModulusSequence(values)
 

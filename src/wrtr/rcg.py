@@ -3,8 +3,8 @@
 Minimal first-order comparison method on tangent coordinates (see
 manifold): Fletcher-Reeves coefficient, projection transport of the
 previous direction, Armijo backtracking line search (c = 1e-4, step
-halving), and the same gradient-norm stopping rule as the trust-region
-solver.
+halving, at most 60 halvings), and the same gradient-norm stopping rule
+as the trust-region solver.
 """
 
 from __future__ import annotations
@@ -13,15 +13,16 @@ from dataclasses import dataclass, field
 
 from .manifold import UnitModulusSequence, norm, retract, transport
 
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 60
+
 
 @dataclass(frozen=True)
 class RcgConfig:
     grad_tol: float = 1e-9
     grad_tol_relative: bool = True
     max_iters: int = 100
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 60
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,13 @@ def solve_rcg(problem, x0: UnitModulusSequence, cfg: RcgConfig = RcgConfig()):
             dg = -gn * gn
         t = 2.0 * t_prev if t_prev is not None else 1.0 / max(1.0, norm(d))
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             candidate = retract(x, t * d)
             f_cand = problem.cost(candidate)
-            if f_cand <= fx + cfg.armijo_c * t * dg:
+            if f_cand <= fx + ARMIJO_C * t * dg:
                 accepted = True
                 break
-            t *= cfg.backtrack
+            t *= BACKTRACK
         if not accepted:
             break
         step_norm = t * norm(d)

@@ -74,6 +74,8 @@ class TrustRegionConfig:
             raise ValueError("grad_tol must be >= 0")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
+        if self.tcg_max_inner is not None and self.tcg_max_inner < 1:
+            raise ValueError("tcg_max_inner must be >= 1")
         if not 0.0 < self.tcg_kappa < 1.0:
             raise ValueError("tcg_kappa must lie in (0, 1)")
         if self.tcg_theta <= 0:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 
 from .driver import WrtrConfig
 from .radar import ClutterScatterer, ClutterScene
@@ -45,12 +45,16 @@ def _as_int(value, key: str) -> int:
 
 
 def _as_number(value, key: str) -> float:
-    # json accepts NaN and Infinity; no config number may be either
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value),
-        f"{key} must be a finite number",
-    )
-    return float(value)
+    # json accepts NaN and Infinity, and integers too large for a float;
+    # no config number may be any of them
+    message = f"{key} must be a finite number"
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool), message)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ScenarioError(message) from None
+    _require(math.isfinite(value), message)
+    return value
 
 
 def _bin_list(value, key: str) -> list:
@@ -70,63 +74,18 @@ def _bin_list(value, key: str) -> list:
 class ScenarioConfig:
     n: int
     scatterers: tuple
-    doppler_interval: tuple | None = None
-    epsilon: float | None = None
-    lam: float = 100.0
+    wrtr: WrtrConfig
     seed: int = 0
-    noise_power: float = 1.0
-    target_power: float = 1.0
-    interval_grid_points: int = 2001
-    max_outer: int = 20
-    scnr_tol_db: float = 0.01
-    worst_solver: TrustRegionConfig = field(default_factory=TrustRegionConfig)
-    seq_solver: TrustRegionConfig = field(default_factory=TrustRegionConfig)
     staf_range_bins: tuple | None = None
     doppler_cut_range_bins: tuple = ()
     monte_carlo_trials: int = 100
 
-    def __post_init__(self):
-        # WrtrConfig checks the solver-level values, so a bad config fails
-        # here, before the CLI creates any output.
-        self.to_wrtr_config()
-
     def to_scene(self) -> ClutterScene:
         return ClutterScene(scatterers=self.scatterers, n=self.n)
 
-    def to_wrtr_config(self) -> WrtrConfig:
-        return WrtrConfig(
-            lam=self.lam,
-            epsilon=self.epsilon,
-            doppler_interval=self.doppler_interval,
-            interval_grid_points=self.interval_grid_points,
-            max_outer=self.max_outer,
-            scnr_tol_db=self.scnr_tol_db,
-            noise_power=self.noise_power,
-            target_power=self.target_power,
-            worst_solver=self.worst_solver,
-            seq_solver=self.seq_solver,
-        )
 
-
-_KNOWN_KEYS = {
-    "n",
-    "clutter_blocks",
-    "scatterers",
-    "doppler_interval",
-    "epsilon",
-    "lambda",
-    "seed",
-    "noise_power",
-    "target_power",
-    "interval_grid_points",
-    "max_outer",
-    "scnr_tol_db",
-    "worst_solver",
-    "seq_solver",
-    "staf_range_bins",
-    "doppler_cut_range_bins",
-    "monte_carlo_trials",
-}
+_NULLABLE_SOLVER_KEYS = {"delta_bar", "delta0", "tcg_max_inner"}
+_INT_SOLVER_KEYS = {"max_iters", "tcg_max_inner"}
 
 
 def _solver_config(raw, key: str) -> TrustRegionConfig:
@@ -136,10 +95,46 @@ def _solver_config(raw, key: str) -> TrustRegionConfig:
     allowed = {f.name for f in dataclass_fields(TrustRegionConfig)}
     unknown = set(raw) - allowed
     _require(not unknown, f"{key}: unknown solver keys {sorted(unknown)}")
+    values = {}
+    for name, value in raw.items():
+        if value is None and name in _NULLABLE_SOLVER_KEYS:
+            values[name] = None
+        elif name == "grad_tol_relative":
+            _require(isinstance(value, bool), f"{key}.{name} must be true or false")
+            values[name] = value
+        elif name in _INT_SOLVER_KEYS:
+            values[name] = _as_int(value, f"{key}.{name}")
+        else:
+            values[name] = _as_number(value, f"{key}.{name}")
     try:
-        return TrustRegionConfig(**raw)
-    except (TypeError, ValueError) as exc:
+        return TrustRegionConfig(**values)
+    except ValueError as exc:
         raise ScenarioError(f"{key}: {exc}") from exc
+
+
+# JSON key -> (WrtrConfig field, parser); an absent key keeps WrtrConfig's default.
+_WRTR_KEYS = {
+    "lambda": ("lam", _as_number),
+    "noise_power": ("noise_power", _as_number),
+    "target_power": ("target_power", _as_number),
+    "interval_grid_points": ("interval_grid_points", _as_int),
+    "max_outer": ("max_outer", _as_int),
+    "scnr_tol_db": ("scnr_tol_db", _as_number),
+    "worst_solver": ("worst_solver", _solver_config),
+    "seq_solver": ("seq_solver", _solver_config),
+}
+_KNOWN_KEYS = {
+    "n",
+    "clutter_blocks",
+    "scatterers",
+    "doppler_interval",
+    "epsilon",
+    "seed",
+    "staf_range_bins",
+    "doppler_cut_range_bins",
+    "monte_carlo_trials",
+    *_WRTR_KEYS,
+}
 
 
 def parse_scenario(raw: dict) -> ScenarioConfig:
@@ -176,6 +171,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
                 scatterers.append(ClutterScatterer(range_shift=r, doppler=h / n, power=power))
     _require(len(scatterers) >= 1, "scenario defines no clutter scatterers")
 
+    fields = {name: parse(raw[key], key) for key, (name, parse) in _WRTR_KEYS.items() if key in raw}
     interval = raw.get("doppler_interval")
     if interval is not None:
         _require(
@@ -185,15 +181,18 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         lo = _as_number(interval[0], "doppler_interval[0]")
         hi = _as_number(interval[1], "doppler_interval[1]")
         _require(lo <= hi, "doppler_interval must satisfy lo <= hi")
-        interval = (lo, hi)
+        fields["doppler_interval"] = (lo, hi)
     epsilon = raw.get("epsilon")
     if epsilon is not None:
         epsilon = _as_number(epsilon, "epsilon")
         _require(0.0 <= epsilon <= 4.0 * n, f"epsilon must lie in [0, {4 * n}]")
-    _require(
-        interval is not None or epsilon is not None,
-        "one of doppler_interval or epsilon is required",
-    )
+        fields["epsilon"] = epsilon
+    # WrtrConfig checks its own values, so a bad config fails here,
+    # before the CLI creates any output.
+    try:
+        wrtr = WrtrConfig(**fields)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
     staf_bins = raw.get("staf_range_bins")
     if staf_bins is not None:
@@ -209,29 +208,15 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     seed = _as_int(raw.get("seed", 0), "seed")
     _require(seed >= 0, "seed must be >= 0")
 
-    try:
-        return ScenarioConfig(
-            n=n,
-            scatterers=tuple(scatterers),
-            doppler_interval=interval,
-            epsilon=epsilon,
-            lam=_as_number(raw.get("lambda", 100.0), "lambda"),
-            seed=seed,
-            noise_power=_as_number(raw.get("noise_power", 1.0), "noise_power"),
-            target_power=_as_number(raw.get("target_power", 1.0), "target_power"),
-            interval_grid_points=_as_int(raw.get("interval_grid_points", 2001), "interval_grid_points"),
-            max_outer=_as_int(raw.get("max_outer", 20), "max_outer"),
-            scnr_tol_db=_as_number(raw.get("scnr_tol_db", 0.01), "scnr_tol_db"),
-            worst_solver=_solver_config(raw.get("worst_solver"), "worst_solver"),
-            seq_solver=_solver_config(raw.get("seq_solver"), "seq_solver"),
-            staf_range_bins=staf_bins,
-            doppler_cut_range_bins=cut_bins,
-            monte_carlo_trials=trials,
-        )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(str(exc)) from exc
+    return ScenarioConfig(
+        n=n,
+        scatterers=tuple(scatterers),
+        wrtr=wrtr,
+        seed=seed,
+        staf_range_bins=staf_bins,
+        doppler_cut_range_bins=cut_bins,
+        monte_carlo_trials=trials,
+    )
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -39,6 +39,13 @@ class TestSequenceRoundTrip:
         with pytest.raises(ValueError):
             read_sequence_csv(path)
 
+    @pytest.mark.parametrize("row", ["1,0.5", "", "1,0.5,0.5,0"], ids=["short", "blank", "long"])
+    def test_row_without_three_fields_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"index,real,imag\n0,1,0\n{row}\n2,1,0\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_sequence_csv(path)
+
 
 class TestWrtrCommand:
     def test_full_run_writes_manifest(self, tmp_path):
@@ -81,6 +88,15 @@ class TestWrtrCommand:
                 id="scatterer_doppler-inf",
             ),
             ("seed", -3),
+            # a 401-digit integer is a valid json number that no float holds
+            pytest.param("noise_power", 10**400, id="noise_power-huge_int"),
+            # solver values are checked by type before TrustRegionConfig sees them
+            pytest.param("seq_solver", {"max_iters": 30, "delta_bar": math.inf}, id="delta_bar-inf"),
+            pytest.param("seq_solver", {"max_iters": 30.5}, id="max_iters-float"),
+            pytest.param("worst_solver", {"max_iters": 60, "grad_tol": math.nan}, id="grad_tol-nan"),
+            pytest.param("seq_solver", {"grad_tol_relative": "no"}, id="grad_tol_relative-str"),
+            pytest.param("seq_solver", {"tcg_max_inner": 0}, id="tcg_max_inner-0"),
+            pytest.param("seq_solver", {"tcg_max_inner": -3}, id="tcg_max_inner-neg"),
         ],
     )
     def test_malformed_config_exits_2_without_outputs(self, tmp_path, key, value):
@@ -257,9 +273,21 @@ class TestStafCommand:
         report = read_report(out)
         assert "staf_recomputed.csv" in report["files"]
 
+    @pytest.mark.parametrize("body", ["0,1,0\n1,1\n", None], ids=["short_row", "missing"])
+    def test_bad_sequence_exits_2_without_outputs(self, tmp_path, body):
+        # the sequence is read before --out is created, as the montecarlo manifest is
+        seq_path = tmp_path / "seq.csv"
+        if body is not None:
+            seq_path.write_text("index,real,imag\n" + body)
+        out = tmp_path / "staf"
+        code = main(["staf", "--config", str(SMALL_CONFIG), "--out", str(out), str(seq_path)])
+        assert code == 2
+        assert not out.exists()
+
     def test_length_mismatch_exits_2(self, tmp_path):
         seq_path = tmp_path / "seq.csv"
         write_sequence_csv(seq_path, random_point(8, 5))
         out = tmp_path / "staf"
         code = main(["staf", "--config", str(SMALL_CONFIG), "--out", str(out), str(seq_path)])
         assert code == 2
+        assert not out.exists()

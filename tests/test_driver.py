@@ -3,7 +3,7 @@ import pytest
 
 from wrtr import driver, radar, rtr
 from wrtr.driver import WrtrConfig, hessian_matrix, hessian_spectrum, monte_carlo_scr
-from wrtr.manifold import random_point
+from wrtr.manifold import UnitModulusSequence, random_point
 from wrtr.objectives import SequenceObjective, WorstCaseObjective
 from wrtr.radar import ClutterScatterer, ClutterScene, DegenerateSceneError, clutter_energy
 from wrtr.rcg import RcgConfig, solve_rcg
@@ -89,17 +89,52 @@ class TestOptimize:
             final = radar.scr(result.sequence, result.worst_steering, scene)
             assert final == pytest.approx(scrs[-1], abs=1e-12)
 
-    def test_warm_started_adversary_solves_take_no_iterations(self):
-        # the warm start s (.) w is as stationary as the first solve left
-        # it, and later solves hold that solve's absolute tolerance
+    def test_adversary_runs_once(self, monkeypatch):
+        # the adversary's cost depends on w alone, so it is solved once, at the
+        # seeded start, and every sequence pass designs against that w
+        built = {"worst": 0, "seq": 0}
+
+        def counting(cls, key):
+            def build(*args, **kwargs):
+                built[key] += 1
+                return cls(*args, **kwargs)
+            return build
+
+        monkeypatch.setattr(driver, "WorstCaseObjective", counting(WorstCaseObjective, "worst"))
+        monkeypatch.setattr(driver, "SequenceObjective", counting(SequenceObjective, "seq"))
         scenes = [(tiny_scene(), small_cfg())]
         scenes += [(random_scene(16, 40, np.random.default_rng(100 + k)),
                     small_cfg(epsilon=20.0, max_outer=6)) for k in range(3)]
         for k, (scene, cfg) in enumerate(scenes):
+            built.update(worst=0, seq=0)
             result = driver.optimize(scene, cfg, seed=40 + k)
+            assert built == {"worst": 1, "seq": 1}
             assert len(result.history) >= 2
             assert result.history[0].worst_trace.converged
-            assert [len(h.worst_trace) for h in result.history[1:]] == [0] * (len(result.history) - 1)
+            assert [h.worst_trace for h in result.history[1:]] == [None] * (len(result.history) - 1)
+            assert np.array_equal(result.worst_steering.entries, result.sequence.entries * result.distortion)
+
+    def test_worst_case_cost_depends_on_the_distortion_alone(self, rng):
+        # s^H (s (.) w) = sum w and ||s (.) w - s||^2 = ||w - 1||^2 for every
+        # unit-modulus s, so the adversary's cost and its derivatives in tangent
+        # coordinates are the same at s1 (.) w and s2 (.) w
+        n = 16
+        for eps in (2.0, 20.0, 40.0):
+            w = random_sequence(n, rng).entries
+            s1, s2 = random_sequence(n, rng), random_sequence(n, rng)
+            obj1 = WorstCaseObjective(s1, lam=100.0, epsilon=eps)
+            obj2 = WorstCaseObjective(s2, lam=100.0, epsilon=eps)
+            x1, x2 = UnitModulusSequence(s1.entries * w), UnitModulusSequence(s2.entries * w)
+            a = make_tangent(x1, rng)
+            assert obj1.cost(x1) == pytest.approx(obj2.cost(x2), rel=1e-12)
+            for u, v in ((obj1.rgrad(x1), obj2.rgrad(x2)), (obj1.rhess(x1, a), obj2.rhess(x2, a))):
+                assert np.max(np.abs(u - v)) <= 1e-12 * np.max(np.abs(u))
+
+    def test_last_seq_cost_is_clutter_over_the_frozen_coupling(self):
+        scene = random_scene(16, 40, np.random.default_rng(101))
+        result = driver.optimize(scene, small_cfg(epsilon=20.0, max_outer=6), seed=41)
+        expected = clutter_energy(result.sequence, scene) / abs(np.sum(result.distortion)) ** 2
+        assert result.history[-1].seq_cost == pytest.approx(expected, rel=1e-12)
 
     def test_seeded_determinism(self):
         scene = tiny_scene()

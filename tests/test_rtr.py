@@ -291,6 +291,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrustRegionConfig(delta_bar=1.0, delta0=2.0)
 
+    @pytest.mark.parametrize("inner", [0, -3])
+    def test_tcg_max_inner_positive(self, inner):
+        with pytest.raises(ValueError, match="tcg_max_inner"):
+            TrustRegionConfig(tcg_max_inner=inner)
+
     def test_resolved_radii_default_scale(self):
         cfg = TrustRegionConfig()
         delta_bar, delta0 = cfg.resolved_radii(64)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wrtr.driver import WrtrConfig
 from wrtr.scenario import ScenarioError, load_scenario, parse_scenario
 
 
@@ -75,8 +76,11 @@ class TestValidation:
 
     def test_solver_overrides(self):
         cfg = parse_scenario(base_config(seq_solver={"max_iters": 7, "rho_bar": 0.2}))
-        assert cfg.seq_solver.max_iters == 7
-        assert cfg.seq_solver.rho_bar == 0.2
+        assert cfg.wrtr.seq_solver.max_iters == 7
+        assert cfg.wrtr.seq_solver.rho_bar == 0.2
+
+    def test_absent_keys_keep_the_wrtr_defaults(self):
+        assert parse_scenario(base_config()).wrtr == WrtrConfig(doppler_interval=(-0.05, 0.05))
 
     def test_bad_solver_key(self):
         with pytest.raises(ScenarioError, match="unknown solver keys"):
@@ -110,8 +114,7 @@ class TestLoadScenario:
         assert cfg.seed == 3
         scene = cfg.to_scene()
         assert scene.n == 16
-        wrtr_cfg = cfg.to_wrtr_config()
-        assert wrtr_cfg.doppler_interval == (-0.05, 0.05)
+        assert cfg.wrtr.doppler_interval == (-0.05, 0.05)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="cannot read"):
