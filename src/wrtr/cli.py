@@ -153,7 +153,17 @@ def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> RunReport:
         "nominal_scr_final_db": _nominal_scr_db(result.sequence, scene),
         "certificate": _certificate(result),
         "outer_history": [
-            {"scr_db": h.scr_db, "scnr_db": h.scnr_db, "worst_cost": h.worst_cost, "seq_cost": h.seq_cost}
+            {
+                "scr_db": h.scr_db,
+                "scnr_db": h.scnr_db,
+                "worst_cost": h.worst_cost,
+                "seq_cost": h.seq_cost,
+                "seq_hvps": h.seq_trace.hvps,
+                "seq_cost_evals": h.seq_trace.cost_evals,
+                # only pass 0 solves the adversary
+                "worst_hvps": h.worst_trace.hvps if h.worst_trace else 0,
+                "worst_cost_evals": h.worst_trace.cost_evals if h.worst_trace else 0,
+            }
             for h in result.history
         ],
     }
@@ -177,7 +187,12 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
         objective = SequenceObjective(scene)
         final, trace = driver.design_nonrobust(scene, cfg.wrtr.seq_solver, seed, objective)
         sections.append((0, "seq", trace))
-        solver_summary = {"iterations": len(trace), "converged": trace.converged}
+        solver_summary = {
+            "iterations": len(trace),
+            "converged": trace.converged,
+            "hvps": trace.hvps,
+            "cost_evals": trace.cost_evals,
+        }
         fileio.write_spectrum_csv(
             out / "hessian_spectrum_seq.csv", driver.hessian_spectrum(objective, final)
         )

@@ -36,6 +36,7 @@ def write_sequence_csv(path, seq: UnitModulusSequence) -> None:
 
 
 def read_sequence_csv(path) -> UnitModulusSequence:
+    """Read a sequence CSV; the index column must be 0, 1, ..., n-1 in order, as written."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["index", "real", "imag"]:
@@ -43,6 +44,8 @@ def read_sequence_csv(path) -> UnitModulusSequence:
     for line, r in enumerate(rows[1:], start=2):
         if len(r) != 3:
             raise ValueError(f"{path}: line {line} has {len(r)} fields, expected 3")
+        if r[0] != str(line - 2):
+            raise ValueError(f"{path}: line {line} has index {r[0]!r}, expected {line - 2}")
     values = np.array([complex(float(r[1]), float(r[2])) for r in rows[1:]])
     return UnitModulusSequence(values)
 

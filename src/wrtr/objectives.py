@@ -18,13 +18,17 @@ denominator is a constant, and the gradient of f is the min-max
 is n^2, the zero-error matched-filter gain of the non-robust design.
 
 Gradients follow the convention Grad = 2 * df/dconj(z), so the real
-directional derivative is Df(x)[v] = Re<Grad, v>. egrad and ehess_dir
-work on ambient vectors (ehess_dir takes the direction j a (.) x); rgrad
-and rhess return tangent coordinates (see manifold): the projection of
-Grad, and the projection of its directional derivative minus the radial
-correction Re{Grad (.) conj(x)} (.) a. All derivatives are validated
-against finite differences in the tests; no automatic differentiation
-is involved.
+directional derivative is Df(x)[v] = Re<Grad, v>. egrad works on ambient
+vectors; rgrad and rhess return tangent coordinates (see manifold), and
+rgrad is the projection of Grad. For the worst-case cost rhess is the
+projection of the directional derivative ehess_dir(x, j a (.) x) of
+Grad minus the radial correction Re{Grad (.) conj(x)} (.) a. The
+sequence cost has no ehess_dir: its rhess is the Hessian in phase
+coordinates, held per point as a Gauss-Newton factor and a curvature
+matrix (ClutterBank.hessian_factor), which equals the same Riemannian
+Hessian because t -> x (.) e^{j t a} is a geodesic. All derivatives are
+validated against finite differences and dense oracles in the tests; no
+automatic differentiation is involved.
 """
 
 from __future__ import annotations
@@ -79,12 +83,6 @@ class _ManifoldObjective:
     def rgrad(self, x: UnitModulusSequence) -> np.ndarray:
         return project_tangent(x, self.egrad(x))
 
-    def rhess(self, x: UnitModulusSequence, a: np.ndarray) -> np.ndarray:
-        return project_tangent(x, self.ehess_dir(x, 1j * a * x.entries)) - self._radial(x) * a
-
-    def _radial(self, x: UnitModulusSequence) -> np.ndarray:
-        return np.real(self.egrad(x) * np.conj(x.entries))
-
 
 class WorstCaseObjective(_ManifoldObjective):
     """Penalized worst-case steering cost for a fixed transmit sequence."""
@@ -115,6 +113,10 @@ class WorstCaseObjective(_ManifoldObjective):
         a_xi = complex(np.vdot(self.s.entries, xi))
         return (2j * a_xi.imag + 2.0 * self.lam * a_xi.real) * self.s.entries
 
+    def rhess(self, st: UnitModulusSequence, a: np.ndarray) -> np.ndarray:
+        radial = np.real(self.egrad(st) * np.conj(st.entries))
+        return project_tangent(st, self.ehess_dir(st, 1j * a * st.entries)) - radial * a
+
     def boundary_residuals(self, st) -> tuple[float, float]:
         """(|‖st-s‖²-eps|, |Re(s^H st)-(n-eps/2)|) for the Theorem-1 boundary check."""
         a = self._correlation(st)
@@ -132,9 +134,11 @@ class SequenceObjective(_ManifoldObjective):
     near-orthogonality guard.
 
     Per point it keeps q_k = s^H Psi_k s, the diagonals of
-    sum_k conj(q_k) Psi_k, the gradient and its radial part, so a
-    Hessian-vector product only forms dq_k from the lag products of
-    (xi, s) and (s, xi) and applies the two diagonal operators.
+    sum_k conj(q_k) Psi_k, the gradient and its radial part and, from
+    the first rhess there, the Hessian factor of ClutterBank.hessian_factor
+    with the radial part folded into its curvature matrix. A
+    Hessian-vector product is then three matrix-vector products; the
+    factor holds 2 N_t n + n^2 floats.
     """
 
     def __init__(self, scene: ClutterScene, distortion: np.ndarray | None = None):
@@ -154,8 +158,10 @@ class SequenceObjective(_ManifoldObjective):
             self._gamma = gain**2
 
     # Per-point quantities are reused across the many Hessian-vector
-    # products of one trust-region iteration; the single-slot cache swap
-    # is atomic under the GIL, so a concurrent race only recomputes.
+    # products of one trust-region iteration. Each point has its own state
+    # dict, filled in on first use and never shared with another point, and
+    # the single-slot cache swap is atomic under the GIL, so a concurrent
+    # race only recomputes.
     def _state(self, point) -> dict:
         cached = self._cache
         if cached is not None and cached[0] is point:
@@ -186,18 +192,13 @@ class SequenceObjective(_ManifoldObjective):
     def egrad(self, s) -> np.ndarray:
         return self._derivative_state(s)["egrad"]
 
-    def _radial(self, x) -> np.ndarray:
-        return self._derivative_state(x)["radial"]
-
-    def ehess_dir(self, s, xi) -> np.ndarray:
-        st = self._derivative_state(s)
-        z, d, bank = st["z"], st["d"], self._bank
-        dq = bank.forms(bank.lags(xi, z) + bank.lags(z, xi))
-        dd = bank.diagonals(np.conj(dq))
-        dg1 = (
-            bank.apply(d, xi)
-            + bank.apply(dd, z)
-            + bank.apply_adjoint(d, xi)
-            + bank.apply_adjoint(dd, z)
-        )
-        return 2.0 * dg1 / self._gamma
+    def rhess(self, x: UnitModulusSequence, a: np.ndarray) -> np.ndarray:
+        """(2 / gamma) (G^T G + S) a - radial (.) a, with (G, S) from ClutterBank.hessian_factor."""
+        st = self._derivative_state(x)
+        if "gauss_newton" not in st:
+            g, s = self._bank.hessian_factor(st["z"], st["d"])
+            curvature = (2.0 / self._gamma) * s
+            curvature[np.diag_indices(self.n)] -= st["radial"]
+            st.update(gauss_newton=g, curvature=curvature)
+        g = st["gauss_newton"]
+        return (2.0 / self._gamma) * (g.T @ (g @ a)) + st["curvature"] @ a

@@ -85,12 +85,16 @@ class ClutterBank:
     - diagonals(c): sum_k c_k Psi_k written as sum_b J^{R_b} diag(d_b),
       returned as the (B, n) array of the d_b;
     - apply(d, v) / apply_adjoint(d, v): that sum, and its adjoint,
-      applied to a length-n vector.
+      applied to a length-n vector;
+    - hessian_factor(s, d): the two matrices that make the Hessian of
+      sum_k |s^H Psi_k s|^2 in phase coordinates a few matrix-vector
+      products.
 
-    forms and diagonals are the only operations that read the (N_t, n)
-    scatterer weights; everything else is O(B n). The width is the mean
-    number of scatterers per distinct shift, rounded up, so B is at most
-    twice the number of distinct shifts. Read-only after construction.
+    forms, diagonals and hessian_factor are the only operations that read
+    the (N_t, n) scatterer weights; everything else is O(B n). The width
+    is the mean number of scatterers per distinct shift, rounded up, so B
+    is at most twice the number of distinct shifts. Read-only after
+    construction.
     """
 
     def __init__(self, scene: ClutterScene):
@@ -152,6 +156,52 @@ class ClutterBank:
     def apply_adjoint(self, d: np.ndarray, v: np.ndarray) -> np.ndarray:
         """sum_b conj(d_b) (.) J^{R_b T} v, the adjoint of apply(d, .)."""
         return (np.conj(d) * self.shifted(v)).sum(axis=0)
+
+    def hessian_factor(self, s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(G, S) of u(a) = sum_k |q_k|^2 at the phases s (.) e^{j a}, a = 0.
+
+        d = diagonals(conj(q)) with q = quadratic_forms(s). The terms that
+        forms sums to q_k are V_k[m] = amp_k p_k[m] s[m] conj(s[m + r_k]),
+        and a phase step a moves q_k by j (V_k - J^{r_k} V_k) . a to first
+        order. G is the real (2 N_t, n) stack of the real and imaginary
+        parts of those rows, so dq = j G a. S = T + T^T is symmetric n x n,
+        T[m + r, m] = Re sum_{k: r_k = r} conj(q_k) V_k[m]; each block adds
+        Re(d_b (.) lags(s, s)_b) to the subdiagonal of its shift. With
+        rho = Re(conj(s) (.) g), g = 2 du/dconj(s), the Hessian of u is
+        2 (G^T G + S) - diag(rho).
+
+        G is written in chunks of 2^13 / n scatterer rows, so its complex
+        temporaries stay near 128 kB whatever N_t is.
+        """
+        n, width = self.n, self.width
+        lags = self.lags(s, s)
+        # lags are exactly 0 for m + r >= n, so clipping those indices to row
+        # n - 1 adds nothing there
+        t = np.bincount(
+            (np.minimum(self._up, n - 1) * n + np.arange(n)).ravel(),
+            weights=np.real(d * lags).ravel(),
+            minlength=n * n,
+        ).reshape(n, n)
+        rows = max(1, min(2**13 // n, self.size))
+        # Row i of `padded` is n zeros, then V_k; the length-n window that
+        # starts at 2 n i + n - r_k is J^{r_k} V_k.
+        padded = np.empty((rows, 2 * n), dtype=np.complex128)
+        padded[:, :n] = 0.0
+        windows = np.lib.stride_tricks.sliding_window_view(padded.ravel(), n)
+        slots = np.sort(self._block * width + self._slot)  # flat (block, slot), block order
+        blocks = slots // width
+        starts = 2 * n * (np.arange(self.size) % rows) + n - self.shifts[blocks]
+        weights = self._weights.reshape(-1, n)
+        g = np.empty((2, self.size, n))
+        for start in range(0, self.size, rows):
+            stop = min(start + rows, self.size)
+            v = padded[: stop - start, n:]
+            np.multiply(weights[slots[start:stop]], lags[blocks[start:stop]], out=v)
+            diff = windows[starts[start:stop]]
+            np.subtract(v, diff, out=diff)
+            g[0, start:stop] = diff.real
+            g[1, start:stop] = diff.imag
+        return g.reshape(2 * self.size, n), t + t.T
 
 
 def clutter_energy(s: UnitModulusSequence, scene: ClutterScene) -> float:

@@ -100,7 +100,11 @@ class TrustRegionIteration:
 
 @dataclass
 class TrustRegionTrace:
-    """Per-iteration history plus the run summary."""
+    """Per-iteration history plus the run summary.
+
+    hvps counts Hessian-vector products (tCG's inner ones and one per
+    model decrease), cost_evals the calls of problem.cost.
+    """
 
     iterations: list = field(default_factory=list)
     initial_grad_norm: float = 0.0
@@ -108,6 +112,8 @@ class TrustRegionTrace:
     final_cost: float = 0.0
     grad_tol_effective: float = 0.0
     converged: bool = False
+    hvps: int = 0
+    cost_evals: int = 0
 
     def __len__(self) -> int:
         return len(self.iterations)
@@ -126,14 +132,15 @@ def _boundary_step(eta: np.ndarray, d: np.ndarray, delta: float) -> np.ndarray:
 
 
 def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig,
-        grad: np.ndarray | None = None, on_iterate=None):
+        grad: np.ndarray | None = None, on_iterate=None, trace: TrustRegionTrace | None = None):
     """Steihaug-Toint truncated CG on the model at x.
 
     Returns (step, TcgStop). The step never exceeds the radius (boundary
     and negative-curvature exits land exactly on it) and the model
     decrease is nonnegative by the Cauchy-point property. on_iterate, if
     given, is called with each interior iterate (test hook for the
-    monotone-norm property).
+    monotone-norm property); trace, if given, has its hvps counter raised
+    by each Hessian-vector product.
     """
     if grad is None:
         grad = problem.rgrad(x)
@@ -148,6 +155,8 @@ def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig,
     rr = float(r @ r)
     for _ in range(max_inner):
         hd = problem.rhess(x, d)
+        if trace is not None:
+            trace.hvps += 1
         d_hd = float(d @ hd)
         if d_hd <= 0.0:
             return _boundary_step(eta, d, delta), TcgStop.NEGATIVE_CURVATURE
@@ -184,7 +193,7 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
     g = problem.rgrad(x)
     gn = norm(g)
     tol = cfg.grad_tol * gn if cfg.grad_tol_relative else cfg.grad_tol
-    trace = TrustRegionTrace(initial_grad_norm=gn, grad_tol_effective=tol)
+    trace = TrustRegionTrace(initial_grad_norm=gn, grad_tol_effective=tol, cost_evals=1)
     eps = float(np.finfo(float).eps)
     interior = None  # (stop, step_norm, rho) of the last step if rejected inside the region
     for _ in range(cfg.max_iters):
@@ -193,12 +202,14 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
         if interior is not None and delta > interior[1]:
             stop, step_norm, rho = interior
         else:
-            xi, stop = tcg(problem, x, delta, cfg, grad=g)
+            xi, stop = tcg(problem, x, delta, cfg, grad=g, trace=trace)
             step_norm = norm(xi)
             h_xi = problem.rhess(x, xi)
             model_decrease = -(float(g @ xi) + 0.5 * float(h_xi @ xi))
             candidate = retract(x, xi)
             f_cand = problem.cost(candidate)
+            trace.hvps += 1
+            trace.cost_evals += 1
             guard = 1e4 * eps * abs(fx)
             if model_decrease <= 0.0:
                 rho = float("-inf")

@@ -150,13 +150,12 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         _require(isinstance(entry, dict), f"scatterers[{i}] must be an object")
         unknown = set(entry) - {"range_shift", "doppler", "power"}
         _require(not unknown, f"scatterers[{i}]: unknown keys {sorted(unknown)}")
-        scatterers.append(
-            ClutterScatterer(
-                range_shift=_as_int(entry.get("range_shift"), f"scatterers[{i}].range_shift"),
-                doppler=_as_number(entry.get("doppler"), f"scatterers[{i}].doppler"),
-                power=_as_number(entry.get("power"), f"scatterers[{i}].power"),
-            )
-        )
+        shift = _as_int(entry.get("range_shift"), f"scatterers[{i}].range_shift")
+        _require(0 <= shift <= n - 1, f"scatterers[{i}].range_shift {shift} outside 0..{n - 1}")
+        power = _as_number(entry.get("power"), f"scatterers[{i}].power")
+        _require(power >= 0, f"scatterers[{i}].power must be >= 0")
+        doppler = _as_number(entry.get("doppler"), f"scatterers[{i}].doppler")
+        scatterers.append(ClutterScatterer(range_shift=shift, doppler=doppler, power=power))
     for i, block in enumerate(raw.get("clutter_blocks", [])):
         key = f"clutter_blocks[{i}]"
         _require(isinstance(block, dict), f"{key} must be an object")

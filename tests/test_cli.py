@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wrtr.cli import main
-from wrtr.driver import hessian_spectrum
+from wrtr.driver import design_nonrobust, hessian_spectrum, optimize
 from wrtr.fileio import read_sequence_csv, write_sequence_csv
 from wrtr.manifold import random_point
 from wrtr.objectives import SequenceObjective
@@ -37,6 +37,17 @@ class TestSequenceRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
+            read_sequence_csv(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        ["0,1,0\n0,0,1\n", "1,1,0\n0,0,1\n", "0,1,0\n1.0,0,1\n", "0,1,0\nx,0,1\n", "5,1,0\n5,0,1\n"],
+        ids=["repeated", "out_of_order", "float", "text", "both_five"],
+    )
+    def test_index_must_count_from_zero(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("index,real,imag\n" + body)
+        with pytest.raises(ValueError, match="index"):
             read_sequence_csv(path)
 
     @pytest.mark.parametrize("row", ["1,0.5", "", "1,0.5,0.5,0"], ids=["short", "blank", "long"])
@@ -86,6 +97,16 @@ class TestWrtrCommand:
                 "scatterers",
                 [{"range_shift": 2, "doppler": math.inf, "power": 1.0}],
                 id="scatterer_doppler-inf",
+            ),
+            pytest.param(
+                "scatterers", [{"range_shift": -1, "doppler": 0.1, "power": 1.0}], id="scatterer_shift-neg"
+            ),
+            # small.json has n = 16
+            pytest.param(
+                "scatterers", [{"range_shift": 16, "doppler": 0.1, "power": 1.0}], id="scatterer_shift-n"
+            ),
+            pytest.param(
+                "scatterers", [{"range_shift": 2, "doppler": 0.1, "power": -1.0}], id="scatterer_power-neg"
             ),
             ("seed", -3),
             # a 401-digit integer is a valid json number that no float holds
@@ -165,6 +186,21 @@ class TestWrtrCommand:
         assert exported.shape == expected.shape
         assert np.max(np.abs(exported - expected)) <= 1e-9 * np.max(np.abs(expected))
 
+    def test_report_carries_solver_counters(self, tmp_path):
+        # per pass: the sequence solve's counters, and the adversary's on pass 0 only
+        out = tmp_path / "run"
+        assert main(["wrtr", "--config", str(SMALL_CONFIG), "--out", str(out)]) == 0
+        passes = read_report(out)["summary"]["outer_history"]
+        cfg = load_scenario(SMALL_CONFIG)
+        history = optimize(cfg.to_scene(), cfg.wrtr, cfg.seed).history
+        assert len(passes) == len(history) >= 2
+        for k, (row, it) in enumerate(zip(passes, history)):
+            assert (row["seq_hvps"], row["seq_cost_evals"]) == (it.seq_trace.hvps, it.seq_trace.cost_evals)
+            assert row["seq_cost_evals"] >= 1
+            worst = (it.worst_trace.hvps, it.worst_trace.cost_evals) if k == 0 else (0, 0)
+            assert (row["worst_hvps"], row["worst_cost_evals"]) == worst
+        assert passes[0]["worst_hvps"] > 0
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -184,6 +220,16 @@ class TestBaselineCommand:
         assert report["summary"]["method"] == method
         for name in report["files"]:
             assert (out / name).is_file()
+
+    def test_rtr_summary_carries_solver_counters(self, tmp_path):
+        out = tmp_path / "rtr"
+        assert main(["baseline", "--config", str(SMALL_CONFIG), "--out", str(out),
+                     "--method", "rtr_nonrobust"]) == 0
+        summary = read_report(out)["summary"]
+        cfg = load_scenario(SMALL_CONFIG)
+        _, trace = design_nonrobust(cfg.to_scene(), cfg.wrtr.seq_solver, cfg.seed)
+        assert (summary["hvps"], summary["cost_evals"]) == (trace.hvps, trace.cost_evals)
+        assert summary["hvps"] > summary["iterations"] > 0
 
     def test_shared_seeding_across_methods(self, tmp_path):
         outs = {}
@@ -273,7 +319,12 @@ class TestStafCommand:
         report = read_report(out)
         assert "staf_recomputed.csv" in report["files"]
 
-    @pytest.mark.parametrize("body", ["0,1,0\n1,1\n", None], ids=["short_row", "missing"])
+    @pytest.mark.parametrize(
+        "body",
+        # small.json has n = 16: the third case has the right length, row 3 indexed 2
+        ["0,1,0\n1,1\n", None, "".join(f"{i - (i == 3)},1,0\n" for i in range(16))],
+        ids=["short_row", "missing", "repeated_index"],
+    )
     def test_bad_sequence_exits_2_without_outputs(self, tmp_path, body):
         # the sequence is read before --out is created, as the montecarlo manifest is
         seq_path = tmp_path / "seq.csv"

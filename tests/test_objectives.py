@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wrtr.driver import hessian_matrix
 from wrtr.manifold import UnitModulusSequence, inner, project_tangent, random_point, retract
 from wrtr.objectives import (
     NearOrthogonalSteeringError,
@@ -15,7 +16,7 @@ from conftest import dense_psi, loglog_slope, make_tangent, pullback, random_sce
 
 
 def ambient_tangent(x, rng, scale=None):
-    """A tangent vector as the ambient j a (.) x that egrad / ehess_dir take."""
+    """A tangent vector as the ambient j a (.) x that WorstCaseObjective.ehess_dir takes."""
     return 1j * make_tangent(x, rng, scale) * x.entries
 
 
@@ -264,27 +265,62 @@ class TestSequenceHessian:
         n = 8
         obj = SequenceObjective(_small_scene(n), distortion=random_point(n, 31).entries)
         s = random_point(n, 32)
-        assert np.allclose(obj.ehess_dir(s, np.zeros(s.n, dtype=complex)), 0.0)
+        assert np.allclose(obj.rhess(s, np.zeros(s.n)), 0.0)
 
     def test_real_linearity(self, rng):
         n = 8
         obj = SequenceObjective(_small_scene(n), distortion=random_point(n, 33).entries)
         s = random_point(n, 34)
-        xi, eta = ambient_tangent(s, rng), ambient_tangent(s, rng)
-        lhs = obj.ehess_dir(s, 2.0 * xi - 0.5 * eta)
-        rhs = 2.0 * obj.ehess_dir(s, xi) - 0.5 * obj.ehess_dir(s, eta)
+        xi, eta = make_tangent(s, rng), make_tangent(s, rng)
+        lhs = obj.rhess(s, 2.0 * xi - 0.5 * eta)
+        rhs = 2.0 * obj.rhess(s, xi) - 0.5 * obj.rhess(s, eta)
         assert np.allclose(lhs, rhs, atol=1e-12 * max(1.0, np.max(np.abs(rhs))))
 
     def test_forward_difference_of_gradient(self, rng):
-        # primary guard against transcription errors in the curvature terms
+        # primary guard against transcription errors in the curvature terms:
+        # rgrad at s (.) e^{j t a} is the gradient of phi -> f(s (.) e^{j phi})
+        # at phi = t a, and rhess(s, a) is that gradient's derivative along a
         n = 8
         obj = SequenceObjective(_small_scene(n), distortion=random_point(n, 35).entries)
         s = random_point(n, 36)
-        xi = ambient_tangent(s, rng, scale=1.0)
+        a = make_tangent(s, rng, scale=1.0)
         t = 1e-6
-        fd = (obj.egrad(s.entries + t * xi) - obj.egrad(s)) / t
-        analytic = obj.ehess_dir(s, xi)
+        moved = UnitModulusSequence(s.entries * np.exp(1j * t * a))
+        fd = (obj.rgrad(moved) - obj.rgrad(s)) / t
+        analytic = obj.rhess(s, a)
         assert np.linalg.norm(fd - analytic) / np.linalg.norm(fd) < 1e-4
+
+    def test_scene_without_scatterers(self, rng):
+        n = 8
+        obj = SequenceObjective(ClutterScene([], n))
+        s = random_point(n, 43)
+        assert np.array_equal(obj.rhess(s, make_tangent(s, rng)), np.zeros(n))
+
+    def test_alternating_points_match_fresh_objectives(self, rng):
+        # the factor belongs to its point's state: moving between two points
+        # of one objective never mixes their factors
+        n = 16
+        scene = random_scene(n, 6, rng)
+        x1, x2 = random_point(n, 37), random_point(n, 38)
+        a = make_tangent(x1, rng, scale=1.0)
+        expected = {1: SequenceObjective(scene).rhess(x1, a), 2: SequenceObjective(scene).rhess(x2, a)}
+        obj = SequenceObjective(scene)
+        for which in (1, 2, 1, 2, 2, 1):
+            x = x1 if which == 1 else x2
+            assert np.array_equal(obj.rhess(x, a), expected[which])
+
+    def test_rcg_builds_no_factor(self, rng, monkeypatch):
+        from wrtr.radar import ClutterBank
+        from wrtr.rcg import RcgConfig, solve_rcg
+
+        def refuse(*args):
+            raise AssertionError("first-order solver built a Hessian factor")
+
+        monkeypatch.setattr(ClutterBank, "hessian_factor", refuse)
+        n = 16
+        obj = SequenceObjective(random_scene(n, 6, rng))
+        _, trace = solve_rcg(obj, random_point(n, 39), RcgConfig(max_iters=10))
+        assert len(trace) > 0
 
     def test_riemannian_self_adjointness_relative(self, rng):
         n = 16
@@ -334,6 +370,21 @@ def dense_phase_derivatives(scene, x, gamma):
     return grad_u / gamma, hess_u / gamma
 
 
+def assert_derivatives_match_dense(scene, form, rng):
+    n = scene.n
+    x = random_point(n, 50)
+    w = random_point(n, 51).entries
+    if form == "nominal":
+        obj, gamma = SequenceObjective(scene), n**2
+    else:
+        obj, gamma = SequenceObjective(scene, distortion=w), abs(w.sum()) ** 2
+    grad, hess = dense_phase_derivatives(scene, x, gamma)
+    assert np.max(np.abs(obj.rgrad(x) - grad)) <= 1e-10 * np.max(np.abs(grad))
+    assert np.max(np.abs(hessian_matrix(obj, x) - hess)) <= 1e-10 * np.max(np.abs(hess))
+    a = make_tangent(x, rng, scale=1.0)
+    assert np.max(np.abs(obj.rhess(x, a) - hess @ a)) <= 1e-10 * np.max(np.abs(hess))
+
+
 class TestDenseHessianOracle:
     @pytest.mark.parametrize("form", ["nominal", "distortion"])
     def test_coordinate_derivatives_match_dense(self, rng, form):
@@ -344,18 +395,20 @@ class TestDenseHessianOracle:
              for r in (0, 3, 3, 3, 7, n - 1, 5, 3)],
             n,
         )
-        x = random_point(n, 50)
-        w = random_point(n, 51).entries
-        if form == "nominal":
-            obj, gamma = SequenceObjective(scene), n**2
-        else:
-            obj, gamma = SequenceObjective(scene, distortion=w), abs(w.sum()) ** 2
-        grad, hess = dense_phase_derivatives(scene, x, gamma)
-        assert np.max(np.abs(obj.rgrad(x) - grad)) <= 1e-10 * np.max(np.abs(grad))
-        columns = np.column_stack([obj.rhess(x, e) for e in np.eye(n)])
-        assert np.max(np.abs(columns - hess)) <= 1e-10 * np.max(np.abs(hess))
-        a = make_tangent(x, rng, scale=1.0)
-        assert np.max(np.abs(obj.rhess(x, a) - hess @ a)) <= 1e-10 * np.max(np.abs(hess))
+        assert_derivatives_match_dense(scene, form, rng)
+
+    @pytest.mark.parametrize("form", ["nominal", "distortion"])
+    def test_every_shift_matches_dense(self, rng, form):
+        # every shift 0..n-1 twice, the lower half three times: 161 scatterer
+        # rows, so the factor is written in a chunk of 2^13 / n = 128 rows and
+        # a partial one
+        n = 64
+        shifts = 2 * list(range(n)) + list(range(n // 2 + 1))
+        scene = ClutterScene(
+            [ClutterScatterer(r, float(rng.uniform(0, 1)), float(rng.uniform(0.2, 2.0))) for r in shifts],
+            n,
+        )
+        assert_derivatives_match_dense(scene, form, rng)
 
 
 class TestRiemannianGradient:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from wrtr.manifold import inner, norm, random_point, random_tangent, retract
-from wrtr.objectives import WorstCaseObjective
+from wrtr.objectives import SequenceObjective, WorstCaseObjective
 from wrtr.rtr import TcgStop, TrustRegionConfig, solve, tcg
+
+from conftest import random_scene
 
 
 class QuadraticModelProblem:
@@ -30,6 +32,26 @@ class QuadraticModelProblem:
     def rhess(self, x, a):
         self.hvp_calls += 1
         return self.matrix @ a
+
+
+class CountingProblem:
+    """Forwards to a problem and counts its cost evaluations and Hessian-vector products."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.cost_calls = 0
+        self.hvp_calls = 0
+
+    def cost(self, x):
+        self.cost_calls += 1
+        return self.problem.cost(x)
+
+    def rgrad(self, x):
+        return self.problem.rgrad(x)
+
+    def rhess(self, x, a):
+        self.hvp_calls += 1
+        return self.problem.rhess(x, a)
 
 
 def spd_matrix(n, rng):
@@ -237,6 +259,25 @@ class TestSolve:
         assert problem.cost_calls == 1 + fresh
         first_hvps = n + 1  # at most n inner iterations plus the model-decrease product
         assert problem.hvp_calls <= fresh * first_hvps
+
+
+    @pytest.mark.parametrize("case", ["sequence", "rejected_interior"])
+    def test_trace_counts_match_a_counting_wrapper(self, rng, case):
+        if case == "sequence":
+            n = 16
+            problem = CountingProblem(SequenceObjective(random_scene(n, 6, rng)))
+            x = random_point(n, 16)
+            cfg = TrustRegionConfig(max_iters=25, grad_tol=0.0, tcg_max_inner=6)
+        else:
+            # every step rejected, interior steps reused without a new tCG
+            n = 8
+            x = random_point(n, 15)
+            problem = QuadraticModelProblem(x, spd_matrix(n, rng), rng.standard_normal(n))
+            cfg = TrustRegionConfig(delta_bar=100.0, delta0=100.0, tcg_kappa=1e-12,
+                                    grad_tol=0.0, grad_tol_relative=False, max_iters=12)
+        _, trace = solve(problem, x, cfg)
+        assert trace.hvps == problem.hvp_calls > len(trace)
+        assert trace.cost_evals == problem.cost_calls > 1
 
 
 class TestCheckTermination:
