@@ -133,12 +133,12 @@ class SequenceObjective(_ManifoldObjective):
     design. The denominator is a constant, checked once against the
     near-orthogonality guard.
 
-    Per point it keeps q_k = s^H Psi_k s, the diagonals of
-    sum_k conj(q_k) Psi_k, the gradient and its radial part and, from
-    the first rhess there, the Hessian factor of ClutterBank.hessian_factor
-    with the radial part folded into its curvature matrix. A
-    Hessian-vector product is then three matrix-vector products; the
-    factor holds 2 N_t n + n^2 floats.
+    Per point it keeps the lag products of s, q_k = s^H Psi_k s, the
+    diagonals of sum_k conj(q_k) Psi_k, the gradient and its radial part
+    and, from the first rhess there, the Hessian factor of
+    ClutterBank.hessian_factor with the radial part folded into its
+    curvature matrix. A Hessian-vector product is then three
+    matrix-vector products; the factor holds 2 N_t n + n^2 floats.
     """
 
     def __init__(self, scene: ClutterScene, distortion: np.ndarray | None = None):
@@ -167,8 +167,9 @@ class SequenceObjective(_ManifoldObjective):
         if cached is not None and cached[0] is point:
             return cached[1]
         z = _entries(point)
-        q = self._bank.quadratic_forms(z)
-        state = {"z": z, "q": q, "u": float(np.sum(np.abs(q) ** 2))}
+        lags = self._bank.lags(z, z)
+        q = self._bank.forms(lags)
+        state = {"z": z, "lags": lags, "q": q, "u": float(np.sum(np.abs(q) ** 2))}
         self._cache = (point, state)
         return state
 
@@ -196,7 +197,7 @@ class SequenceObjective(_ManifoldObjective):
         """(2 / gamma) (G^T G + S) a - radial (.) a, with (G, S) from ClutterBank.hessian_factor."""
         st = self._derivative_state(x)
         if "gauss_newton" not in st:
-            g, s = self._bank.hessian_factor(st["z"], st["d"])
+            g, s = self._bank.hessian_factor(st["lags"], st["d"])
             curvature = (2.0 / self._gamma) * s
             curvature[np.diag_indices(self.n)] -= st["radial"]
             st.update(gauss_newton=g, curvature=curvature)

@@ -157,24 +157,24 @@ class ClutterBank:
         """sum_b conj(d_b) (.) J^{R_b T} v, the adjoint of apply(d, .)."""
         return (np.conj(d) * self.shifted(v)).sum(axis=0)
 
-    def hessian_factor(self, s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def hessian_factor(self, lags: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(G, S) of u(a) = sum_k |q_k|^2 at the phases s (.) e^{j a}, a = 0.
 
-        d = diagonals(conj(q)) with q = quadratic_forms(s). The terms that
-        forms sums to q_k are V_k[m] = amp_k p_k[m] s[m] conj(s[m + r_k]),
-        and a phase step a moves q_k by j (V_k - J^{r_k} V_k) . a to first
-        order. G is the real (2 N_t, n) stack of the real and imaginary
-        parts of those rows, so dq = j G a. S = T + T^T is symmetric n x n,
-        T[m + r, m] = Re sum_{k: r_k = r} conj(q_k) V_k[m]; each block adds
-        Re(d_b (.) lags(s, s)_b) to the subdiagonal of its shift. With
-        rho = Re(conj(s) (.) g), g = 2 du/dconj(s), the Hessian of u is
-        2 (G^T G + S) - diag(rho).
+        lags = lags(s, s) and d = diagonals(conj(q)) with q = forms(lags).
+        The terms that forms sums to q_k are V_k[m] = amp_k p_k[m] s[m]
+        conj(s[m + r_k]), and a phase step a moves q_k by
+        j (V_k - J^{r_k} V_k) . a to first order. G is the real (2 N_t, n)
+        stack of the real and imaginary parts of those rows, so dq = j G a.
+        S = T + T^T is symmetric n x n, T[m + r, m] = Re sum_{k: r_k = r}
+        conj(q_k) V_k[m]; each block adds Re(d_b (.) lags_b) to the
+        subdiagonal of its shift. With rho = Re(conj(s) (.) g),
+        g = 2 du/dconj(s), the Hessian of u is 2 (G^T G + S) - diag(rho).
 
-        G is written in chunks of 2^13 / n scatterer rows, so its complex
-        temporaries stay near 128 kB whatever N_t is.
+        G is written in chunks of 2^12 / n scatterer rows: with complex
+        temporaries near 64 kB the build reuses memory instead of paging in
+        fresh memory, which cost more than its arithmetic at 2^14 / n.
         """
         n, width = self.n, self.width
-        lags = self.lags(s, s)
         # lags are exactly 0 for m + r >= n, so clipping those indices to row
         # n - 1 adds nothing there
         t = np.bincount(
@@ -182,7 +182,7 @@ class ClutterBank:
             weights=np.real(d * lags).ravel(),
             minlength=n * n,
         ).reshape(n, n)
-        rows = max(1, min(2**13 // n, self.size))
+        rows = max(1, min(2**12 // n, self.size))
         # Row i of `padded` is n zeros, then V_k; the length-n window that
         # starts at 2 n i + n - r_k is J^{r_k} V_k.
         padded = np.empty((rows, 2 * n), dtype=np.complex128)

@@ -400,8 +400,8 @@ class TestDenseHessianOracle:
     @pytest.mark.parametrize("form", ["nominal", "distortion"])
     def test_every_shift_matches_dense(self, rng, form):
         # every shift 0..n-1 twice, the lower half three times: 161 scatterer
-        # rows, so the factor is written in a chunk of 2^13 / n = 128 rows and
-        # a partial one
+        # rows, so the factor is written in two chunks of 2^12 / n = 64 rows
+        # and a partial one
         n = 64
         shifts = 2 * list(range(n)) + list(range(n // 2 + 1))
         scene = ClutterScene(
