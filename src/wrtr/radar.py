@@ -86,7 +86,7 @@ class ClutterBank:
       returned as the (B, n) array of the d_b;
     - apply(d, v) / apply_adjoint(d, v): that sum, and its adjoint,
       applied to a length-n vector;
-    - hessian_factor(s, d): the two matrices that make the Hessian of
+    - hessian_factor(lags, d): the two matrices that make the Hessian of
       sum_k |s^H Psi_k s|^2 in phase coordinates a few matrix-vector
       products.
 
