@@ -108,6 +108,12 @@ def _certificate(result: driver.WrtrResult) -> dict:
     }
 
 
+def _second_order(spectrum: np.ndarray, trace) -> dict:
+    """Where the last sequence solve stopped: its Hessian's extreme eigenvalues and its gradient test."""
+    return {"seq_hessian_lambda_min": float(spectrum[0]), "seq_hessian_lambda_max": float(spectrum[-1]),
+            "seq_final_grad_norm": trace.final_grad_norm, "seq_grad_tol_effective": trace.grad_tol_effective}
+
+
 def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> RunReport:
     scene = cfg.to_scene()
     result = driver.optimize(scene, cfg.wrtr, seed)
@@ -130,9 +136,8 @@ def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> RunReport:
 
     # The cost the sequence step minimised: relative distortion held fixed.
     seq_obj = SequenceObjective(scene, distortion=result.distortion)
-    fileio.write_spectrum_csv(
-        out / "hessian_spectrum_seq.csv", driver.hessian_spectrum(seq_obj, result.sequence)
-    )
+    spectrum = driver.hessian_spectrum(seq_obj, result.sequence)
+    fileio.write_spectrum_csv(out / "hessian_spectrum_seq.csv", spectrum)
     files.append("hessian_spectrum_seq.csv")
     if result.epsilon > 0:
         worst_obj = WorstCaseObjective(result.sequence, lam=cfg.wrtr.lam, epsilon=result.epsilon)
@@ -143,15 +148,22 @@ def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> RunReport:
         files.append("hessian_spectrum_worst.csv")
 
     last = result.history[-1]
+    nominal_db, n, eps = _nominal_scr_db(result.sequence, scene), cfg.n, result.epsilon
+    if eps >= 2 * n:
+        print(f"wrtr: warning: eps = {eps:.6g} >= 2n = {2 * n}: a steering in the ball is orthogonal to "
+              "the sequence, so the worst-case SCR is -inf (worst_case_scr_db null)", file=sys.stderr)
     summary = {
-        "epsilon": result.epsilon,
+        "epsilon": eps,
         "outer_iterations": len(result.history),
         "outer_converged": result.converged,
         "scr_db": last.scr_db,
         "scnr_db": last.scnr_db,
         "nominal_scr_initial_db": _nominal_scr_db(result.initial_sequence, scene),
-        "nominal_scr_final_db": _nominal_scr_db(result.sequence, scene),
+        "nominal_scr_final_db": nominal_db,
+        # the worst coupling over the ball is (n - eps/2)^2 for every design
+        "worst_case_scr_db": nominal_db + 20.0 * np.log10(1.0 - eps / (2 * n)) if eps < 2 * n else None,
         "certificate": _certificate(result),
+        **_second_order(spectrum, last.seq_trace),
         "outer_history": [
             {
                 "scr_db": h.scr_db,
@@ -193,10 +205,10 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
             "hvps": trace.hvps,
             "cost_evals": trace.cost_evals,
         }
-        fileio.write_spectrum_csv(
-            out / "hessian_spectrum_seq.csv", driver.hessian_spectrum(objective, final)
-        )
+        spectrum = driver.hessian_spectrum(objective, final)
+        fileio.write_spectrum_csv(out / "hessian_spectrum_seq.csv", spectrum)
         files.append("hessian_spectrum_seq.csv")
+        solver_summary.update(_second_order(spectrum, trace))
     else:
         objective = SequenceObjective(scene)
         solver = cfg.wrtr.seq_solver
@@ -205,7 +217,8 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
         )
         final, trace = solve_rcg(objective, initial, rcg_cfg)
         sections.append((0, "rcg", trace))
-        solver_summary = {"iterations": len(trace), "converged": trace.converged}
+        solver_summary = {"iterations": len(trace), "converged": trace.converged,
+                          "cost_evals": trace.cost_evals, "grad_evals": trace.grad_evals}
 
     fileio.write_sequence_csv(out / "sequence_final.csv", final)
     files.append("sequence_final.csv")

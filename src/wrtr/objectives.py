@@ -17,25 +17,21 @@ denominator is a constant, and the gradient of f is the min-max
 (Danskin) gradient in s. Without a distortion w = 1 and the denominator
 is n^2, the zero-error matched-filter gain of the non-robust design.
 
-Gradients follow the convention Grad = 2 * df/dconj(z), so the real
-directional derivative is Df(x)[v] = Re<Grad, v>. egrad works on ambient
-vectors; rgrad and rhess return tangent coordinates (see manifold), and
-rgrad is the projection of Grad. For the worst-case cost rhess is the
-projection of the directional derivative ehess_dir(x, j a (.) x) of
-Grad minus the radial correction Re{Grad (.) conj(x)} (.) a. The
-sequence cost has no ehess_dir: its rhess is the Hessian in phase
-coordinates, held per point as a Gauss-Newton factor and a curvature
-matrix (ClutterBank.hessian_factor), which equals the same Riemannian
-Hessian because t -> x (.) e^{j t a} is a geodesic. All derivatives are
-validated against finite differences and dense oracles in the tests; no
-automatic differentiation is involved.
+Both objectives have one derivative convention, phase coordinates: with
+x (.) e^{j phi} the point moved by the real phases phi, rgrad(x) and
+rhess(x, a) are the gradient of phi -> f(x (.) e^{j phi}) at phi = 0 and
+its Hessian applied to a, real n-vectors. t -> x (.) e^{j t a} is a
+geodesic of the circle product, so these are the Riemannian gradient and
+Hessian in the tangent coordinates of manifold. Every derivative is
+validated against finite differences along retract and dense oracles in
+the tests; no automatic differentiation is involved.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .manifold import UnitModulusSequence, project_tangent
+from .manifold import UnitModulusSequence
 from .radar import ClutterBank, ClutterScene
 
 NEAR_ORTHOGONAL_RTOL = 1e-12
@@ -70,22 +66,11 @@ def worst_case_gain(n: int, epsilon: float) -> float:
     return max(n - 0.5 * epsilon, 0.0) ** 2
 
 
-def _entries(point) -> np.ndarray:
-    """Accept a manifold point or a raw ambient vector (for FD checks)."""
-    if isinstance(point, UnitModulusSequence):
-        return point.entries
-    return np.asarray(point, dtype=np.complex128)
+class WorstCaseObjective:
+    """Penalized worst-case steering cost for a fixed transmit sequence.
 
-
-class _ManifoldObjective:
-    """Shared projection machinery for objectives on the circle product."""
-
-    def rgrad(self, x: UnitModulusSequence) -> np.ndarray:
-        return project_tangent(x, self.egrad(x))
-
-
-class WorstCaseObjective(_ManifoldObjective):
-    """Penalized worst-case steering cost for a fixed transmit sequence."""
+    a = sum b with b = conj(s) (.) st: a phase step phi gives da = j b.phi and d^2 a = -b.phi^2.
+    """
 
     def __init__(self, s: UnitModulusSequence, lam: float = 100.0, epsilon: float = 0.0):
         if lam <= 0:
@@ -95,36 +80,33 @@ class WorstCaseObjective(_ManifoldObjective):
         self.s = s
         self.lam = float(lam)
         self.epsilon = float(epsilon)
-        self.n = s.n
         self._target = s.n - 0.5 * self.epsilon
 
-    def _correlation(self, st) -> complex:
-        return complex(np.vdot(self.s.entries, _entries(st)))
+    def _correlation(self, st: UnitModulusSequence) -> complex:
+        return complex(np.vdot(self.s.entries, st.entries))
 
-    def cost(self, st) -> float:
+    def cost(self, st: UnitModulusSequence) -> float:
         a = self._correlation(st)
         return a.imag**2 + self.lam * (a.real - self._target) ** 2
 
-    def egrad(self, st) -> np.ndarray:
-        a = self._correlation(st)
-        return (2j * a.imag + 2.0 * self.lam * (a.real - self._target)) * self.s.entries
+    def rgrad(self, st: UnitModulusSequence) -> np.ndarray:
+        a, b = self._correlation(st), np.conj(self.s.entries) * st.entries
+        return 2.0 * a.imag * b.real - 2.0 * self.lam * (a.real - self._target) * b.imag
 
-    def ehess_dir(self, st, xi) -> np.ndarray:
-        a_xi = complex(np.vdot(self.s.entries, xi))
-        return (2j * a_xi.imag + 2.0 * self.lam * a_xi.real) * self.s.entries
+    def rhess(self, st: UnitModulusSequence, v: np.ndarray) -> np.ndarray:
+        a, b = self._correlation(st), np.conj(self.s.entries) * st.entries
+        re, im = b.real, b.imag
+        radial = 2.0 * a.imag * im + 2.0 * self.lam * (a.real - self._target) * re
+        return 2.0 * float(re @ v) * re + 2.0 * self.lam * float(im @ v) * im - radial * v
 
-    def rhess(self, st: UnitModulusSequence, a: np.ndarray) -> np.ndarray:
-        radial = np.real(self.egrad(st) * np.conj(st.entries))
-        return project_tangent(st, self.ehess_dir(st, 1j * a * st.entries)) - radial * a
-
-    def boundary_residuals(self, st) -> tuple[float, float]:
+    def boundary_residuals(self, st: UnitModulusSequence) -> tuple[float, float]:
         """(|‖st-s‖²-eps|, |Re(s^H st)-(n-eps/2)|) for the Theorem-1 boundary check."""
         a = self._correlation(st)
-        ball = abs(float(np.sum(np.abs(_entries(st) - self.s.entries) ** 2)) - self.epsilon)
+        ball = abs(float(np.sum(np.abs(st.entries - self.s.entries) ** 2)) - self.epsilon)
         return ball, abs(a.real - self._target)
 
 
-class SequenceObjective(_ManifoldObjective):
+class SequenceObjective:
     """Clutter energy over the frozen coupling |sum w|^2.
 
     distortion=w is the adversary's relative distortion (worst steering
@@ -134,15 +116,14 @@ class SequenceObjective(_ManifoldObjective):
     near-orthogonality guard.
 
     Per point it keeps the lag products of s, q_k = s^H Psi_k s, the
-    diagonals of sum_k conj(q_k) Psi_k, the gradient and its radial part
-    and, from the first rhess there, the Hessian factor of
-    ClutterBank.hessian_factor with the radial part folded into its
-    curvature matrix. A Hessian-vector product is then three
-    matrix-vector products; the factor holds 2 N_t n + n^2 floats.
+    products p = d (.) lags with the diagonals d of sum_k conj(q_k) Psi_k,
+    the gradient and its radial part and, from the first rhess there, the
+    Hessian factor of ClutterBank.hessian_factor with the radial part
+    folded into its curvature matrix. A Hessian-vector product is then
+    three matrix-vector products; the factor holds 2 N_t n + n^2 floats.
     """
 
     def __init__(self, scene: ClutterScene, distortion: np.ndarray | None = None):
-        self.scene = scene
         self.n = scene.n
         self._bank = ClutterBank(scene)
         self._cache: tuple | None = None
@@ -162,42 +143,41 @@ class SequenceObjective(_ManifoldObjective):
     # dict, filled in on first use and never shared with another point, and
     # the single-slot cache swap is atomic under the GIL, so a concurrent
     # race only recomputes.
-    def _state(self, point) -> dict:
+    def _state(self, point: UnitModulusSequence) -> dict:
         cached = self._cache
         if cached is not None and cached[0] is point:
             return cached[1]
-        z = _entries(point)
-        lags = self._bank.lags(z, z)
+        lags = self._bank.lags(point.entries, point.entries)
         q = self._bank.forms(lags)
-        state = {"z": z, "lags": lags, "q": q, "u": float(np.sum(np.abs(q) ** 2))}
+        state = {"lags": lags, "q": q, "u": float(np.sum(np.abs(q) ** 2))}
         self._cache = (point, state)
         return state
 
-    def _derivative_state(self, point) -> dict:
-        """_state plus the diagonals d of D = sum_k conj(q_k) Psi_k and the gradient.
+    def _derivative_state(self, point: UnitModulusSequence) -> dict:
+        """_state plus p = d (.) lags, the gradient and its radial part.
 
-        d(sum |q_k|^2)/dconj(s) = (D + D^H) s, so Grad = 2 (D + D^H) s / gamma.
+        Differentiating u / gamma = sum_k |q_k|^2 / gamma along s (.) e^{j phi}
+        gives, with c = (2 / gamma) (sum_b J^{R_b} p_b + conj(sum_b p_b)),
+        the gradient Im c and the radial part Re c.
         """
         st = self._state(point)
-        if "egrad" not in st:
-            z, bank = st["z"], self._bank
-            d = bank.diagonals(np.conj(st["q"]))
-            g1 = bank.apply(d, z) + bank.apply_adjoint(d, z)
-            egrad = 2.0 * g1 / self._gamma
-            st.update(d=d, egrad=egrad, radial=np.real(egrad * np.conj(z)))
+        if "grad" not in st:
+            p = self._bank.diagonals(np.conj(st["q"])) * st["lags"]
+            c = (2.0 / self._gamma) * (self._bank.down_shift_sum(p) + np.conj(p.sum(axis=0)))
+            st.update(p=p, grad=c.imag, radial=c.real)
         return st
 
-    def cost(self, s) -> float:
+    def cost(self, s: UnitModulusSequence) -> float:
         return self._state(s)["u"] / self._gamma
 
-    def egrad(self, s) -> np.ndarray:
-        return self._derivative_state(s)["egrad"]
+    def rgrad(self, s: UnitModulusSequence) -> np.ndarray:
+        return self._derivative_state(s)["grad"]
 
     def rhess(self, x: UnitModulusSequence, a: np.ndarray) -> np.ndarray:
         """(2 / gamma) (G^T G + S) a - radial (.) a, with (G, S) from ClutterBank.hessian_factor."""
         st = self._derivative_state(x)
         if "gauss_newton" not in st:
-            g, s = self._bank.hessian_factor(st["lags"], st["d"])
+            g, s = self._bank.hessian_factor(st["lags"], st["p"])
             curvature = (2.0 / self._gamma) * s
             curvature[np.diag_indices(self.n)] -= st["radial"]
             st.update(gauss_newton=g, curvature=curvature)

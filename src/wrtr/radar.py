@@ -84,9 +84,9 @@ class ClutterBank:
       in scene order, so s^H Psi_k s = forms(lags(s, s))[k];
     - diagonals(c): sum_k c_k Psi_k written as sum_b J^{R_b} diag(d_b),
       returned as the (B, n) array of the d_b;
-    - apply(d, v) / apply_adjoint(d, v): that sum, and its adjoint,
-      applied to a length-n vector;
-    - hessian_factor(lags, d): the two matrices that make the Hessian of
+    - down_shift_sum(rows): sum_b J^{R_b} rows_b, so that sum applied
+      to v is down_shift_sum(d * v);
+    - hessian_factor(lags, p): the two matrices that make the Hessian of
       sum_k |s^H Psi_k s|^2 in phase coordinates a few matrix-vector
       products.
 
@@ -149,26 +149,22 @@ class ClutterBank:
         coeffs[self._block, 0, self._slot] = c
         return np.matmul(coeffs, self._weights)[:, 0, :]
 
-    def apply(self, d: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """sum_b J^{R_b} (d_b (.) v) for diagonals d from `diagonals`."""
-        return (d * v).ravel()[self._down].sum(axis=0)
+    def down_shift_sum(self, rows: np.ndarray) -> np.ndarray:
+        """sum_b J^{R_b} rows_b for (B, n) rows that are 0 at m >= n - R_b, as lags and d are."""
+        return rows.ravel()[self._down].sum(axis=0)
 
-    def apply_adjoint(self, d: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """sum_b conj(d_b) (.) J^{R_b T} v, the adjoint of apply(d, .)."""
-        return (np.conj(d) * self.shifted(v)).sum(axis=0)
-
-    def hessian_factor(self, lags: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def hessian_factor(self, lags: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(G, S) of u(a) = sum_k |q_k|^2 at the phases s (.) e^{j a}, a = 0.
 
-        lags = lags(s, s) and d = diagonals(conj(q)) with q = forms(lags).
-        The terms that forms sums to q_k are V_k[m] = amp_k p_k[m] s[m]
-        conj(s[m + r_k]), and a phase step a moves q_k by
+        lags = lags(s, s), p = d (.) lags with d = diagonals(conj(q)), q = forms(lags).
+        The terms that forms sums to q_k are V_k[m] = amp_k e^{j 2 pi v_k m}
+        s[m] conj(s[m + r_k]), and a phase step a moves q_k by
         j (V_k - J^{r_k} V_k) . a to first order. G is the real (2 N_t, n)
         stack of the real and imaginary parts of those rows, so dq = j G a.
         S = T + T^T is symmetric n x n, T[m + r, m] = Re sum_{k: r_k = r}
-        conj(q_k) V_k[m]; each block adds Re(d_b (.) lags_b) to the
-        subdiagonal of its shift. With rho = Re(conj(s) (.) g),
-        g = 2 du/dconj(s), the Hessian of u is 2 (G^T G + S) - diag(rho).
+        conj(q_k) V_k[m]; each block adds Re p_b to the subdiagonal of its
+        shift. The Hessian of u is 2 (G^T G + S - diag(rho)), with the
+        radial part rho = Re(sum_b J^{R_b} p_b + conj(sum_b p_b)).
 
         G is written in chunks of 2^12 / n scatterer rows: with complex
         temporaries near 64 kB the build reuses memory instead of paging in
@@ -179,7 +175,7 @@ class ClutterBank:
         # n - 1 adds nothing there
         t = np.bincount(
             (np.minimum(self._up, n - 1) * n + np.arange(n)).ravel(),
-            weights=np.real(d * lags).ravel(),
+            weights=np.real(p).ravel(),
             minlength=n * n,
         ).reshape(n, n)
         rows = max(1, min(2**12 // n, self.size))

@@ -34,11 +34,15 @@ class RcgIteration:
 
 @dataclass
 class RcgTrace:
+    """Per-iteration history plus the run summary; cost_evals and grad_evals count problem calls."""
+
     iterations: list = field(default_factory=list)
     initial_grad_norm: float = 0.0
     final_grad_norm: float = 0.0
     final_cost: float = 0.0
     converged: bool = False
+    cost_evals: int = 0
+    grad_evals: int = 0
 
     def __len__(self) -> int:
         return len(self.iterations)
@@ -51,7 +55,7 @@ def solve_rcg(problem, x0: UnitModulusSequence, cfg: RcgConfig = RcgConfig()):
     g = problem.rgrad(x)
     gn = norm(g)
     tol = cfg.grad_tol * gn if cfg.grad_tol_relative else cfg.grad_tol
-    trace = RcgTrace(initial_grad_norm=gn)
+    trace = RcgTrace(initial_grad_norm=gn, cost_evals=1, grad_evals=1)
     d = -g
     t_prev = None
     for _ in range(cfg.max_iters):
@@ -66,6 +70,7 @@ def solve_rcg(problem, x0: UnitModulusSequence, cfg: RcgConfig = RcgConfig()):
         for _ in range(MAX_BACKTRACKS):
             candidate = retract(x, t * d)
             f_cand = problem.cost(candidate)
+            trace.cost_evals += 1
             if f_cand <= fx + ARMIJO_C * t * dg:
                 accepted = True
                 break
@@ -75,6 +80,7 @@ def solve_rcg(problem, x0: UnitModulusSequence, cfg: RcgConfig = RcgConfig()):
         step_norm = t * norm(d)
         trace.iterations.append(RcgIteration(cost=fx, grad_norm=gn, step_norm=step_norm))
         g_next = problem.rgrad(candidate)
+        trace.grad_evals += 1
         gn_next = norm(g_next)
         beta = (gn_next * gn_next) / (gn * gn) if gn > 0 else 0.0
         d = -g_next + beta * transport(x, candidate, d)

@@ -1,9 +1,9 @@
 """Riemannian trust-region solver with a Steihaug-Toint inner loop.
 
 One engine serves both subproblems: a problem object only has to expose
-cost(x), rgrad(x) and rhess(x, a) on the circle-product manifold, with
-tangent vectors as real coordinate arrays (see manifold), so the inner
-loop is plain float64 vector algebra. Each outer iteration minimizes the
+cost(x), rgrad(x) and rhess(x, a), the gradient and Hessian in phase
+coordinates (real n-vectors, see objectives), so the inner loop is
+plain float64 vector algebra. Each outer iteration minimizes the
 quadratic model
 
     m(a) = f(x) + grad.a + 1/2 a.(Hess a),   ||a|| <= Delta
@@ -102,8 +102,8 @@ class TrustRegionIteration:
 class TrustRegionTrace:
     """Per-iteration history plus the run summary.
 
-    hvps counts Hessian-vector products (tCG's inner ones and one per
-    model decrease), cost_evals the calls of problem.cost.
+    hvps counts Hessian-vector products (tCG's inner ones and one per model
+    decrease), cost_evals and grad_evals the calls of cost and rgrad.
     """
 
     iterations: list = field(default_factory=list)
@@ -114,6 +114,7 @@ class TrustRegionTrace:
     converged: bool = False
     hvps: int = 0
     cost_evals: int = 0
+    grad_evals: int = 0
 
     def __len__(self) -> int:
         return len(self.iterations)
@@ -193,7 +194,7 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
     g = problem.rgrad(x)
     gn = norm(g)
     tol = cfg.grad_tol * gn if cfg.grad_tol_relative else cfg.grad_tol
-    trace = TrustRegionTrace(initial_grad_norm=gn, grad_tol_effective=tol, cost_evals=1)
+    trace = TrustRegionTrace(initial_grad_norm=gn, grad_tol_effective=tol, cost_evals=1, grad_evals=1)
     eps = float(np.finfo(float).eps)
     interior = None  # (stop, step_norm, rho) of the last step if rejected inside the region
     for _ in range(cfg.max_iters):
@@ -237,6 +238,7 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
             x, fx = candidate, f_cand
             g = problem.rgrad(x)
             gn = norm(g)
+            trace.grad_evals += 1
             interior = None
         else:
             interior = (stop, step_norm, rho) if stop in _INTERIOR_STOPS else None

@@ -1,6 +1,16 @@
 import wrtr
+from wrtr.objectives import SequenceObjective, WorstCaseObjective
+from wrtr.radar import ClutterBank
 
 DELETED = ("TangentVector", "zero_tangent", "DegenerateRetractionError", "tangent_basis")
+# the ambient (Wirtinger) derivative convention; derivatives are phase coordinates only
+DELETED_METHODS = (
+    (ClutterBank, "apply"),
+    (ClutterBank, "apply_adjoint"),
+    (WorstCaseObjective, "egrad"),
+    (WorstCaseObjective, "ehess_dir"),
+    (SequenceObjective, "egrad"),
+)
 
 
 def test_every_exported_name_resolves():
@@ -16,3 +26,8 @@ def test_deleted_names_are_not_exported():
         assert name not in wrtr.__all__
         assert not hasattr(wrtr, name)
         assert not hasattr(manifold, name) and not hasattr(driver, name)
+
+
+def test_deleted_methods_are_gone():
+    present = [f"{cls.__name__}.{name}" for cls, name in DELETED_METHODS if hasattr(cls, name)]
+    assert present == []

@@ -6,12 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wrtr.cli import main
-from wrtr.driver import design_nonrobust, hessian_spectrum, optimize
+from wrtr import radar
+from wrtr.cli import main, run_wrtr
+from wrtr.driver import WrtrConfig, design_nonrobust, hessian_spectrum, optimize
 from wrtr.fileio import read_sequence_csv, write_sequence_csv
 from wrtr.manifold import random_point
 from wrtr.objectives import SequenceObjective
-from wrtr.scenario import load_scenario
+from wrtr.rcg import RcgConfig, solve_rcg
+from wrtr.rtr import TrustRegionConfig
+from wrtr.scenario import ScenarioConfig, load_scenario
+
+from conftest import scenario1_scene
 
 SMALL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "small.json"
 
@@ -23,6 +28,28 @@ def read_report(out_dir: Path) -> dict:
 
 def csv_bytes(out_dir: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
+
+
+def read_spectrum(out_dir: Path) -> np.ndarray:
+    with open(out_dir / "hessian_spectrum_seq.csv", newline="") as fh:
+        return np.array([float(r[1]) for r in list(csv.reader(fh))[1:]])
+
+
+def assert_second_order(summary: dict, out_dir: Path, trace) -> None:
+    """The summary's second-order fields: the exported spectrum's ends and the solve's gradient test."""
+    spectrum = read_spectrum(out_dir)
+    assert summary["seq_hessian_lambda_min"] == spectrum.min()
+    assert summary["seq_hessian_lambda_max"] == spectrum.max()
+    assert summary["seq_final_grad_norm"] == trace.final_grad_norm
+    assert summary["seq_grad_tol_effective"] == trace.grad_tol_effective
+
+
+def scenario1_config(doppler_interval) -> ScenarioConfig:
+    """Scenario 1 (n = 64, 40 scatterers, seed 2024) built in-process with the given Doppler interval."""
+    solver = TrustRegionConfig(max_iters=100, grad_tol=1e-9)
+    wrtr = WrtrConfig(lam=100.0, doppler_interval=doppler_interval, max_outer=20, scnr_tol_db=0.01,
+                      worst_solver=solver, seq_solver=solver)
+    return ScenarioConfig(n=64, scatterers=scenario1_scene().scatterers, wrtr=wrtr, seed=2024)
 
 
 class TestSequenceRoundTrip:
@@ -201,6 +228,35 @@ class TestWrtrCommand:
             assert (row["worst_hvps"], row["worst_cost_evals"]) == worst
         assert passes[0]["worst_hvps"] > 0
 
+    def test_summary_carries_the_second_order_line(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["wrtr", "--config", str(SMALL_CONFIG), "--out", str(out)]) == 0
+        cfg = load_scenario(SMALL_CONFIG)
+        last = optimize(cfg.to_scene(), cfg.wrtr, cfg.seed).history[-1]
+        assert_second_order(read_report(out)["summary"], out, last.seq_trace)
+
+    def test_worst_case_scr_below_two_n_is_the_scr_of_the_worst_steering(self, tmp_path, capsys):
+        # scenario 1 on a sub-bin interval: eps = 69.0 < 2n = 128, and the
+        # adversary's steering attains the closed-form coupling (n - eps/2)^2
+        cfg = scenario1_config((-0.005, 0.005))
+        summary = run_wrtr(cfg, tmp_path, cfg.seed).summary
+        assert summary["epsilon"] == pytest.approx(69.0, abs=0.05)
+        s = read_sequence_csv(tmp_path / "sequence_final.csv")
+        st = read_sequence_csv(tmp_path / "steering_worst.csv")
+        assert summary["worst_case_scr_db"] == pytest.approx(radar.scr(s, st, cfg.to_scene()), abs=1e-9)
+        assert capsys.readouterr().err == ""
+
+    def test_worst_case_scr_is_null_from_two_n_on(self, tmp_path, capsys):
+        # scenario 1 as shipped: eps = 154.6 >= 2n, a steering in the ball is
+        # orthogonal to any sequence
+        cfg = scenario1_config((-0.1, 0.1))
+        report = run_wrtr(cfg, tmp_path, cfg.seed)
+        assert report.summary["epsilon"] > 2 * cfg.n
+        assert report.summary["worst_case_scr_db"] is None
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("wrtr: warning: eps = ")
+        assert json.loads(json.dumps(report.summary))["worst_case_scr_db"] is None
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -230,6 +286,19 @@ class TestBaselineCommand:
         _, trace = design_nonrobust(cfg.to_scene(), cfg.wrtr.seq_solver, cfg.seed)
         assert (summary["hvps"], summary["cost_evals"]) == (trace.hvps, trace.cost_evals)
         assert summary["hvps"] > summary["iterations"] > 0
+        assert_second_order(summary, out, trace)
+
+    def test_rcg_summary_carries_solver_counters(self, tmp_path):
+        out = tmp_path / "rcg"
+        assert main(["baseline", "--config", str(SMALL_CONFIG), "--out", str(out),
+                     "--method", "rcg_nonrobust"]) == 0
+        summary = read_report(out)["summary"]
+        cfg = load_scenario(SMALL_CONFIG)
+        solver = cfg.wrtr.seq_solver
+        rcg_cfg = RcgConfig(solver.grad_tol, solver.grad_tol_relative, solver.max_iters)
+        _, trace = solve_rcg(SequenceObjective(cfg.to_scene()), random_point(cfg.n, cfg.seed), rcg_cfg)
+        assert (summary["cost_evals"], summary["grad_evals"]) == (trace.cost_evals, trace.grad_evals)
+        assert summary["cost_evals"] > summary["iterations"] > 0
 
     def test_shared_seeding_across_methods(self, tmp_path):
         outs = {}

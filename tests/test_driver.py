@@ -9,7 +9,7 @@ from wrtr.radar import ClutterScatterer, ClutterScene, DegenerateSceneError, clu
 from wrtr.rcg import RcgConfig, solve_rcg
 from wrtr.rtr import TrustRegionConfig
 
-from conftest import make_tangent, random_scene, random_sequence
+from conftest import make_tangent, random_scene, random_sequence, scenario2_scene
 
 
 def small_cfg(**kw):
@@ -135,6 +135,18 @@ class TestOptimize:
         result = driver.optimize(scene, small_cfg(epsilon=20.0, max_outer=6), seed=41)
         expected = clutter_energy(result.sequence, scene) / abs(np.sum(result.distortion)) ** 2
         assert result.history[-1].seq_cost == pytest.approx(expected, rel=1e-12)
+
+    def test_every_pass_cost_is_the_inverse_scr(self):
+        # scenario 2 as the acceptance fixture runs it: each pass's seq_cost is
+        # clutter / |sum w|^2 and its SCR |s^H (s (.) w)|^2 / clutter, at the
+        # same sequence
+        solver = TrustRegionConfig(max_iters=100, grad_tol=1e-9)
+        cfg = WrtrConfig(lam=100.0, doppler_interval=(-0.1, 0.1), max_outer=20, scnr_tol_db=0.01,
+                         worst_solver=solver, seq_solver=solver)
+        result = driver.optimize(scenario2_scene(), cfg, seed=2024)
+        assert len(result.history) >= 2
+        for h in result.history:
+            assert h.seq_cost * 10 ** (h.scr_db / 10) == pytest.approx(1.0, abs=1e-12)
 
     def test_seeded_determinism(self):
         scene = tiny_scene()

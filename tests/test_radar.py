@@ -59,8 +59,14 @@ def single(bank: ClutterBank, k: int):
     return bank.diagonals(c)
 
 
+def shift_matrix_sum(bank: ClutterBank, rows: np.ndarray) -> np.ndarray:
+    """Dense oracle of down_shift_sum: sum_b J^{R_b} rows_b with J^r = np.eye(n, k=-r)."""
+    shifted_rows = (np.eye(bank.n, k=-r) @ row for r, row in zip(bank.shifts, rows))
+    return sum(shifted_rows, np.zeros(bank.n, dtype=complex))
+
+
 def assert_bank_matches_dense(scene: ClutterScene, rng) -> None:
-    """forms, apply and apply_adjoint against dense Psi_k, one scatterer and all weighted."""
+    """forms, and diagonals through down_shift_sum and shifted, against dense Psi_k, one and all weighted."""
     n = scene.n
     bank = ClutterBank(scene)
     u, v = random_vector(n, rng), random_vector(n, rng)
@@ -69,13 +75,14 @@ def assert_bank_matches_dense(scene: ClutterScene, rng) -> None:
     for k, psi in enumerate(psis):
         assert forms[k] == pytest.approx(np.vdot(v, psi @ u), abs=1e-12)
         d = single(bank, k)
-        assert np.allclose(bank.apply(d, v), psi @ v, atol=1e-12)
-        assert np.allclose(bank.apply_adjoint(d, v), psi.conj().T @ v, atol=1e-12)
+        assert np.allclose(bank.down_shift_sum(d * v), psi @ v, atol=1e-12)
+        assert np.allclose((np.conj(d) * bank.shifted(v)).sum(axis=0), psi.conj().T @ v, atol=1e-12)
     c = random_vector(bank.size, rng)
     total = sum((ck * psi for ck, psi in zip(c, psis)), np.zeros((n, n), dtype=complex))
     d = bank.diagonals(c)
-    assert np.allclose(bank.apply(d, v), total @ v, atol=1e-11)
-    assert np.allclose(bank.apply_adjoint(d, v), total.conj().T @ v, atol=1e-11)
+    assert np.allclose(bank.down_shift_sum(d * v), total @ v, atol=1e-11)
+    assert np.allclose(bank.down_shift_sum(d * v), shift_matrix_sum(bank, d * v), atol=1e-11)
+    assert np.allclose((np.conj(d) * bank.shifted(v)).sum(axis=0), total.conj().T @ v, atol=1e-11)
 
 
 class TestShift:
@@ -84,32 +91,34 @@ class TestShift:
     def test_identity(self, rng):
         x = random_vector(6, rng)
         bank = ClutterBank(ClutterScene([ClutterScatterer(0, 0.0, 1.0)], 6))
-        assert np.array_equal(bank.apply(single(bank, 0), x), x)
-        assert np.array_equal(bank.apply_adjoint(single(bank, 0), x), x)
+        assert np.array_equal(bank.down_shift_sum(x[None, :]), x)
+        assert np.array_equal(bank.shifted(x)[0], x)
 
     def test_small_example(self):
         a, b, c, d = 1 + 1j, 2.0, 3 - 1j, 4j
         bank = ClutterBank(ClutterScene([ClutterScatterer(2, 0.0, 1.0)], 4))
-        assert np.allclose(bank.apply(single(bank, 0), np.array([a, b, c, d])), [0, 0, a, b])
-        assert np.allclose(bank.apply_adjoint(single(bank, 0), np.array([a, b, c, d])), [c, d, 0, 0])
+        assert np.allclose(bank.down_shift_sum(np.array([[a, b, 0, 0]])), [0, 0, a, b])
         assert np.allclose(bank.shifted(np.array([a, b, c, d]))[0], [c, d, 0, 0])
 
     def test_matches_dense_matrix(self, rng):
+        # one row per shift, zero past n - r as lag products are
         n = 8
-        x = random_vector(n, rng)
         bank = pure_shifts(n)
-        for r in range(n):
-            d = single(bank, r)
-            assert np.allclose(bank.apply(d, x), np.eye(n, k=-r) @ x, atol=1e-15)
-            assert np.allclose(bank.apply_adjoint(d, x), np.eye(n, k=-r).T @ x, atol=1e-15)
+        rows = random_vector(n, rng)[None, :] * (np.arange(n) < n - bank.shifts[:, None])
+        for b, r in enumerate(bank.shifts):
+            alone = np.zeros_like(rows)
+            alone[b] = rows[b]
+            assert np.allclose(bank.down_shift_sum(alone), np.eye(n, k=-r) @ rows[b], atol=1e-15)
+        assert np.allclose(bank.down_shift_sum(rows), shift_matrix_sum(bank, rows), atol=1e-14)
 
     def test_adjoint_identity(self, rng):
+        # down_shift_sum(d (.) .) and sum_b conj(d_b) (.) shifted(.)_b are adjoint
         n = 8
         u, v = random_vector(n, rng), random_vector(n, rng)
         bank = pure_shifts(n)
         d = bank.diagonals(random_vector(n, rng))
-        lhs = np.vdot(v, bank.apply(d, u))
-        rhs = np.vdot(bank.apply_adjoint(d, v), u)
+        lhs = np.vdot(v, bank.down_shift_sum(d * u))
+        rhs = np.vdot((np.conj(d) * bank.shifted(v)).sum(axis=0), u)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_out_of_range(self):
@@ -144,18 +153,10 @@ class TestClutterOperator:
             expected = np.vdot(s.entries, dense_psi(sc, n) @ s.entries)
             assert q[k] == pytest.approx(expected, abs=1e-12)
 
-    def test_apply_adjoint_matches_dense(self, rng):
+    def test_down_shift_sum_matches_dense(self, rng):
         # all distinct shifts 0..n-1, so both edges are covered
         n = 8
-        scene = every_shift_scene(n, rng)
-        assert_bank_matches_dense(scene, rng)
-        # <Psi u, v> = <u, Psi^H v> for a weighted sum over every shift
-        bank = ClutterBank(scene)
-        u, v = random_vector(n, rng), random_vector(n, rng)
-        d = bank.diagonals(random_vector(n, rng))
-        assert np.vdot(v, bank.apply(d, u)) == pytest.approx(
-            np.vdot(bank.apply_adjoint(d, v), u), abs=1e-12
-        )
+        assert_bank_matches_dense(every_shift_scene(n, rng), rng)
 
 
 class TestClutterBank:
@@ -193,8 +194,7 @@ class TestClutterBank:
         assert bank.quadratic_forms(v).shape == (0,)
         d = bank.diagonals(np.zeros(0, dtype=complex))
         assert d.shape == (0, n)
-        assert np.array_equal(bank.apply(d, v), np.zeros(n))
-        assert np.array_equal(bank.apply_adjoint(d, v), np.zeros(n))
+        assert np.array_equal(bank.down_shift_sum(d * v), np.zeros(n))
         assert clutter_energy(random_point(n, 3), ClutterScene((), n)) == 0.0
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from wrtr.manifold import inner, norm, random_point, random_tangent, retract
 from wrtr.objectives import SequenceObjective, WorstCaseObjective
+from wrtr.rcg import RcgConfig, solve_rcg
 from wrtr.rtr import TcgStop, TrustRegionConfig, solve, tcg
 
 from conftest import random_scene
@@ -35,11 +36,12 @@ class QuadraticModelProblem:
 
 
 class CountingProblem:
-    """Forwards to a problem and counts its cost evaluations and Hessian-vector products."""
+    """Forwards to a problem and counts its cost, gradient and Hessian-vector product calls."""
 
     def __init__(self, problem):
         self.problem = problem
         self.cost_calls = 0
+        self.grad_calls = 0
         self.hvp_calls = 0
 
     def cost(self, x):
@@ -47,6 +49,7 @@ class CountingProblem:
         return self.problem.cost(x)
 
     def rgrad(self, x):
+        self.grad_calls += 1
         return self.problem.rgrad(x)
 
     def rhess(self, x, a):
@@ -217,14 +220,16 @@ class TestSolve:
                 assert it.step_norm >= 0
                 assert isinstance(it.tcg_stop, TcgStop)
 
-    def test_collapsed_radius_ends_the_solve(self):
-        # at a worst-case solution no step lowers the cost in floating
-        # point: rejections shrink the radius below eps * delta_bar, and the
-        # solve stops there instead of running to max_iters
-        obj, start = worst_case_instance(16, 14)
-        x, _ = solve(obj, start, TrustRegionConfig())
+    def test_collapsed_radius_ends_the_solve(self, rng):
+        # where no step lowers the cost (here a flat cost with a nonzero
+        # model gradient) every row is rejected: the radius shrinks below
+        # eps * delta_bar, and the solve stops there instead of running to
+        # max_iters
+        n = 16
+        x = random_point(n, 14)
+        problem = QuadraticModelProblem(x, spd_matrix(n, rng), rng.standard_normal(n))
         cfg = TrustRegionConfig(grad_tol=0.0, grad_tol_relative=False, max_iters=500)
-        _, trace = solve(obj, x, cfg)
+        _, trace = solve(problem, x, cfg)
         assert len(trace) < 100
         assert not trace.converged
         delta_bar, _ = cfg.resolved_radii(16)
@@ -265,7 +270,7 @@ class TestSolve:
     def test_trace_counts_match_a_counting_wrapper(self, rng, case):
         if case == "sequence":
             n = 16
-            problem = CountingProblem(SequenceObjective(random_scene(n, 6, rng)))
+            problem = SequenceObjective(random_scene(n, 6, rng))
             x = random_point(n, 16)
             cfg = TrustRegionConfig(max_iters=25, grad_tol=0.0, tcg_max_inner=6)
         else:
@@ -275,9 +280,21 @@ class TestSolve:
             problem = QuadraticModelProblem(x, spd_matrix(n, rng), rng.standard_normal(n))
             cfg = TrustRegionConfig(delta_bar=100.0, delta0=100.0, tcg_kappa=1e-12,
                                     grad_tol=0.0, grad_tol_relative=False, max_iters=12)
+        problem = CountingProblem(problem)
         _, trace = solve(problem, x, cfg)
         assert trace.hvps == problem.hvp_calls > len(trace)
         assert trace.cost_evals == problem.cost_calls > 1
+        assert trace.grad_evals == problem.grad_calls == 1 + len(trace.accepted_costs())
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 25])
+    def test_rcg_trace_counts_match_a_counting_wrapper(self, rng, max_iters):
+        n = 16
+        problem = CountingProblem(SequenceObjective(random_scene(n, 6, rng)))
+        _, trace = solve_rcg(problem, random_point(n, 17), RcgConfig(grad_tol=0.0, max_iters=max_iters))
+        assert trace.cost_evals == problem.cost_calls
+        assert trace.grad_evals == problem.grad_calls == 1 + len(trace)
+        assert problem.cost_calls >= 1 + len(trace)
+        assert problem.hvp_calls == 0
 
 
 class TestCheckTermination:
