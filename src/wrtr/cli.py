@@ -196,8 +196,7 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
     if method == "random":
         final = initial
     elif method == "rtr_nonrobust":
-        objective = SequenceObjective(scene)
-        final, trace = driver.design_nonrobust(scene, cfg.wrtr.seq_solver, seed, objective)
+        final, trace = driver.design_nonrobust(scene, cfg.wrtr.seq_solver, seed)
         sections.append((0, "seq", trace))
         solver_summary = {
             "iterations": len(trace),
@@ -205,7 +204,7 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
             "hvps": trace.hvps,
             "cost_evals": trace.cost_evals,
         }
-        spectrum = driver.hessian_spectrum(objective, final)
+        spectrum = driver.hessian_spectrum(SequenceObjective(scene), final)
         fileio.write_spectrum_csv(out / "hessian_spectrum_seq.csv", spectrum)
         files.append("hessian_spectrum_seq.csv")
         solver_summary.update(_second_order(spectrum, trace))
@@ -227,11 +226,10 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
         files.append("traces.csv")
     files += _export_staf_products(out, cfg, [("initial", initial), ("final", final)])
 
-    initial_db = _nominal_scr_db(initial, scene)
     summary = {
         "method": method,
-        "nominal_scr_initial_db": initial_db,
-        "nominal_scr_final_db": initial_db if final is initial else _nominal_scr_db(final, scene),
+        "nominal_scr_initial_db": _nominal_scr_db(initial, scene),
+        "nominal_scr_final_db": _nominal_scr_db(final, scene),
         **solver_summary,
     }
     return RunReport(command="baseline", seed=seed, summary=summary, files=files)
@@ -272,8 +270,6 @@ def _load_designs(manifest_path: Path, n: int) -> dict:
 
 def run_monte_carlo(cfg: ScenarioConfig, out: Path, seed: int, designs: dict) -> RunReport:
     scene = cfg.to_scene()
-    # One clutter energy per design, shared by both error models.
-    energies = {name: radar.clutter_energy(seq, scene) for name, seq in designs.items()}
     rows = []
     summary = {"n_trials": cfg.monte_carlo_trials, "designs": {}}
     for model in driver.ERROR_MODELS:
@@ -284,7 +280,6 @@ def run_monte_carlo(cfg: ScenarioConfig, out: Path, seed: int, designs: dict) ->
             error_model=model,
             seed=seed,
             doppler_interval=cfg.wrtr.doppler_interval,
-            energies=energies,
         )
         for name, st in stats.items():
             rows.append((name, model, st))

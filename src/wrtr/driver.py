@@ -246,15 +246,11 @@ def monte_carlo_scr(
     error_model: str,
     seed: int,
     doppler_interval: tuple[float, float] | None = None,
-    *,
-    energies: dict | None = None,
 ) -> dict:
     """Realized-SCR statistics per design under a steering error model.
 
-    designs maps name -> UnitModulusSequence; energies, when the caller
-    already has them, maps the same names to clutter_energy of each design
-    (the CLI computes them once for both error models). Per trial the
-    distortion d is drawn once and applied to every design:
+    designs maps name -> UnitModulusSequence. Per trial the distortion d
+    is drawn once and applied to every design:
     doppler_interval draws v ~ U(lo, hi) and distorts by p(v);
     uniform_random_phase draws an i.i.d. phase ramp on [0, 2pi). Each error
     model reads one stream, default_rng([seed, ERROR_MODELS.index(error_model)]),
@@ -282,8 +278,7 @@ def monte_carlo_scr(
     if error_model == "doppler_interval" and doppler_interval is None:
         raise ValueError("doppler_interval error model needs the interval")
     n = scene.n
-    if energies is None:
-        energies = {name: clutter_energy(seq, scene) for name, seq in designs.items()}
+    energies = {name: clutter_energy(seq, scene) for name, seq in designs.items()}
     for name in designs:
         if energies[name] == 0.0:
             raise radar.DegenerateSceneError(f"design {name!r} sees zero clutter energy")
@@ -315,11 +310,6 @@ def monte_carlo_scr(
     }
 
 
-def design_nonrobust(scene: ClutterScene, solver: rtr.TrustRegionConfig, seed: int, objective=None):
-    """Non-robust trust-region design: minimize clutter energy / n^2.
-
-    A caller that reuses the SequenceObjective(scene) passes it as objective.
-    """
-    if objective is None:
-        objective = SequenceObjective(scene)
-    return rtr.solve(objective, random_point(scene.n, seed), solver)
+def design_nonrobust(scene: ClutterScene, solver: rtr.TrustRegionConfig, seed: int):
+    """Non-robust trust-region design: minimize clutter energy / n^2."""
+    return rtr.solve(SequenceObjective(scene), random_point(scene.n, seed), solver)

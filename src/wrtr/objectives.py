@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .manifold import UnitModulusSequence
-from .radar import ClutterBank, ClutterScene
+from .radar import ClutterScene
 
 NEAR_ORTHOGONAL_RTOL = 1e-12
 
@@ -125,7 +125,7 @@ class SequenceObjective:
 
     def __init__(self, scene: ClutterScene, distortion: np.ndarray | None = None):
         self.n = scene.n
-        self._bank = ClutterBank(scene)
+        self._bank = scene.bank
         self._cache: tuple | None = None
         self._gamma = float(self.n) ** 2
         if distortion is not None:

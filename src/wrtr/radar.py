@@ -9,13 +9,16 @@ Psi_k = amp_k * J^{r_k} diag(p(v_k)). Every figure of merit goes
 through s^H Psi_k s = amp_k sum_m p_k[m] s[m] conj(s[m + r_k]), a lag
 product, so ClutterBank groups the scatterers by range shift: the lag
 products of a shift are formed once for all its scatterers, and a
-weighted sum of operators is held as a few diagonals per shift. Dense
-matrices exist only in the test oracles.
+weighted sum of operators is held as a few diagonals per shift. A scene
+has one ClutterBank, scene.bank, built on first use and shared by the
+sequence objective and every figure of merit. Dense matrices exist only
+in the test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +58,8 @@ class ClutterScene:
     """Scatterer collection for a code length n.
 
     Scatterer Dopplers are measured from the target's, which sits at 0.
+    `bank` is the scene's one ClutterBank, built on first use; it is not a
+    field, so it takes no part in equality or hashing.
     """
 
     scatterers: tuple
@@ -69,6 +74,10 @@ class ClutterScene:
                 raise ValueError(
                     f"scatterer {k}: range_shift {sc.range_shift} exceeds n-1 = {self.n - 1}"
                 )
+
+    @cached_property
+    def bank(self) -> ClutterBank:
+        return ClutterBank(self)
 
 
 class ClutterBank:
@@ -94,7 +103,7 @@ class ClutterBank:
     the (N_t, n) scatterer weights; everything else is O(B n). The width
     is the mean number of scatterers per distinct shift, rounded up, so B
     is at most twice the number of distinct shifts. Read-only after
-    construction.
+    construction; scene.bank is the one instance a scene uses.
     """
 
     def __init__(self, scene: ClutterScene):
@@ -204,7 +213,7 @@ def clutter_energy(s: UnitModulusSequence, scene: ClutterScene) -> float:
     """Total disturbance power sum_k |s^H Psi_k s|^2."""
     if s.n != scene.n:
         raise ValueError(f"sequence length {s.n} does not match scene n={scene.n}")
-    q = ClutterBank(scene).quadratic_forms(s.entries)
+    q = scene.bank.quadratic_forms(s.entries)
     return float(np.sum(np.abs(q) ** 2))
 
 

@@ -1,4 +1,7 @@
+import inspect
+
 import wrtr
+from wrtr.driver import design_nonrobust, monte_carlo_scr
 from wrtr.objectives import SequenceObjective, WorstCaseObjective
 from wrtr.radar import ClutterBank
 
@@ -31,3 +34,9 @@ def test_deleted_names_are_not_exported():
 def test_deleted_methods_are_gone():
     present = [f"{cls.__name__}.{name}" for cls, name in DELETED_METHODS if hasattr(cls, name)]
     assert present == []
+
+
+def test_deleted_parameters_are_gone():
+    # each scene has one ClutterBank, so no caller passes precomputed clutter work
+    assert "energies" not in inspect.signature(monte_carlo_scr).parameters
+    assert "objective" not in inspect.signature(design_nonrobust).parameters

@@ -18,7 +18,8 @@ from wrtr.scenario import ScenarioConfig, load_scenario
 
 from conftest import scenario1_scene
 
-SMALL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "small.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SMALL_CONFIG = CONFIGS / "small.json"
 
 
 def read_report(out_dir: Path) -> dict:
@@ -246,6 +247,16 @@ class TestWrtrCommand:
         assert summary["worst_case_scr_db"] == pytest.approx(radar.scr(s, st, cfg.to_scene()), abs=1e-9)
         assert capsys.readouterr().err == ""
 
+    def test_shipped_subbin_config_closes_the_certificate(self, tmp_path, capsys):
+        # scenario 1 with doppler_interval [-0.005, 0.005]: eps = 69.0 < 2n = 128
+        out = tmp_path / "run"
+        assert main(["wrtr", "--config", str(CONFIGS / "scenario1_subbin.json"), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = read_report(out)["summary"]
+        assert summary["certificate"]["eps_ge_2n"] is False
+        assert summary["certificate"]["relative_gap"] <= 1e-6
+        assert summary["worst_case_scr_db"] == pytest.approx(summary["scr_db"], abs=1e-9)
+
     def test_worst_case_scr_is_null_from_two_n_on(self, tmp_path, capsys):
         # scenario 1 as shipped: eps = 154.6 >= 2n, a steering in the ball is
         # orthogonal to any sequence
@@ -411,3 +422,39 @@ class TestStafCommand:
         code = main(["staf", "--config", str(SMALL_CONFIG), "--out", str(out), str(seq_path)])
         assert code == 2
         assert not out.exists()
+
+
+class TestOneClutterBankPerCommand:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        init = radar.ClutterBank.__init__
+
+        def counted(self, scene):
+            count[0] += 1
+            init(self, scene)
+
+        monkeypatch.setattr(radar.ClutterBank, "__init__", counted)
+        return count
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["wrtr"],
+            ["baseline", "--method", "rtr_nonrobust"],
+            ["baseline", "--method", "rcg_nonrobust"],
+            ["baseline", "--method", "random"],
+            ["montecarlo", "--designs", "{designs}"],
+            ["staf", "{sequence}"],
+        ],
+        ids=["wrtr", "rtr_nonrobust", "rcg_nonrobust", "random", "montecarlo", "staf"],
+    )
+    def test_each_command_builds_one_bank(self, tmp_path, builds, command):
+        write_sequence_csv(tmp_path / "seq.csv", random_point(16, 1))
+        (tmp_path / "designs.json").write_text(json.dumps({"designs": [
+            {"name": "one", "sequence": "seq.csv"},
+            {"name": "two", "sequence": "seq.csv"},
+        ]}))
+        args = [a.format(designs=tmp_path / "designs.json", sequence=tmp_path / "seq.csv") for a in command]
+        assert main(args + ["--config", str(SMALL_CONFIG), "--out", str(tmp_path / "out")]) == 0
+        assert builds[0] == 1

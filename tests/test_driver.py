@@ -357,19 +357,6 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_scr({"d": random_point(scene.n, 21)}, scene, 5, "bogus", seed=6)
 
-    def test_energies_from_the_caller(self):
-        # the CLI passes each design's clutter energy once for both models
-        scene = tiny_scene()
-        designs = {"a": random_point(scene.n, 23), "b": random_point(scene.n, 24)}
-        energies = {name: clutter_energy(seq, scene) for name, seq in designs.items()}
-        for model in driver.ERROR_MODELS:
-            own = monte_carlo_scr(designs, scene, 30, model, seed=5, doppler_interval=(-0.01, 0.01))
-            given = monte_carlo_scr(designs, scene, 30, model, seed=5, doppler_interval=(-0.01, 0.01),
-                                    energies=energies)
-            assert given == own
-        with pytest.raises(DegenerateSceneError):
-            monte_carlo_scr(designs, scene, 5, "uniform_random_phase", seed=5, energies={"a": 1.0, "b": 0.0})
-
     def test_zero_clutter_design_rejected(self):
         n = 8
         scene = ClutterScene([ClutterScatterer(1, 0.25, 0.0)], n)

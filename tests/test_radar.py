@@ -1,9 +1,11 @@
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from wrtr.manifold import UnitModulusSequence, random_point
+from wrtr.objectives import SequenceObjective
 from wrtr.radar import (
     ClutterBank,
     ClutterScatterer,
@@ -15,6 +17,7 @@ from wrtr.radar import (
     staf,
     steering_vector,
 )
+from wrtr.scenario import load_scenario
 
 from conftest import dense_psi, random_scene, random_sequence
 
@@ -196,6 +199,24 @@ class TestClutterBank:
         assert d.shape == (0, n)
         assert np.array_equal(bank.down_shift_sum(d * v), np.zeros(n))
         assert clutter_energy(random_point(n, 3), ClutterScene((), n)) == 0.0
+
+
+class TestSceneBank:
+    def test_one_bank_per_scene(self, rng):
+        scene = random_scene(8, 4, rng)
+        assert scene.bank is scene.bank
+        assert SequenceObjective(scene)._bank is scene.bank
+
+    def test_bank_is_not_part_of_equality_or_hash(self, rng):
+        scatterers = random_scene(8, 4, rng).scatterers
+        built, fresh = ClutterScene(scatterers, 8), ClutterScene(scatterers, 8)
+        built.bank
+        assert "bank" in vars(built) and "bank" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+
+    def test_to_scene_does_not_build_the_bank(self):
+        scene = load_scenario(Path(__file__).resolve().parents[1] / "configs" / "small.json").to_scene()
+        assert "bank" not in vars(scene)
 
 
 class TestClutterEnergy:

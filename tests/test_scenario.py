@@ -129,6 +129,7 @@ class TestLoadScenario:
     def test_bundled_configs_parse(self):
         from pathlib import Path
 
-        for name in ("scenario1.json", "scenario2.json", "small.json"):
-            cfg = load_scenario(Path(__file__).resolve().parents[1] / "configs" / name)
-            assert cfg.n >= 1
+        paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+        assert len(paths) >= 4
+        for path in paths:
+            assert load_scenario(path).n >= 1
