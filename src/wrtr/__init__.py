@@ -39,7 +39,7 @@ from .radar import (
     staf,
     steering_vector,
 )
-from .rcg import RcgConfig, solve_rcg
+from .rcg import solve_rcg
 from .rtr import TcgStop, TrustRegionConfig, TrustRegionTrace, solve, tcg
 from .scenario import ScenarioConfig, ScenarioError, load_scenario, parse_scenario
 
@@ -51,7 +51,6 @@ __all__ = [
     "ClutterScene",
     "DegenerateSceneError",
     "NearOrthogonalSteeringError",
-    "RcgConfig",
     "ScenarioConfig",
     "ScenarioError",
     "ScrStats",

@@ -7,7 +7,7 @@ Subcommands:
     staf        recompute the ambiguity surface for an existing sequence
 
 Exit codes: 0 success, 2 config/input error (no partial outputs),
-3 solver failure.
+3 solver failure, which includes a design that sees zero clutter energy.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .objectives import (
     worst_case_gain,
 )
 from .radar import DegenerateSceneError
-from .rcg import RcgConfig, solve_rcg
+from .rcg import solve_rcg
 from .scenario import ScenarioConfig, ScenarioError, load_scenario
 
 BASELINE_METHODS = ("rtr_nonrobust", "rcg_nonrobust", "random")
@@ -47,7 +47,10 @@ class RunReport:
 
 
 def _nominal_scr_db(seq, scene) -> float:
-    return 10.0 * np.log10(seq.n**2 / radar.clutter_energy(seq, scene))
+    energy = radar.clutter_energy(seq, scene)
+    if energy == 0.0:
+        raise DegenerateSceneError("the sequence sees zero clutter energy, so its nominal SCR is infinite")
+    return 10.0 * np.log10(seq.n**2 / energy)
 
 
 def _export_staf_products(out: Path, cfg: ScenarioConfig, named_sequences) -> list:
@@ -108,37 +111,48 @@ def _certificate(result: driver.WrtrResult) -> dict:
     }
 
 
-def _second_order(spectrum: np.ndarray, trace) -> dict:
-    """Where the last sequence solve stopped: its Hessian's extreme eigenvalues and its gradient test."""
-    return {"seq_hessian_lambda_min": float(spectrum[0]), "seq_hessian_lambda_max": float(spectrum[-1]),
-            "seq_final_grad_norm": trace.final_grad_norm, "seq_grad_tol_effective": trace.grad_tol_effective}
+def _export_design(out: Path, cfg: ScenarioConfig, scene, initial, final, sections, objective) -> tuple:
+    """Write what every design command exports; returns the file names and the summary fields.
+
+    These are the initial and final sequences, traces.csv when a solver
+    ran, the STAF products and, given the cost the design minimised, its
+    Hessian spectrum at the final sequence. The summary holds the nominal
+    SCRs and, with the spectrum, the second-order line: the spectrum's
+    ends and the gradient test of the last solve in sections.
+    """
+    fileio.write_sequence_csv(out / "sequence_initial.csv", initial)
+    fileio.write_sequence_csv(out / "sequence_final.csv", final)
+    files = ["sequence_initial.csv", "sequence_final.csv"]
+    if sections:
+        fileio.write_trace_csv(out / "traces.csv", sections)
+        files.append("traces.csv")
+    files += _export_staf_products(out, cfg, [("initial", initial), ("final", final)])
+    # after the STAF surfaces: for the random design this builds the scene's clutter
+    # bank, and holding it while they are computed adds 9 MB of peak RSS at n = 1024
+    summary = {
+        "nominal_scr_initial_db": _nominal_scr_db(initial, scene),
+        "nominal_scr_final_db": _nominal_scr_db(final, scene),
+    }
+    if objective is not None:
+        spectrum = driver.hessian_spectrum(objective, final)
+        fileio.write_spectrum_csv(out / "hessian_spectrum_seq.csv", spectrum)
+        files.append("hessian_spectrum_seq.csv")
+        last = sections[-1][2]
+        summary.update(seq_hessian_lambda_min=float(spectrum[0]), seq_hessian_lambda_max=float(spectrum[-1]),
+                       seq_final_grad_norm=last.final_grad_norm, seq_grad_tol_effective=last.grad_tol_effective)
+    return files, summary
 
 
 def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> RunReport:
     scene = cfg.to_scene()
     result = driver.optimize(scene, cfg.wrtr, seed)
-    files = []
-    fileio.write_sequence_csv(out / "sequence_initial.csv", result.initial_sequence)
-    fileio.write_sequence_csv(out / "sequence_final.csv", result.sequence)
-    fileio.write_sequence_csv(out / "steering_worst.csv", result.worst_steering)
-    files += ["sequence_initial.csv", "sequence_final.csv", "steering_worst.csv"]
-
-    sections = []
-    for k, it in enumerate(result.history):
-        sections.append((k, "worst", it.worst_trace))
-        sections.append((k, "seq", it.seq_trace))
-    fileio.write_trace_csv(out / "traces.csv", sections)
-    files.append("traces.csv")
-
-    files += _export_staf_products(
-        out, cfg, [("initial", result.initial_sequence), ("final", result.sequence)]
-    )
-
+    sections = [(0, "worst", result.worst_trace)]
+    sections += [(k, "seq", it.seq_trace) for k, it in enumerate(result.history)]
     # The cost the sequence step minimised: relative distortion held fixed.
     seq_obj = SequenceObjective(scene, distortion=result.distortion)
-    spectrum = driver.hessian_spectrum(seq_obj, result.sequence)
-    fileio.write_spectrum_csv(out / "hessian_spectrum_seq.csv", spectrum)
-    files.append("hessian_spectrum_seq.csv")
+    files, design = _export_design(out, cfg, scene, result.initial_sequence, result.sequence, sections, seq_obj)
+    fileio.write_sequence_csv(out / "steering_worst.csv", result.worst_steering)
+    files.append("steering_worst.csv")
     if result.epsilon > 0:
         worst_obj = WorstCaseObjective(result.sequence, lam=cfg.wrtr.lam, epsilon=result.epsilon)
         fileio.write_spectrum_csv(
@@ -147,8 +161,8 @@ def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> RunReport:
         )
         files.append("hessian_spectrum_worst.csv")
 
-    last = result.history[-1]
-    nominal_db, n, eps = _nominal_scr_db(result.sequence, scene), cfg.n, result.epsilon
+    last, worst = result.history[-1], result.worst_trace
+    n, eps = cfg.n, result.epsilon
     if eps >= 2 * n:
         print(f"wrtr: warning: eps = {eps:.6g} >= 2n = {2 * n}: a steering in the ball is orthogonal to "
               "the sequence, so the worst-case SCR is -inf (worst_case_scr_db null)", file=sys.stderr)
@@ -158,23 +172,22 @@ def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> RunReport:
         "outer_converged": result.converged,
         "scr_db": last.scr_db,
         "scnr_db": last.scnr_db,
-        "nominal_scr_initial_db": _nominal_scr_db(result.initial_sequence, scene),
-        "nominal_scr_final_db": nominal_db,
+        **design,
         # the worst coupling over the ball is (n - eps/2)^2 for every design
-        "worst_case_scr_db": nominal_db + 20.0 * np.log10(1.0 - eps / (2 * n)) if eps < 2 * n else None,
+        "worst_case_scr_db": (design["nominal_scr_final_db"] + 20.0 * np.log10(1.0 - eps / (2 * n))
+                              if eps < 2 * n else None),
         "certificate": _certificate(result),
-        **_second_order(spectrum, last.seq_trace),
+        # the one adversary solve; none at eps = 0
+        "worst_cost": result.worst_cost,
+        "worst_hvps": worst.hvps if worst is not None else 0,
+        "worst_cost_evals": worst.cost_evals if worst is not None else 0,
         "outer_history": [
             {
                 "scr_db": h.scr_db,
                 "scnr_db": h.scnr_db,
-                "worst_cost": h.worst_cost,
                 "seq_cost": h.seq_cost,
                 "seq_hvps": h.seq_trace.hvps,
                 "seq_cost_evals": h.seq_trace.cost_evals,
-                # only pass 0 solves the adversary
-                "worst_hvps": h.worst_trace.hvps if h.worst_trace else 0,
-                "worst_cost_evals": h.worst_trace.cost_evals if h.worst_trace else 0,
             }
             for h in result.history
         ],
@@ -187,52 +200,21 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
         raise ScenarioError(f"unknown baseline method {method!r}")
     scene = cfg.to_scene()
     initial = random_point(cfg.n, seed)
-    files = []
-    fileio.write_sequence_csv(out / "sequence_initial.csv", initial)
-    files.append("sequence_initial.csv")
-
-    sections = []
-    solver_summary = {}
+    summary = {"method": method}
     if method == "random":
-        final = initial
+        final, sections, objective = initial, [], None
     elif method == "rtr_nonrobust":
         final, trace = driver.design_nonrobust(scene, cfg.wrtr.seq_solver, seed)
-        sections.append((0, "seq", trace))
-        solver_summary = {
-            "iterations": len(trace),
-            "converged": trace.converged,
-            "hvps": trace.hvps,
-            "cost_evals": trace.cost_evals,
-        }
-        spectrum = driver.hessian_spectrum(SequenceObjective(scene), final)
-        fileio.write_spectrum_csv(out / "hessian_spectrum_seq.csv", spectrum)
-        files.append("hessian_spectrum_seq.csv")
-        solver_summary.update(_second_order(spectrum, trace))
+        sections, objective = [(0, "seq", trace)], SequenceObjective(scene)
+        summary.update(iterations=len(trace), converged=trace.converged, hvps=trace.hvps,
+                       cost_evals=trace.cost_evals)
     else:
-        objective = SequenceObjective(scene)
-        solver = cfg.wrtr.seq_solver
-        rcg_cfg = RcgConfig(
-            grad_tol=solver.grad_tol, grad_tol_relative=solver.grad_tol_relative, max_iters=solver.max_iters
-        )
-        final, trace = solve_rcg(objective, initial, rcg_cfg)
-        sections.append((0, "rcg", trace))
-        solver_summary = {"iterations": len(trace), "converged": trace.converged,
-                          "cost_evals": trace.cost_evals, "grad_evals": trace.grad_evals}
-
-    fileio.write_sequence_csv(out / "sequence_final.csv", final)
-    files.append("sequence_final.csv")
-    if sections:
-        fileio.write_trace_csv(out / "traces.csv", sections)
-        files.append("traces.csv")
-    files += _export_staf_products(out, cfg, [("initial", initial), ("final", final)])
-
-    summary = {
-        "method": method,
-        "nominal_scr_initial_db": _nominal_scr_db(initial, scene),
-        "nominal_scr_final_db": _nominal_scr_db(final, scene),
-        **solver_summary,
-    }
-    return RunReport(command="baseline", seed=seed, summary=summary, files=files)
+        final, trace = solve_rcg(SequenceObjective(scene), initial, cfg.wrtr.seq_solver)
+        sections, objective = [(0, "rcg", trace)], None
+        summary.update(iterations=len(trace), converged=trace.converged, cost_evals=trace.cost_evals,
+                       grad_evals=trace.grad_evals)
+    files, design = _export_design(out, cfg, scene, initial, final, sections, objective)
+    return RunReport(command="baseline", seed=seed, summary={**summary, **design}, files=files)
 
 
 def _load_designs(manifest_path: Path, n: int) -> dict:
@@ -249,6 +231,10 @@ def _load_designs(manifest_path: Path, n: int) -> dict:
     for i, entry in enumerate(manifest["designs"]):
         if not isinstance(entry, dict) or "name" not in entry or "sequence" not in entry:
             raise ScenarioError(f"designs[{i}] must have 'name' and 'sequence' keys")
+        name = str(entry["name"])
+        if name in designs:
+            # names key the results, so a repeated one would drop a design's rows
+            raise ScenarioError(f"designs[{i}]: name {name!r} is already taken by an earlier design")
         path = Path(entry["sequence"])
         if not path.is_absolute():
             path = manifest_path.parent / path
@@ -262,7 +248,7 @@ def _load_designs(manifest_path: Path, n: int) -> dict:
             raise ScenarioError(
                 f"designs[{i}] ({entry['name']}): length {seq.n} does not match config n={n}"
             )
-        designs[str(entry["name"])] = seq
+        designs[name] = seq
     if not designs:
         raise ScenarioError("manifest lists no designs")
     return designs

@@ -84,15 +84,17 @@ class WrtrConfig:
 class OuterIteration:
     scr_db: float
     scnr_db: float
-    worst_cost: float
     seq_cost: float
-    worst_trace: rtr.TrustRegionTrace | None
     seq_trace: rtr.TrustRegionTrace
 
 
 @dataclass(frozen=True)
 class WrtrResult:
-    """Final design; worst_steering is sequence (.) distortion."""
+    """Final design; worst_steering is sequence (.) distortion.
+
+    worst_trace and worst_cost record the one adversary solve (None and
+    0.0 at eps = 0); history holds the sequence passes.
+    """
 
     sequence: UnitModulusSequence
     worst_steering: UnitModulusSequence
@@ -101,6 +103,8 @@ class WrtrResult:
     history: tuple
     epsilon: float
     converged: bool
+    worst_trace: rtr.TrustRegionTrace | None
+    worst_cost: float
 
 
 def _nudge(s: UnitModulusSequence, epsilon: float, seed: int) -> np.ndarray:
@@ -114,10 +118,10 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
     The sequence passes hold the adversary's relative distortion
     w = conj(s) (.) st fixed, so the returned worst_steering is
     sequence (.) w: the worst case of the returned sequence, with no
-    further adversary solve. Only the first pass carries the adversary's
-    trace; later passes have worst_trace None. With eps = 0 there is no
-    adversary solve, w = 1 and the passes reduce to the nominal design
-    (numerator n^2).
+    further adversary solve. The result records that one solve once, as
+    worst_trace and worst_cost, beside the per-pass history. With eps = 0
+    there is no adversary solve (worst_trace None), w = 1 and the passes
+    reduce to the nominal design (numerator n^2).
     """
     if len(scene.scatterers) < 1:
         raise ValueError("scene must contain at least one scatterer")
@@ -146,14 +150,7 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
         scr_db = radar.scr(s, st, scene)
         scnr_db = radar.scnr(s, st, scene, cfg.noise_power, cfg.target_power)
         history.append(
-            OuterIteration(
-                scr_db=scr_db,
-                scnr_db=scnr_db,
-                worst_cost=worst_cost,
-                seq_cost=seq_obj.cost(s),
-                worst_trace=worst_trace if outer == 0 else None,
-                seq_trace=seq_trace,
-            )
+            OuterIteration(scr_db=scr_db, scnr_db=scnr_db, seq_cost=seq_obj.cost(s), seq_trace=seq_trace)
         )
         if prev_scnr is not None and abs(scnr_db - prev_scnr) < cfg.scnr_tol_db:
             converged = True
@@ -167,6 +164,8 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
         history=tuple(history),
         epsilon=eps,
         converged=converged,
+        worst_trace=worst_trace,
+        worst_cost=worst_cost,
     )
 
 

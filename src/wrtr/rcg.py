@@ -4,7 +4,8 @@ Minimal first-order comparison method on tangent coordinates (see
 manifold): Fletcher-Reeves coefficient, projection transport of the
 previous direction, Armijo backtracking line search (c = 1e-4, step
 halving, at most 60 halvings), and the same gradient-norm stopping rule
-as the trust-region solver.
+as the trust-region solver. It takes the trust-region solver's config and
+reads its grad_tol, grad_tol_relative and max_iters.
 """
 
 from __future__ import annotations
@@ -12,17 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .manifold import UnitModulusSequence, norm, retract, transport
+from .rtr import TrustRegionConfig
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
-
-
-@dataclass(frozen=True)
-class RcgConfig:
-    grad_tol: float = 1e-9
-    grad_tol_relative: bool = True
-    max_iters: int = 100
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,7 @@ class RcgTrace:
         return len(self.iterations)
 
 
-def solve_rcg(problem, x0: UnitModulusSequence, cfg: RcgConfig = RcgConfig()):
+def solve_rcg(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig = TrustRegionConfig()):
     """Minimize problem.cost from x0; returns (x_final, RcgTrace)."""
     x = x0
     fx = problem.cost(x)

@@ -212,20 +212,19 @@ def test_criterion_05_scenario1_reproduction(scenario1):
     robust = scenario1["robust"]
     scene = scenario1["scene"]
 
-    first_worst = robust.history[0].worst_trace
+    first_worst = robust.worst_trace
     a_ok = first_worst is not None and first_worst.converged and len(first_worst) <= 15
 
     gain = nominal_scr_db(robust.sequence, scene) - nominal_scr_db(robust.initial_sequence, scene)
     b_ok = gain >= 15.0
 
     c_ok = True
-    for h in robust.history:
-        for trace in (h.worst_trace, h.seq_trace):
-            if trace is None:
-                continue
-            costs = trace.accepted_costs() + [trace.final_cost]
-            if any(b >= a for a, b in zip(costs, costs[1:])):
-                c_ok = False
+    for trace in (robust.worst_trace, *(h.seq_trace for h in robust.history)):
+        if trace is None:
+            continue
+        costs = trace.accepted_costs() + [trace.final_cost]
+        if any(b >= a for a, b in zip(costs, costs[1:])):
+            c_ok = False
 
     runtime_ok = scenario1["elapsed"] < 300.0
     _report(

@@ -1,7 +1,9 @@
+import dataclasses
 import inspect
 
 import wrtr
-from wrtr.driver import design_nonrobust, monte_carlo_scr
+from wrtr import rcg
+from wrtr.driver import OuterIteration, design_nonrobust, monte_carlo_scr
 from wrtr.objectives import SequenceObjective, WorstCaseObjective
 from wrtr.radar import ClutterBank
 
@@ -40,3 +42,12 @@ def test_deleted_parameters_are_gone():
     # each scene has one ClutterBank, so no caller passes precomputed clutter work
     assert "energies" not in inspect.signature(monte_carlo_scr).parameters
     assert "objective" not in inspect.signature(design_nonrobust).parameters
+
+
+def test_one_adversary_record_and_one_solver_config():
+    # the adversary is solved once per design, so a pass carries no adversary
+    # record; RCG reads the trust-region solver's config
+    fields = {f.name for f in dataclasses.fields(OuterIteration)}
+    assert not fields & {"worst_trace", "worst_cost"}
+    assert not hasattr(rcg, "RcgConfig")
+    assert "RcgConfig" not in wrtr.__all__

@@ -12,7 +12,7 @@ from wrtr.driver import WrtrConfig, design_nonrobust, hessian_spectrum, optimize
 from wrtr.fileio import read_sequence_csv, write_sequence_csv
 from wrtr.manifold import random_point
 from wrtr.objectives import SequenceObjective
-from wrtr.rcg import RcgConfig, solve_rcg
+from wrtr.rcg import solve_rcg
 from wrtr.rtr import TrustRegionConfig
 from wrtr.scenario import ScenarioConfig, load_scenario
 
@@ -215,19 +215,21 @@ class TestWrtrCommand:
         assert np.max(np.abs(exported - expected)) <= 1e-9 * np.max(np.abs(expected))
 
     def test_report_carries_solver_counters(self, tmp_path):
-        # per pass: the sequence solve's counters, and the adversary's on pass 0 only
+        # per pass: the sequence solve's counters; the one adversary solve's, once in the summary
         out = tmp_path / "run"
         assert main(["wrtr", "--config", str(SMALL_CONFIG), "--out", str(out)]) == 0
-        passes = read_report(out)["summary"]["outer_history"]
+        summary = read_report(out)["summary"]
+        passes = summary["outer_history"]
         cfg = load_scenario(SMALL_CONFIG)
-        history = optimize(cfg.to_scene(), cfg.wrtr, cfg.seed).history
+        result = optimize(cfg.to_scene(), cfg.wrtr, cfg.seed)
+        history = result.history
         assert len(passes) == len(history) >= 2
-        for k, (row, it) in enumerate(zip(passes, history)):
+        for row, it in zip(passes, history):
             assert (row["seq_hvps"], row["seq_cost_evals"]) == (it.seq_trace.hvps, it.seq_trace.cost_evals)
             assert row["seq_cost_evals"] >= 1
-            worst = (it.worst_trace.hvps, it.worst_trace.cost_evals) if k == 0 else (0, 0)
-            assert (row["worst_hvps"], row["worst_cost_evals"]) == worst
-        assert passes[0]["worst_hvps"] > 0
+        worst = (result.worst_trace.hvps, result.worst_trace.cost_evals)
+        assert (summary["worst_hvps"], summary["worst_cost_evals"]) == worst
+        assert summary["worst_hvps"] > 0
 
     def test_summary_carries_the_second_order_line(self, tmp_path):
         out = tmp_path / "run"
@@ -306,8 +308,7 @@ class TestBaselineCommand:
         summary = read_report(out)["summary"]
         cfg = load_scenario(SMALL_CONFIG)
         solver = cfg.wrtr.seq_solver
-        rcg_cfg = RcgConfig(solver.grad_tol, solver.grad_tol_relative, solver.max_iters)
-        _, trace = solve_rcg(SequenceObjective(cfg.to_scene()), random_point(cfg.n, cfg.seed), rcg_cfg)
+        _, trace = solve_rcg(SequenceObjective(cfg.to_scene()), random_point(cfg.n, cfg.seed), solver)
         assert (summary["cost_evals"], summary["grad_evals"]) == (trace.cost_evals, trace.grad_evals)
         assert summary["cost_evals"] > summary["iterations"] > 0
 
@@ -373,6 +374,22 @@ class TestMonteCarloCommand:
         manifest = tmp_path / "designs.json"
         manifest.write_text(json.dumps({"designs": [
             {"name": "ghost", "sequence": "missing.csv"}
+        ]}))
+        out = tmp_path / "mc"
+        code = main(["montecarlo", "--config", str(SMALL_CONFIG), "--out", str(out),
+                     "--designs", str(manifest)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names", [["a", "a"], [1, "1"]], ids=["same", "same_after_str"])
+    def test_repeated_design_name_exits_2(self, tmp_path, names):
+        # designs are keyed by str(name): a repeat would drop the earlier design's rows
+        write_sequence_csv(tmp_path / "d1.csv", random_point(16, 1))
+        write_sequence_csv(tmp_path / "d2.csv", random_point(16, 2))
+        manifest = tmp_path / "designs.json"
+        manifest.write_text(json.dumps({"designs": [
+            {"name": names[0], "sequence": "d1.csv"},
+            {"name": names[1], "sequence": "d2.csv"},
         ]}))
         out = tmp_path / "mc"
         code = main(["montecarlo", "--config", str(SMALL_CONFIG), "--out", str(out),
@@ -458,3 +475,44 @@ class TestOneClutterBankPerCommand:
         args = [a.format(designs=tmp_path / "designs.json", sequence=tmp_path / "seq.csv") for a in command]
         assert main(args + ["--config", str(SMALL_CONFIG), "--out", str(tmp_path / "out")]) == 0
         assert builds[0] == 1
+
+
+class TestExports:
+    @pytest.mark.parametrize(
+        "command",
+        [["wrtr"], ["baseline", "--method", "rtr_nonrobust"], ["baseline", "--method", "rcg_nonrobust"],
+         ["baseline", "--method", "random"]],
+        ids=["wrtr", "rtr_nonrobust", "rcg_nonrobust", "random"],
+    )
+    def test_every_written_file_is_listed(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert main(command + ["--config", str(SMALL_CONFIG), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == read_report(out)["files"]
+
+
+class TestZeroClutterScene:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["wrtr"],
+            ["baseline", "--method", "rtr_nonrobust"],
+            ["baseline", "--method", "rcg_nonrobust"],
+            ["baseline", "--method", "random"],
+            ["montecarlo", "--designs", "{designs}"],
+            ["staf", "{sequence}"],
+        ],
+        ids=["wrtr", "rtr_nonrobust", "rcg_nonrobust", "random", "montecarlo", "staf"],
+    )
+    def test_exits_3_with_one_line(self, tmp_path, capsys, command):
+        # no design has a finite SCR against a scene whose only scatterer has zero power
+        raw = json.loads(SMALL_CONFIG.read_text())
+        del raw["clutter_blocks"]
+        raw["scatterers"] = [{"range_shift": 3, "doppler": 0.1, "power": 0}]
+        config = tmp_path / "zero.json"
+        config.write_text(json.dumps(raw))
+        write_sequence_csv(tmp_path / "seq.csv", random_point(16, 1))
+        (tmp_path / "designs.json").write_text(json.dumps({"designs": [{"name": "one", "sequence": "seq.csv"}]}))
+        args = [a.format(designs=tmp_path / "designs.json", sequence=tmp_path / "seq.csv") for a in command]
+        assert main(args + ["--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"wrtr: solver failure [{command[0]}]: ")

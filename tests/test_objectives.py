@@ -313,7 +313,8 @@ class TestSequenceHessian:
 
     def test_rcg_builds_no_factor(self, rng, monkeypatch):
         from wrtr.radar import ClutterBank
-        from wrtr.rcg import RcgConfig, solve_rcg
+        from wrtr.rcg import solve_rcg
+        from wrtr.rtr import TrustRegionConfig
 
         def refuse(*args):
             raise AssertionError("first-order solver built a Hessian factor")
@@ -321,7 +322,7 @@ class TestSequenceHessian:
         monkeypatch.setattr(ClutterBank, "hessian_factor", refuse)
         n = 16
         obj = SequenceObjective(random_scene(n, 6, rng))
-        _, trace = solve_rcg(obj, random_point(n, 39), RcgConfig(max_iters=10))
+        _, trace = solve_rcg(obj, random_point(n, 39), TrustRegionConfig(max_iters=10))
         assert len(trace) > 0
 
     def test_riemannian_self_adjointness_relative(self, rng):

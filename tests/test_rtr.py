@@ -3,7 +3,7 @@ import pytest
 
 from wrtr.manifold import inner, norm, random_point, random_tangent, retract
 from wrtr.objectives import SequenceObjective, WorstCaseObjective
-from wrtr.rcg import RcgConfig, solve_rcg
+from wrtr.rcg import solve_rcg
 from wrtr.rtr import TcgStop, TrustRegionConfig, solve, tcg
 
 from conftest import random_scene
@@ -290,7 +290,7 @@ class TestSolve:
     def test_rcg_trace_counts_match_a_counting_wrapper(self, rng, max_iters):
         n = 16
         problem = CountingProblem(SequenceObjective(random_scene(n, 6, rng)))
-        _, trace = solve_rcg(problem, random_point(n, 17), RcgConfig(grad_tol=0.0, max_iters=max_iters))
+        _, trace = solve_rcg(problem, random_point(n, 17), TrustRegionConfig(grad_tol=0.0, max_iters=max_iters))
         assert trace.cost_evals == problem.cost_calls
         assert trace.grad_evals == problem.grad_calls == 1 + len(trace)
         assert problem.cost_calls >= 1 + len(trace)
