@@ -61,7 +61,6 @@ def _export_staf_products(out: Path, cfg: ScenarioConfig, named_sequences) -> li
     byte copy of the previous one.
     """
     bins, grid = list(range(cfg.n)), np.arange(cfg.n) / cfg.n
-    staf_bins = bins if cfg.staf_range_bins is None else list(cfg.staf_range_bins)
     files = []
     previous = None
     for label, seq in named_sequences:
@@ -70,7 +69,7 @@ def _export_staf_products(out: Path, cfg: ScenarioConfig, named_sequences) -> li
             shutil.copyfile(out / files[-1], out / name)
         else:
             full = radar.staf(seq, bins)
-            fileio.write_staf_csv(out / name, staf_bins, bins, full if staf_bins is bins else full[staf_bins])
+            fileio.write_staf_csv(out / name, bins, bins, full)
         files.append(name)
         previous = seq
     for b in cfg.doppler_cut_range_bins:
@@ -235,6 +234,8 @@ def _load_designs(manifest_path: Path, n: int) -> dict:
         if name in designs:
             # names key the results, so a repeated one would drop a design's rows
             raise ScenarioError(f"designs[{i}]: name {name!r} is already taken by an earlier design")
+        if not isinstance(entry["sequence"], str):
+            raise ScenarioError(f"designs[{i}] ({entry['name']}): 'sequence' must be a path string")
         path = Path(entry["sequence"])
         if not path.is_absolute():
             path = manifest_path.parent / path

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 UNIT_MODULUS_ATOL = 1e-12
-SQUARED_NORM_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -46,10 +45,6 @@ class UnitModulusSequence:
         if not np.all(np.abs(moduli - 1.0) <= UNIT_MODULUS_ATOL):
             worst = float(np.max(np.abs(moduli - 1.0)))
             raise ValueError(f"entries must have unit modulus (worst deviation {worst:.3e})")
-        n = arr.size
-        sq_norm = float(np.sum(moduli * moduli))
-        if abs(sq_norm - n) > SQUARED_NORM_RTOL * n:
-            raise ValueError(f"squared norm {sq_norm!r} deviates from n={n}")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 

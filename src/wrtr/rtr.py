@@ -10,13 +10,19 @@ quadratic model
 
 by truncated conjugate gradients (Absil, Mahony & Sepulchre 2008, ch. 7),
 retracts the step, and accepts or rejects it on the actual-to-predicted
-decrease ratio rho. The radius shrinks by 1/4 when rho < 1/4 and doubles
-(capped at delta_bar) only when rho > 3/4 with the step on the boundary. A run of rejections that
-shrinks the radius below machine epsilon times delta_bar ends the solve:
-no step that short can move the iterate in floating point. A rejected
-step that tCG ended inside the region is reused while the shrunk radius
-still exceeds its norm: Steihaug iterate norms grow monotonically, so tCG
-would retrace the same path to the same step.
+decrease ratio rho. That chapter's parameters are fixed here at common
+textbook values: the radius cap is delta_bar = sqrt(n), the square root
+of the manifold's dimension, and the first radius delta_bar / 8; a step
+is accepted when rho > RHO_BAR; tCG stops once
+||r_j|| <= ||r_0|| * min(TCG_KAPPA, ||r_0||), the rule with theta = 1,
+which keeps local convergence quadratic. The radius shrinks by 1/4 when
+rho < 1/4 and doubles (capped at delta_bar) only when rho > 3/4 with the
+step on the boundary. A run of rejections that shrinks the radius below
+machine epsilon times delta_bar ends the solve: no step that short can
+move the iterate in floating point. A rejected step that tCG ended inside
+the region is reused while the shrunk radius still exceeds its norm:
+Steihaug iterate norms grow monotonically, so tCG would retrace the same
+path to the same step.
 """
 
 from __future__ import annotations
@@ -40,51 +46,33 @@ class TcgStop(enum.Enum):
 _INTERIOR_STOPS = (TcgStop.RESIDUAL_SMALL, TcgStop.MAX_INNER)
 
 
+RHO_BAR = 0.1  # accept a step when rho > RHO_BAR, in (0, 1/4)
+TCG_KAPPA = 0.1  # linear factor of the tCG residual rule, in (0, 1)
+
+
 @dataclass(frozen=True)
 class TrustRegionConfig:
-    """Solver parameters; None for the radius fields means scale with sqrt(n).
+    """Stopping rules of one solve.
 
     grad_tol is relative to the initial gradient norm when
     grad_tol_relative is true (the paper-style stopping rule), otherwise
-    absolute. tcg_kappa/tcg_theta set the inner residual rule
-    ||r_j|| <= ||r_0|| * min(kappa, ||r_0||^theta).
+    absolute. tcg_max_inner caps the tCG iterations per outer iteration
+    (None means n). The radii, RHO_BAR and TCG_KAPPA are fixed; see the
+    module docstring.
     """
 
-    delta_bar: float | None = None
-    delta0: float | None = None
-    rho_bar: float = 0.1
     grad_tol: float = 1e-9
     grad_tol_relative: bool = True
     max_iters: int = 100
     tcg_max_inner: int | None = None
-    tcg_kappa: float = 0.1
-    tcg_theta: float = 1.0
 
     def __post_init__(self):
-        if self.delta_bar is not None and self.delta_bar <= 0:
-            raise ValueError("delta_bar must be > 0")
-        if self.delta0 is not None:
-            if self.delta0 <= 0:
-                raise ValueError("delta0 must be > 0")
-            if self.delta_bar is not None and self.delta0 > self.delta_bar:
-                raise ValueError("delta0 must not exceed delta_bar")
-        if not 0.0 < self.rho_bar < 0.25:
-            raise ValueError("rho_bar must lie in (0, 1/4)")
         if self.grad_tol < 0:
             raise ValueError("grad_tol must be >= 0")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if self.tcg_max_inner is not None and self.tcg_max_inner < 1:
             raise ValueError("tcg_max_inner must be >= 1")
-        if not 0.0 < self.tcg_kappa < 1.0:
-            raise ValueError("tcg_kappa must lie in (0, 1)")
-        if self.tcg_theta <= 0:
-            raise ValueError("tcg_theta must be > 0")
-
-    def resolved_radii(self, n: int) -> tuple[float, float]:
-        delta_bar = self.delta_bar if self.delta_bar is not None else math.sqrt(n)
-        delta0 = self.delta0 if self.delta0 is not None else delta_bar / 8.0
-        return delta_bar, min(delta0, delta_bar)
 
 
 @dataclass(frozen=True)
@@ -150,7 +138,7 @@ def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig,
     r0 = norm(grad)
     if r0 == 0.0:
         return eta, TcgStop.RESIDUAL_SMALL
-    stop_tol = r0 * min(cfg.tcg_kappa, r0**cfg.tcg_theta)
+    stop_tol = r0 * min(TCG_KAPPA, r0)
     r = grad
     d = -grad
     rr = float(r @ r)
@@ -188,7 +176,8 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
     decreasing; a nonpositive model decrease rejects the step with
     rho = -inf and shrinks the radius.
     """
-    delta_bar, delta = cfg.resolved_radii(x0.n)
+    delta_bar = math.sqrt(x0.n)
+    delta = delta_bar / 8.0
     x = x0
     fx = problem.cost(x)
     g = problem.rgrad(x)
@@ -218,7 +207,7 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
                 rho = (fx - f_cand) / (model_decrease + guard)
             else:
                 rho = (fx - f_cand) / model_decrease
-        accepted = rho > cfg.rho_bar
+        accepted = rho > RHO_BAR
         trace.iterations.append(
             TrustRegionIteration(
                 cost=fx,

@@ -1,22 +1,33 @@
 """Scenario configuration: JSON schema, validation, block expansion.
 
-A scenario file is a JSON object; clutter can be given as explicit
-scatterers (linear power) and/or rectangular blocks of range bins x
-Doppler bins with a power in dB (10 log10 of the linear power). Doppler
-bin h maps to normalized Doppler h/n. Example:
+A scenario file is a JSON object; its clutter, at least one scatterer,
+can be given as explicit scatterers (linear power) and/or rectangular
+blocks of range bins x Doppler bins with a power in dB (10 log10 of the
+linear power). Doppler bin h maps to normalized Doppler h/n. Example:
 
-    {
-      "n": 64,
-      "clutter_blocks": [
-        {"range_bins": {"start": 11, "stop": 30},
-         "doppler_bins": [25, 26],
-         "power_db": 10.0}
-      ],
-      "doppler_interval": [-0.1, 0.1],
-      "lambda": 100.0,
-      "seed": 2024,
-      "doppler_cut_range_bins": [25, 26]
-    }
+    {"n": 64, "seed": 2024, "lambda": 100.0, "doppler_interval": [-0.1, 0.1],
+     "clutter_blocks": [{"range_bins": {"start": 11, "stop": 30},
+                         "doppler_bins": [25, 26], "power_db": 10.0}]}
+
+The top-level keys, with their defaults; any other key is an error:
+
+    n                          code length (required)
+    scatterers                 [{range_shift, doppler, power}], default []
+    clutter_blocks             [{range_bins, doppler_bins, power_db}], default []
+    doppler_interval           [lo, hi], the target's Doppler uncertainty
+    epsilon                    steering uncertainty radius in [0, 4n]; given, it
+                               overrides doppler_interval, and one is required
+    interval_grid_points       grid that turns doppler_interval into epsilon, 2001
+    lambda                     the adversary's penalty weight, 100.0
+    noise_power, target_power  1.0 each
+    max_outer, scnr_tol_db     alternation stop rules, 20 and 0.01 dB
+    worst_solver, seq_solver   solver blocks, {} each
+    seed                       default --seed, 0
+    doppler_cut_range_bins     bins whose STAF Doppler cuts are written, []
+    monte_carlo_trials         trials per design and error model, 100
+
+A solver block takes grad_tol (1e-9), grad_tol_relative (true), max_iters
+(100) and tcg_max_inner (null: n); the radii and thresholds are fixed in rtr.
 """
 
 from __future__ import annotations
@@ -70,13 +81,17 @@ def _bin_list(value, key: str) -> list:
     raise ScenarioError(f"{key} must be a list of bins or a start/stop object")
 
 
+def _as_list(value, key: str) -> list:
+    _require(isinstance(value, list), f"{key} must be a list")
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     n: int
     scatterers: tuple
     wrtr: WrtrConfig
     seed: int = 0
-    staf_range_bins: tuple | None = None
     doppler_cut_range_bins: tuple = ()
     monte_carlo_trials: int = 100
 
@@ -84,7 +99,6 @@ class ScenarioConfig:
         return ClutterScene(scatterers=self.scatterers, n=self.n)
 
 
-_NULLABLE_SOLVER_KEYS = {"delta_bar", "delta0", "tcg_max_inner"}
 _INT_SOLVER_KEYS = {"max_iters", "tcg_max_inner"}
 
 
@@ -97,7 +111,7 @@ def _solver_config(raw, key: str) -> TrustRegionConfig:
     _require(not unknown, f"{key}: unknown solver keys {sorted(unknown)}")
     values = {}
     for name, value in raw.items():
-        if value is None and name in _NULLABLE_SOLVER_KEYS:
+        if value is None and name == "tcg_max_inner":
             values[name] = None
         elif name == "grad_tol_relative":
             _require(isinstance(value, bool), f"{key}.{name} must be true or false")
@@ -130,7 +144,6 @@ _KNOWN_KEYS = {
     "doppler_interval",
     "epsilon",
     "seed",
-    "staf_range_bins",
     "doppler_cut_range_bins",
     "monte_carlo_trials",
     *_WRTR_KEYS,
@@ -146,7 +159,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     _require(n >= 1, "n must be >= 1")
 
     scatterers = []
-    for i, entry in enumerate(raw.get("scatterers", [])):
+    for i, entry in enumerate(_as_list(raw.get("scatterers", []), "scatterers")):
         _require(isinstance(entry, dict), f"scatterers[{i}] must be an object")
         unknown = set(entry) - {"range_shift", "doppler", "power"}
         _require(not unknown, f"scatterers[{i}]: unknown keys {sorted(unknown)}")
@@ -156,7 +169,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         _require(power >= 0, f"scatterers[{i}].power must be >= 0")
         doppler = _as_number(entry.get("doppler"), f"scatterers[{i}].doppler")
         scatterers.append(ClutterScatterer(range_shift=shift, doppler=doppler, power=power))
-    for i, block in enumerate(raw.get("clutter_blocks", [])):
+    for i, block in enumerate(_as_list(raw.get("clutter_blocks", []), "clutter_blocks")):
         key = f"clutter_blocks[{i}]"
         _require(isinstance(block, dict), f"{key} must be an object")
         unknown = set(block) - {"range_bins", "doppler_bins", "power_db"}
@@ -193,11 +206,6 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    staf_bins = raw.get("staf_range_bins")
-    if staf_bins is not None:
-        staf_bins = tuple(_bin_list(staf_bins, "staf_range_bins"))
-        for r in staf_bins:
-            _require(0 <= r <= n - 1, f"staf_range_bins: bin {r} outside 0..{n - 1}")
     cut_bins = tuple(_bin_list(raw.get("doppler_cut_range_bins", []), "doppler_cut_range_bins"))
     for r in cut_bins:
         _require(0 <= r <= n - 1, f"doppler_cut_range_bins: bin {r} outside 0..{n - 1}")
@@ -212,7 +220,6 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         scatterers=tuple(scatterers),
         wrtr=wrtr,
         seed=seed,
-        staf_range_bins=staf_bins,
         doppler_cut_range_bins=cut_bins,
         monte_carlo_trials=trials,
     )

@@ -1,11 +1,20 @@
 import dataclasses
 import inspect
+import json
+from pathlib import Path
+
+import pytest
 
 import wrtr
 from wrtr import rcg
+from wrtr.cli import main
 from wrtr.driver import OuterIteration, design_nonrobust, monte_carlo_scr
 from wrtr.objectives import SequenceObjective, WorstCaseObjective
 from wrtr.radar import ClutterBank
+from wrtr.rtr import TrustRegionConfig
+from wrtr.scenario import ScenarioConfig
+
+SMALL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "small.json"
 
 DELETED = ("TangentVector", "zero_tangent", "DegenerateRetractionError", "tangent_basis")
 # the ambient (Wirtinger) derivative convention; derivatives are phase coordinates only
@@ -51,3 +60,36 @@ def test_one_adversary_record_and_one_solver_config():
     assert not fields & {"worst_trace", "worst_cost"}
     assert not hasattr(rcg, "RcgConfig")
     assert "RcgConfig" not in wrtr.__all__
+
+
+def test_solver_config_holds_only_the_stopping_rules():
+    # the trust-region radii and thresholds are rtr constants, and STAF
+    # files always hold every range bin
+    fields = {f.name for f in dataclasses.fields(TrustRegionConfig)}
+    assert fields == {"grad_tol", "grad_tol_relative", "max_iters", "tcg_max_inner"}
+    assert not hasattr(TrustRegionConfig, "resolved_radii")
+    assert "staf_range_bins" not in {f.name for f in dataclasses.fields(ScenarioConfig)}
+
+
+@pytest.mark.parametrize(
+    "block, key, value, message",
+    [
+        *[pytest.param(block, key, value, "unknown solver keys", id=f"{block}.{key}")
+          for block in ("worst_solver", "seq_solver")
+          for key, value in (("delta_bar", 4.0), ("delta0", 0.5), ("rho_bar", 0.1),
+                             ("tcg_kappa", 0.1), ("tcg_theta", 1.0))],
+        pytest.param(None, "staf_range_bins", [0, 1], "unknown config keys", id="staf_range_bins"),
+    ],
+)
+def test_removed_config_keys_exit_2_without_outputs(tmp_path, capsys, block, key, value, message):
+    raw = json.loads(SMALL_CONFIG.read_text())
+    if block is None:
+        raw[key] = value
+    else:
+        raw[block][key] = value
+    cfg = tmp_path / "removed.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "nothing"
+    assert main(["wrtr", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err

@@ -20,6 +20,7 @@ from conftest import scenario1_scene
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SMALL_CONFIG = CONFIGS / "small.json"
+DROP = object()  # a config value that deletes its key
 
 
 def read_report(out_dir: Path) -> dict:
@@ -100,7 +101,7 @@ class TestWrtrCommand:
     @pytest.mark.parametrize(
         "key, value",
         [
-            pytest.param("n", None, id="missing_n"),
+            pytest.param("n", DROP, id="missing_n"),
             ("max_outer", 0),
             ("scnr_tol_db", 0),
             ("interval_grid_points", 0),
@@ -140,17 +141,22 @@ class TestWrtrCommand:
             # a 401-digit integer is a valid json number that no float holds
             pytest.param("noise_power", 10**400, id="noise_power-huge_int"),
             # solver values are checked by type before TrustRegionConfig sees them
-            pytest.param("seq_solver", {"max_iters": 30, "delta_bar": math.inf}, id="delta_bar-inf"),
+            pytest.param("seq_solver", {"max_iters": 30, "grad_tol": math.inf}, id="grad_tol-inf"),
             pytest.param("seq_solver", {"max_iters": 30.5}, id="max_iters-float"),
             pytest.param("worst_solver", {"max_iters": 60, "grad_tol": math.nan}, id="grad_tol-nan"),
             pytest.param("seq_solver", {"grad_tol_relative": "no"}, id="grad_tol_relative-str"),
             pytest.param("seq_solver", {"tcg_max_inner": 0}, id="tcg_max_inner-0"),
             pytest.param("seq_solver", {"tcg_max_inner": -3}, id="tcg_max_inner-neg"),
+            # the clutter lists must be lists
+            pytest.param("scatterers", 5, id="scatterers-int"),
+            pytest.param("scatterers", None, id="scatterers-null"),
+            pytest.param("clutter_blocks", 5, id="clutter_blocks-int"),
+            pytest.param("clutter_blocks", None, id="clutter_blocks-null"),
         ],
     )
     def test_malformed_config_exits_2_without_outputs(self, tmp_path, key, value):
         raw = json.loads(SMALL_CONFIG.read_text())
-        if value is None:
+        if value is DROP:
             del raw[key]
         else:
             raw[key] = value
@@ -391,6 +397,16 @@ class TestMonteCarloCommand:
             {"name": names[0], "sequence": "d1.csv"},
             {"name": names[1], "sequence": "d2.csv"},
         ]}))
+        out = tmp_path / "mc"
+        code = main(["montecarlo", "--config", str(SMALL_CONFIG), "--out", str(out),
+                     "--designs", str(manifest)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sequence", [5, None, ["d1.csv"]], ids=["int", "null", "list"])
+    def test_sequence_not_a_path_exits_2(self, tmp_path, sequence):
+        manifest = tmp_path / "designs.json"
+        manifest.write_text(json.dumps({"designs": [{"name": "one", "sequence": sequence}]}))
         out = tmp_path / "mc"
         code = main(["montecarlo", "--config", str(SMALL_CONFIG), "--out", str(out),
                      "--designs", str(manifest)])

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from wrtr import rtr
 from wrtr.manifold import inner, norm, random_point, random_tangent, retract
 from wrtr.objectives import SequenceObjective, WorstCaseObjective
 from wrtr.rcg import solve_rcg
@@ -78,13 +81,14 @@ class TestTcg:
         assert reason is TcgStop.RESIDUAL_SMALL
         assert step[0] == pytest.approx(-g / h, rel=1e-14)
 
-    def test_matches_dense_newton_solve(self, rng):
+    def test_matches_dense_newton_solve(self, rng, monkeypatch):
+        monkeypatch.setattr(rtr, "TCG_KAPPA", 1e-12)
         n = 8
         x = random_point(n, 2)
         a = spd_matrix(n, rng)
         g = rng.standard_normal(n)
         problem = QuadraticModelProblem(x, a, g)
-        cfg = TrustRegionConfig(tcg_kappa=1e-12, tcg_max_inner=4 * n)
+        cfg = TrustRegionConfig(tcg_max_inner=4 * n)
         step, reason = tcg(problem, x, 1e6, cfg)
         expected = -np.linalg.solve(a, g)
         assert reason is TcgStop.RESIDUAL_SMALL
@@ -117,20 +121,22 @@ class TestTcg:
         assert reason is TcgStop.NEGATIVE_CURVATURE
         assert norm(step) == pytest.approx(delta, abs=1e-12)
 
-    def test_max_inner_exit(self, rng):
+    def test_max_inner_exit(self, rng, monkeypatch):
+        monkeypatch.setattr(rtr, "TCG_KAPPA", 1e-12)
         n = 8
         x = random_point(n, 6)
         problem = QuadraticModelProblem(x, spd_matrix(n, rng), rng.standard_normal(n))
-        cfg = TrustRegionConfig(tcg_max_inner=1, tcg_kappa=1e-12)
+        cfg = TrustRegionConfig(tcg_max_inner=1)
         _, reason = tcg(problem, x, 1e6, cfg)
         assert reason is TcgStop.MAX_INNER
 
-    def test_iterate_norms_nondecreasing(self, rng):
+    def test_iterate_norms_nondecreasing(self, rng, monkeypatch):
+        monkeypatch.setattr(rtr, "TCG_KAPPA", 1e-12)
         n = 16
         x = random_point(n, 7)
         problem = QuadraticModelProblem(x, spd_matrix(n, rng), rng.standard_normal(n))
         norms = []
-        tcg(problem, x, 10.0, TrustRegionConfig(tcg_kappa=1e-12, tcg_max_inner=n),
+        tcg(problem, x, 10.0, TrustRegionConfig(tcg_max_inner=n),
             on_iterate=lambda eta: norms.append(norm(eta)))
         assert len(norms) >= 2
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
@@ -177,7 +183,7 @@ class TestSolve:
         obj, start = worst_case_instance(32, 12)
         cfg = TrustRegionConfig(max_iters=100)
         _, trace = solve(obj, start, cfg)
-        delta_bar, _ = cfg.resolved_radii(32)
+        delta_bar = math.sqrt(32)
         for prev, nxt in zip(trace.iterations, trace.iterations[1:]):
             if prev.rho < 0.25:
                 expected = 0.25 * prev.delta
@@ -232,7 +238,7 @@ class TestSolve:
         _, trace = solve(problem, x, cfg)
         assert len(trace) < 100
         assert not trace.converged
-        delta_bar, _ = cfg.resolved_radii(16)
+        delta_bar = math.sqrt(16)
         last = trace.iterations[-1]
         assert not last.accepted
         assert 0.25 * last.delta < np.finfo(float).eps * delta_bar
@@ -242,12 +248,12 @@ class TestSolve:
         # tCG stops inside the region at the Newton step; the cost never
         # decreases, so each row is rejected and the radius shrinks by 4x.
         # While it still exceeds the step's norm, tCG would retrace the same
-        # path: the row repeats with no new tCG, HVP or cost evaluation.
+        # path: the row repeats with no new tCG, HVP or cost evaluation. The
+        # small gradient puts the Newton step inside the first radius.
         n = 8
         x = random_point(n, 15)
-        problem = QuadraticModelProblem(x, spd_matrix(n, rng), rng.standard_normal(n))
-        cfg = TrustRegionConfig(delta_bar=100.0, delta0=100.0, tcg_kappa=1e-12,
-                                grad_tol=0.0, grad_tol_relative=False, max_iters=12)
+        problem = QuadraticModelProblem(x, spd_matrix(n, rng), 1e-2 * rng.standard_normal(n))
+        cfg = TrustRegionConfig(grad_tol=0.0, grad_tol_relative=False, max_iters=12)
         _, trace = solve(problem, x, cfg)
         rows = trace.iterations
         assert len(rows) == 12 and not any(it.accepted for it in rows)
@@ -277,9 +283,8 @@ class TestSolve:
             # every step rejected, interior steps reused without a new tCG
             n = 8
             x = random_point(n, 15)
-            problem = QuadraticModelProblem(x, spd_matrix(n, rng), rng.standard_normal(n))
-            cfg = TrustRegionConfig(delta_bar=100.0, delta0=100.0, tcg_kappa=1e-12,
-                                    grad_tol=0.0, grad_tol_relative=False, max_iters=12)
+            problem = QuadraticModelProblem(x, spd_matrix(n, rng), 1e-2 * rng.standard_normal(n))
+            cfg = TrustRegionConfig(grad_tol=0.0, grad_tol_relative=False, max_iters=12)
         problem = CountingProblem(problem)
         _, trace = solve(problem, x, cfg)
         assert trace.hvps == problem.hvp_calls > len(trace)
@@ -341,21 +346,13 @@ class TestCheckTermination:
 
 
 class TestConfigValidation:
-    def test_rho_bar_range(self):
-        with pytest.raises(ValueError):
-            TrustRegionConfig(rho_bar=0.3)
-
-    def test_delta_ordering(self):
-        with pytest.raises(ValueError):
-            TrustRegionConfig(delta_bar=1.0, delta0=2.0)
-
     @pytest.mark.parametrize("inner", [0, -3])
     def test_tcg_max_inner_positive(self, inner):
         with pytest.raises(ValueError, match="tcg_max_inner"):
             TrustRegionConfig(tcg_max_inner=inner)
 
-    def test_resolved_radii_default_scale(self):
-        cfg = TrustRegionConfig()
-        delta_bar, delta0 = cfg.resolved_radii(64)
-        assert delta_bar == pytest.approx(8.0)
-        assert delta0 == pytest.approx(1.0)
+    def test_first_radius_default_scale(self):
+        # the first radius is sqrt(n) / 8
+        obj, start = worst_case_instance(64, 24)
+        _, trace = solve(obj, start, TrustRegionConfig(max_iters=1))
+        assert trace.iterations[0].delta == pytest.approx(1.0)

@@ -75,9 +75,9 @@ class TestValidation:
             parse_scenario(base_config(epsilon=65.0))
 
     def test_solver_overrides(self):
-        cfg = parse_scenario(base_config(seq_solver={"max_iters": 7, "rho_bar": 0.2}))
+        cfg = parse_scenario(base_config(seq_solver={"max_iters": 7, "grad_tol": 1e-6}))
         assert cfg.wrtr.seq_solver.max_iters == 7
-        assert cfg.wrtr.seq_solver.rho_bar == 0.2
+        assert cfg.wrtr.seq_solver.grad_tol == 1e-6
 
     def test_absent_keys_keep_the_wrtr_defaults(self):
         assert parse_scenario(base_config()).wrtr == WrtrConfig(doppler_interval=(-0.05, 0.05))
@@ -88,7 +88,7 @@ class TestValidation:
 
     def test_bad_solver_value(self):
         with pytest.raises(ScenarioError):
-            parse_scenario(base_config(seq_solver={"rho_bar": 0.5}))
+            parse_scenario(base_config(seq_solver={"grad_tol": -1.0}))
 
     def test_needs_some_clutter(self):
         cfg = base_config()
