@@ -5,7 +5,6 @@ from .driver import (
     ScrStats,
     WrtrConfig,
     WrtrResult,
-    design_nonrobust,
     hessian_matrix,
     hessian_spectrum,
     monte_carlo_scr,
@@ -63,7 +62,6 @@ __all__ = [
     "WrtrConfig",
     "WrtrResult",
     "clutter_energy",
-    "design_nonrobust",
     "epsilon_from_doppler",
     "hessian_matrix",
     "hessian_spectrum",

@@ -17,12 +17,11 @@ import json
 import shutil
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import driver, fileio, radar
+from . import driver, fileio, radar, rtr
 from .manifold import random_point
 from .objectives import (
     NearOrthogonalSteeringError,
@@ -36,14 +35,6 @@ from .scenario import ScenarioConfig, ScenarioError, load_scenario
 
 BASELINE_METHODS = ("rtr_nonrobust", "rcg_nonrobust", "random")
 _SOLVER_ERRORS = (DegenerateSceneError, NearOrthogonalSteeringError)
-
-
-@dataclass
-class RunReport:
-    command: str
-    seed: int
-    summary: dict
-    files: list
 
 
 def _nominal_scr_db(seq, scene) -> float:
@@ -79,16 +70,17 @@ def _export_staf_products(out: Path, cfg: ScenarioConfig, named_sequences) -> li
     return files
 
 
-def _write_report(out: Path, report: RunReport, config_path, elapsed: float) -> None:
-    files = sorted(set(report.files + ["report.json"]))
+def _write_report(out: Path, command: str, config_path, seed: int, elapsed: float, summary: dict,
+                  files: list) -> None:
+    files = sorted(set(files + ["report.json"]))
     fileio.write_report(
         out / "report.json",
         {
-            "command": report.command,
+            "command": command,
             "config": str(config_path),
-            "seed": report.seed,
+            "seed": seed,
             "elapsed_seconds": elapsed,
-            "summary": report.summary,
+            "summary": summary,
             "files": files,
         },
     )
@@ -142,7 +134,7 @@ def _export_design(out: Path, cfg: ScenarioConfig, scene, initial, final, sectio
     return files, summary
 
 
-def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> RunReport:
+def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> tuple:
     scene = cfg.to_scene()
     result = driver.optimize(scene, cfg.wrtr, seed)
     sections = [(0, "worst", result.worst_trace)]
@@ -177,24 +169,24 @@ def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> RunReport:
                               if eps < 2 * n else None),
         "certificate": _certificate(result),
         # the one adversary solve; none at eps = 0
-        "worst_cost": result.worst_cost,
+        "worst_cost": worst.final_cost if worst is not None else 0.0,
         "worst_hvps": worst.hvps if worst is not None else 0,
         "worst_cost_evals": worst.cost_evals if worst is not None else 0,
         "outer_history": [
             {
                 "scr_db": h.scr_db,
                 "scnr_db": h.scnr_db,
-                "seq_cost": h.seq_cost,
+                "seq_cost": h.seq_trace.final_cost,
                 "seq_hvps": h.seq_trace.hvps,
                 "seq_cost_evals": h.seq_trace.cost_evals,
             }
             for h in result.history
         ],
     }
-    return RunReport(command="wrtr", seed=seed, summary=summary, files=files)
+    return summary, files
 
 
-def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunReport:
+def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> tuple:
     if method not in BASELINE_METHODS:
         raise ScenarioError(f"unknown baseline method {method!r}")
     scene = cfg.to_scene()
@@ -203,7 +195,9 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
     if method == "random":
         final, sections, objective = initial, [], None
     elif method == "rtr_nonrobust":
-        final, trace = driver.design_nonrobust(scene, cfg.wrtr.seq_solver, seed)
+        # the spectrum gets its own objective: the solve's would hold its
+        # last point's Hessian factor through the STAF export
+        final, trace = rtr.solve(SequenceObjective(scene), initial, cfg.wrtr.seq_solver)
         sections, objective = [(0, "seq", trace)], SequenceObjective(scene)
         summary.update(iterations=len(trace), converged=trace.converged, hvps=trace.hvps,
                        cost_evals=trace.cost_evals)
@@ -213,7 +207,7 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> RunR
         summary.update(iterations=len(trace), converged=trace.converged, cost_evals=trace.cost_evals,
                        grad_evals=trace.grad_evals)
     files, design = _export_design(out, cfg, scene, initial, final, sections, objective)
-    return RunReport(command="baseline", seed=seed, summary={**summary, **design}, files=files)
+    return {**summary, **design}, files
 
 
 def _load_designs(manifest_path: Path, n: int) -> dict:
@@ -255,7 +249,7 @@ def _load_designs(manifest_path: Path, n: int) -> dict:
     return designs
 
 
-def run_monte_carlo(cfg: ScenarioConfig, out: Path, seed: int, designs: dict) -> RunReport:
+def run_monte_carlo(cfg: ScenarioConfig, out: Path, seed: int, designs: dict) -> tuple:
     scene = cfg.to_scene()
     rows = []
     summary = {"n_trials": cfg.monte_carlo_trials, "designs": {}}
@@ -277,7 +271,7 @@ def run_monte_carlo(cfg: ScenarioConfig, out: Path, seed: int, designs: dict) ->
                 "max_db": st.max_db,
             }
     fileio.write_mc_csv(out / "scr_stats.csv", rows)
-    return RunReport(command="montecarlo", seed=seed, summary=summary, files=["scr_stats.csv"])
+    return summary, ["scr_stats.csv"]
 
 
 def _load_sequence(path: Path, n: int):
@@ -290,10 +284,10 @@ def _load_sequence(path: Path, n: int):
     return seq
 
 
-def run_staf(cfg: ScenarioConfig, out: Path, seed: int, sequence_path: Path, seq) -> RunReport:
+def run_staf(cfg: ScenarioConfig, out: Path, sequence_path: Path, seq) -> tuple:
     files = _export_staf_products(out, cfg, [("recomputed", seq)])
     summary = {"sequence": str(sequence_path), "nominal_scr_db": _nominal_scr_db(seq, cfg.to_scene())}
-    return RunReport(command="staf", seed=seed, summary=summary, files=files)
+    return summary, files
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,20 +338,20 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         if args.command == "wrtr":
-            report = run_wrtr(cfg, out, seed)
+            summary, files = run_wrtr(cfg, out, seed)
         elif args.command == "baseline":
-            report = run_baseline(cfg, out, seed, args.method)
+            summary, files = run_baseline(cfg, out, seed, args.method)
         elif args.command == "montecarlo":
-            report = run_monte_carlo(cfg, out, seed, designs)
+            summary, files = run_monte_carlo(cfg, out, seed, designs)
         else:
-            report = run_staf(cfg, out, seed, Path(args.sequence), sequence)
+            summary, files = run_staf(cfg, out, Path(args.sequence), sequence)
     except ScenarioError as exc:
         print(f"wrtr: config error: {exc}", file=sys.stderr)
         return 2
     except _SOLVER_ERRORS as exc:
         print(f"wrtr: solver failure [{args.command}]: {exc}", file=sys.stderr)
         return 3
-    _write_report(out, report, args.config, time.perf_counter() - started)
+    _write_report(out, args.command, args.config, seed, time.perf_counter() - started, summary, files)
     print(f"wrtr: {args.command} finished; outputs in {out}")
     return 0
 

@@ -84,7 +84,6 @@ class WrtrConfig:
 class OuterIteration:
     scr_db: float
     scnr_db: float
-    seq_cost: float
     seq_trace: rtr.TrustRegionTrace
 
 
@@ -92,8 +91,9 @@ class OuterIteration:
 class WrtrResult:
     """Final design; worst_steering is sequence (.) distortion.
 
-    worst_trace and worst_cost record the one adversary solve (None and
-    0.0 at eps = 0); history holds the sequence passes.
+    worst_trace records the one adversary solve (None at eps = 0); history
+    holds the sequence passes. Each solve's cost at its returned point is
+    its trace's final_cost.
     """
 
     sequence: UnitModulusSequence
@@ -104,7 +104,6 @@ class WrtrResult:
     epsilon: float
     converged: bool
     worst_trace: rtr.TrustRegionTrace | None
-    worst_cost: float
 
 
 def _nudge(s: UnitModulusSequence, epsilon: float, seed: int) -> np.ndarray:
@@ -119,7 +118,7 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
     w = conj(s) (.) st fixed, so the returned worst_steering is
     sequence (.) w: the worst case of the returned sequence, with no
     further adversary solve. The result records that one solve once, as
-    worst_trace and worst_cost, beside the per-pass history. With eps = 0
+    worst_trace, beside the per-pass history. With eps = 0
     there is no adversary solve (worst_trace None), w = 1 and the passes
     reduce to the nominal design (numerator n^2).
     """
@@ -131,10 +130,9 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
     if eps > 0.0:
         worst_obj = WorstCaseObjective(s0, lam=cfg.lam, epsilon=eps)
         st, worst_trace = rtr.solve(worst_obj, retract(s0, _nudge(s0, eps, seed)), cfg.worst_solver)
-        worst_cost = worst_obj.cost(st)
         w = np.conj(s0.entries) * st.entries
     else:
-        worst_trace, worst_cost = None, 0.0
+        worst_trace = None
         w = np.ones(n, dtype=np.complex128)
     w.setflags(write=False)
     seq_obj = SequenceObjective(scene, distortion=w)
@@ -149,9 +147,7 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
         st = UnitModulusSequence(s.entries * w)
         scr_db = radar.scr(s, st, scene)
         scnr_db = radar.scnr(s, st, scene, cfg.noise_power, cfg.target_power)
-        history.append(
-            OuterIteration(scr_db=scr_db, scnr_db=scnr_db, seq_cost=seq_obj.cost(s), seq_trace=seq_trace)
-        )
+        history.append(OuterIteration(scr_db=scr_db, scnr_db=scnr_db, seq_trace=seq_trace))
         if prev_scnr is not None and abs(scnr_db - prev_scnr) < cfg.scnr_tol_db:
             converged = True
             break
@@ -165,7 +161,6 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
         epsilon=eps,
         converged=converged,
         worst_trace=worst_trace,
-        worst_cost=worst_cost,
     )
 
 
@@ -307,8 +302,3 @@ def monte_carlo_scr(
         )
         for name, vals in samples.items()
     }
-
-
-def design_nonrobust(scene: ClutterScene, solver: rtr.TrustRegionConfig, seed: int):
-    """Non-robust trust-region design: minimize clutter energy / n^2."""
-    return rtr.solve(SequenceObjective(scene), random_point(scene.n, seed), solver)

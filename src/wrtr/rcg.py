@@ -5,15 +5,17 @@ manifold): Fletcher-Reeves coefficient, projection transport of the
 previous direction, Armijo backtracking line search (c = 1e-4, step
 halving, at most 60 halvings), and the same gradient-norm stopping rule
 as the trust-region solver. It takes the trust-region solver's config and
-reads its grad_tol, grad_tol_relative and max_iters.
+reads its grad_tol, grad_tol_relative and max_iters, and it returns the
+trust-region solver's trace type with hvps 0; the trace's iterations are
+RcgIteration rows, which have no rho, radius or tCG stop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .manifold import UnitModulusSequence, norm, retract, transport
-from .rtr import TrustRegionConfig
+from .rtr import TrustRegionConfig, TrustRegionTrace
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
@@ -27,30 +29,14 @@ class RcgIteration:
     step_norm: float
 
 
-@dataclass
-class RcgTrace:
-    """Per-iteration history plus the run summary; cost_evals and grad_evals count problem calls."""
-
-    iterations: list = field(default_factory=list)
-    initial_grad_norm: float = 0.0
-    final_grad_norm: float = 0.0
-    final_cost: float = 0.0
-    converged: bool = False
-    cost_evals: int = 0
-    grad_evals: int = 0
-
-    def __len__(self) -> int:
-        return len(self.iterations)
-
-
 def solve_rcg(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig = TrustRegionConfig()):
-    """Minimize problem.cost from x0; returns (x_final, RcgTrace)."""
+    """Minimize problem.cost from x0; returns (x_final, TrustRegionTrace)."""
     x = x0
     fx = problem.cost(x)
     g = problem.rgrad(x)
     gn = norm(g)
     tol = cfg.grad_tol * gn if cfg.grad_tol_relative else cfg.grad_tol
-    trace = RcgTrace(initial_grad_norm=gn, cost_evals=1, grad_evals=1)
+    trace = TrustRegionTrace(initial_grad_norm=gn, grad_tol_effective=tol, cost_evals=1, grad_evals=1)
     d = -g
     t_prev = None
     for _ in range(cfg.max_iters):

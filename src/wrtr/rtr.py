@@ -88,10 +88,12 @@ class TrustRegionIteration:
 
 @dataclass
 class TrustRegionTrace:
-    """Per-iteration history plus the run summary.
+    """Per-iteration history plus the run summary, of an RTR or an RCG solve.
 
     hvps counts Hessian-vector products (tCG's inner ones and one per model
     decrease), cost_evals and grad_evals the calls of cost and rgrad.
+    final_cost is the cost at the returned point. rcg.solve_rcg returns this
+    type too, with rcg.RcgIteration rows and hvps 0.
     """
 
     iterations: list = field(default_factory=list)

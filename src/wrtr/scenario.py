@@ -176,7 +176,11 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         _require(not unknown, f"{key}: unknown keys {sorted(unknown)}")
         ranges = _bin_list(block.get("range_bins"), f"{key}.range_bins")
         dopplers = _bin_list(block.get("doppler_bins"), f"{key}.doppler_bins")
-        power = 10.0 ** (_as_number(block.get("power_db"), f"{key}.power_db") / 10.0)
+        power_db = _as_number(block.get("power_db"), f"{key}.power_db")
+        try:
+            power = 10.0 ** (power_db / 10.0)
+        except OverflowError:
+            raise ScenarioError(f"{key}.power_db {power_db:g} gives a power too large for a float") from None
         for r in ranges:
             _require(0 <= r <= n - 1, f"{key}: range bin {r} outside 0..{n - 1}")
             for h in dopplers:

@@ -57,7 +57,7 @@ def scenario1():
     started = time.perf_counter()
     robust = driver.optimize(scene, cfg, seed=SEED)
     elapsed = time.perf_counter() - started
-    nonrobust, nonrobust_trace = driver.design_nonrobust(scene, paper_solver(), seed=SEED)
+    nonrobust, nonrobust_trace = rtr.solve(SequenceObjective(scene), random_point(scene.n, SEED), paper_solver())
     return {
         "scene": scene,
         "robust": robust,

@@ -3,16 +3,20 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wrtr
-from wrtr import rcg
+from wrtr import cli, driver, rcg
 from wrtr.cli import main
-from wrtr.driver import OuterIteration, design_nonrobust, monte_carlo_scr
+from wrtr.driver import OuterIteration, WrtrResult, monte_carlo_scr
+from wrtr.manifold import random_point
 from wrtr.objectives import SequenceObjective, WorstCaseObjective
 from wrtr.radar import ClutterBank
-from wrtr.rtr import TrustRegionConfig
+from wrtr.rtr import TrustRegionConfig, TrustRegionTrace
 from wrtr.scenario import ScenarioConfig
+
+from conftest import random_scene
 
 SMALL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "small.json"
 
@@ -50,7 +54,8 @@ def test_deleted_methods_are_gone():
 def test_deleted_parameters_are_gone():
     # each scene has one ClutterBank, so no caller passes precomputed clutter work
     assert "energies" not in inspect.signature(monte_carlo_scr).parameters
-    assert "objective" not in inspect.signature(design_nonrobust).parameters
+    # the report's seed is main's, and recomputing a STAF draws nothing
+    assert "seed" not in inspect.signature(cli.run_staf).parameters
 
 
 def test_one_adversary_record_and_one_solver_config():
@@ -60,6 +65,22 @@ def test_one_adversary_record_and_one_solver_config():
     assert not fields & {"worst_trace", "worst_cost"}
     assert not hasattr(rcg, "RcgConfig")
     assert "RcgConfig" not in wrtr.__all__
+
+
+def test_each_solve_is_recorded_once():
+    # RTR and RCG share one trace type, costs are read from the traces, the
+    # non-robust baseline calls rtr.solve itself and main writes the report
+    for module, name in ((driver, "design_nonrobust"), (rcg, "RcgTrace"), (cli, "RunReport")):
+        assert not hasattr(module, name)
+        assert name not in wrtr.__all__ and not hasattr(wrtr, name)
+    assert "worst_cost" not in {f.name for f in dataclasses.fields(WrtrResult)}
+    assert "seq_cost" not in {f.name for f in dataclasses.fields(OuterIteration)}
+    scene = random_scene(16, 40, np.random.default_rng(5))
+    cfg = TrustRegionConfig(max_iters=5)
+    _, trace = rcg.solve_rcg(SequenceObjective(scene), random_point(scene.n, 5), cfg)
+    assert type(trace) is TrustRegionTrace
+    assert trace.hvps == 0
+    assert trace.grad_tol_effective == cfg.grad_tol * trace.initial_grad_norm
 
 
 def test_solver_config_holds_only_the_stopping_rules():

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wrtr import radar
+from wrtr import radar, rtr
 from wrtr.cli import main, run_wrtr
-from wrtr.driver import WrtrConfig, design_nonrobust, hessian_spectrum, optimize
+from wrtr.driver import WrtrConfig, hessian_spectrum, optimize
 from wrtr.fileio import read_sequence_csv, write_sequence_csv
 from wrtr.manifold import random_point
 from wrtr.objectives import SequenceObjective
@@ -117,6 +117,12 @@ class TestWrtrCommand:
                 [{"range_bins": [3], "doppler_bins": [7], "power_db": math.inf}],
                 id="block_power_db-inf",
             ),
+            # finite, but 10 ** 400 overflows a float
+            pytest.param(
+                "clutter_blocks",
+                [{"range_bins": [3], "doppler_bins": [7], "power_db": 4000}],
+                id="block_power_db-overflow",
+            ),
             pytest.param(
                 "scatterers",
                 [{"range_shift": 2, "doppler": 0.1, "power": math.nan}],
@@ -203,15 +209,21 @@ class TestWrtrCommand:
         assert cert["closed_form_gain"] == pytest.approx(cert["c"] ** 2, rel=1e-15)
         assert cert["relative_gap"] < 1e-6
 
-    def test_hessian_spectrum_is_of_the_minimised_cost(self, tmp_path):
-        # hessian_spectrum_seq.csv is the spectrum of clutter / |sum w|^2 at
-        # the final sequence, with w = conj(s) (.) st read back from the run
+    @pytest.mark.parametrize("command", [["wrtr"], ["baseline", "--method", "rtr_nonrobust"]],
+                             ids=["wrtr", "rtr_nonrobust"])
+    def test_hessian_spectrum_is_of_the_minimised_cost(self, tmp_path, command):
+        # hessian_spectrum_seq.csv is the spectrum at the final sequence of
+        # clutter / |sum w|^2 for wrtr, with w = conj(s) (.) st read back from
+        # the run, and of clutter / n^2 for the non-robust baseline
         out = tmp_path / "run"
-        assert main(["wrtr", "--config", str(SMALL_CONFIG), "--out", str(out)]) == 0
+        assert main([*command, "--config", str(SMALL_CONFIG), "--out", str(out)]) == 0
         s = read_sequence_csv(out / "sequence_final.csv")
-        st = read_sequence_csv(out / "steering_worst.csv")
         scene = load_scenario(SMALL_CONFIG).to_scene()
-        minimised = SequenceObjective(scene, distortion=np.conj(s.entries) * st.entries)
+        if command[0] == "wrtr":
+            st = read_sequence_csv(out / "steering_worst.csv")
+            minimised = SequenceObjective(scene, distortion=np.conj(s.entries) * st.entries)
+        else:
+            minimised = SequenceObjective(scene)
         expected = hessian_spectrum(minimised, s)
         with open(out / "hessian_spectrum_seq.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -248,7 +260,7 @@ class TestWrtrCommand:
         # scenario 1 on a sub-bin interval: eps = 69.0 < 2n = 128, and the
         # adversary's steering attains the closed-form coupling (n - eps/2)^2
         cfg = scenario1_config((-0.005, 0.005))
-        summary = run_wrtr(cfg, tmp_path, cfg.seed).summary
+        summary, _ = run_wrtr(cfg, tmp_path, cfg.seed)
         assert summary["epsilon"] == pytest.approx(69.0, abs=0.05)
         s = read_sequence_csv(tmp_path / "sequence_final.csv")
         st = read_sequence_csv(tmp_path / "steering_worst.csv")
@@ -269,12 +281,12 @@ class TestWrtrCommand:
         # scenario 1 as shipped: eps = 154.6 >= 2n, a steering in the ball is
         # orthogonal to any sequence
         cfg = scenario1_config((-0.1, 0.1))
-        report = run_wrtr(cfg, tmp_path, cfg.seed)
-        assert report.summary["epsilon"] > 2 * cfg.n
-        assert report.summary["worst_case_scr_db"] is None
+        summary, _ = run_wrtr(cfg, tmp_path, cfg.seed)
+        assert summary["epsilon"] > 2 * cfg.n
+        assert summary["worst_case_scr_db"] is None
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("wrtr: warning: eps = ")
-        assert json.loads(json.dumps(report.summary))["worst_case_scr_db"] is None
+        assert json.loads(json.dumps(summary))["worst_case_scr_db"] is None
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
@@ -302,7 +314,7 @@ class TestBaselineCommand:
                      "--method", "rtr_nonrobust"]) == 0
         summary = read_report(out)["summary"]
         cfg = load_scenario(SMALL_CONFIG)
-        _, trace = design_nonrobust(cfg.to_scene(), cfg.wrtr.seq_solver, cfg.seed)
+        _, trace = rtr.solve(SequenceObjective(cfg.to_scene()), random_point(cfg.n, cfg.seed), cfg.wrtr.seq_solver)
         assert (summary["hvps"], summary["cost_evals"]) == (trace.hvps, trace.cost_evals)
         assert summary["hvps"] > summary["iterations"] > 0
         assert_second_order(summary, out, trace)

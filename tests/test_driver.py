@@ -133,10 +133,10 @@ class TestOptimize:
         scene = random_scene(16, 40, np.random.default_rng(101))
         result = driver.optimize(scene, small_cfg(epsilon=20.0, max_outer=6), seed=41)
         expected = clutter_energy(result.sequence, scene) / abs(np.sum(result.distortion)) ** 2
-        assert result.history[-1].seq_cost == pytest.approx(expected, rel=1e-12)
+        assert result.history[-1].seq_trace.final_cost == pytest.approx(expected, rel=1e-12)
 
     def test_every_pass_cost_is_the_inverse_scr(self):
-        # scenario 2 as the acceptance fixture runs it: each pass's seq_cost is
+        # scenario 2 as the acceptance fixture runs it: each pass's final cost is
         # clutter / |sum w|^2 and its SCR |s^H (s (.) w)|^2 / clutter, at the
         # same sequence
         solver = TrustRegionConfig(max_iters=100, grad_tol=1e-9)
@@ -145,7 +145,7 @@ class TestOptimize:
         result = driver.optimize(scenario2_scene(), cfg, seed=2024)
         assert len(result.history) >= 2
         for h in result.history:
-            assert h.seq_cost * 10 ** (h.scr_db / 10) == pytest.approx(1.0, abs=1e-12)
+            assert h.seq_trace.final_cost * 10 ** (h.scr_db / 10) == pytest.approx(1.0, abs=1e-12)
 
     def test_seeded_determinism(self):
         scene = tiny_scene()
@@ -366,8 +366,8 @@ class TestMonteCarlo:
 class TestNonRobustDesigns:
     def test_rtr_design_reduces_clutter(self):
         scene = tiny_scene()
-        final, trace = driver.design_nonrobust(scene, TrustRegionConfig(max_iters=40), seed=23)
         initial = random_point(scene.n, 23)
+        final, trace = rtr.solve(SequenceObjective(scene), initial, TrustRegionConfig(max_iters=40))
         assert clutter_energy(final, scene) < 0.05 * clutter_energy(initial, scene)
         assert len(trace) > 0
 
