@@ -198,8 +198,9 @@ class _PhasorRowSums:
 
     The table (1 MB) is built per instance, not at import. The work arrays
     hold one block of up to `rows` rows of n and are reused for every block:
-    fresh 1 MB temporaries page-fault on each block, which cost more than
-    the arithmetic.
+    fresh temporaries page-fault on each block, which cost more than the
+    arithmetic. With monte_carlo_scr's 2^16 / n rows each of the five
+    work arrays is 512 kB.
     """
 
     K = 2**16
@@ -250,8 +251,9 @@ def monte_carlo_scr(
     model reads one stream, default_rng([seed, ERROR_MODELS.index(error_model)]),
     and trial t is row t of it: the t-th Doppler, or the t-th row of n
     phases 2 pi u. The u are drawn with random(), whose doubles are the
-    ones uniform(0, 2pi) scales, in blocks of about 1 MB; a generator fills
-    them in C order, so the block size does not change any value.
+    ones uniform(0, 2pi) scales, in blocks of 2^16 / n rows (512 kB); a
+    generator fills them in C order, and each row is summed on its own, so
+    the block size does not change any value.
     Statistics are over per-trial dB values.
 
     For a unit-modulus design the numerator |s^H (s (.) d)|^2 = |sum d|^2
@@ -283,7 +285,7 @@ def monte_carlo_scr(
         num = np.divide(np.sin(np.pi * n * v) ** 2, den, out=np.full(n_trials, n**2.0), where=den != 0.0)
     else:
         num = np.empty(n_trials)
-        rows = max(1, min(n_trials, 2**17 // n))
+        rows = max(1, min(n_trials, 2**16 // n))
         row_sums = _PhasorRowSums(rows, n)
         u = np.empty((rows, n))
         for start in range(0, n_trials, rows):

@@ -125,14 +125,18 @@ class ClutterBank:
         m = np.arange(n)
         dopplers = np.array([sc.doppler for sc in scs], dtype=float)
         amplitude = np.sqrt(np.array([sc.power for sc in scs], dtype=float))
+        # Row k is amp_k e^{j 2 pi v_k m}, built in place in one (N_t, n)
+        # buffer that is freed before the index arrays below are made.
         # Entries m >= n - r_k are zero: J^{r_k} drops them, so the shifts
         # below may wrap around instead of padding.
+        rows = np.empty((self.size, n), dtype=np.complex128)
+        np.multiply(2j * np.pi * dopplers[:, None], m, out=rows)
+        np.exp(rows, out=rows)
+        np.multiply(amplitude[:, None], rows, out=rows)
+        rows *= m < n - shifts[:, None]
         weights = np.zeros((self.shifts.size, self.width, n), dtype=np.complex128)
-        weights[self._block, self._slot] = (
-            amplitude[:, None]
-            * np.exp(2j * np.pi * dopplers[:, None] * m)
-            * (m < n - shifts[:, None])
-        )
+        weights[self._block, self._slot] = rows
+        del rows
         self._weights = weights
         self._up = m + self.shifts[:, None]
         # flat index of entry (b, m - R_b) of a (B, n) array, wrapping for m < R_b
@@ -256,6 +260,13 @@ def staf(s: UnitModulusSequence, range_bins) -> np.ndarray:
     and k = 0..n-1; per row that magnitude is the DFT's of the lag products
     s[m + r] conj(s[m]) (zero for m >= n - r). Normalizing to the peak of
     the rows asked for makes null depths comparable across sequences.
+
+    The lag products are transformed in blocks of 2^16 / n rows through
+    one reused complex buffer (1 MB), and the magnitudes go straight into
+    the float result, which is then scaled in place: the peak is the
+    result plus that buffer, where a complex (rows, n) array would add
+    twice the result. An FFT row does not depend on the rows beside it,
+    so the block size changes no value.
     """
     n = s.n
     range_bins = [int(r) for r in range_bins]
@@ -263,12 +274,17 @@ def staf(s: UnitModulusSequence, range_bins) -> np.ndarray:
         if not 0 <= r <= n - 1:
             raise ValueError(f"range bin {r} out of range for n={n}")
     x = s.entries
-    lags = np.zeros((len(range_bins), n), dtype=np.complex128)
-    for i, r in enumerate(range_bins):
-        np.multiply(x[r:], np.conj(x[: n - r]), out=lags[i, : n - r])
-    # In place throughout: at n = 1024 each (n, n) temporary is 8-16 MB.
-    np.fft.fft(lags, axis=1, out=lags)
-    amp = np.abs(lags)
+    amp = np.empty((len(range_bins), n))
+    rows = max(1, min(2**16 // n, len(range_bins)))
+    buffer = np.empty((rows, n), dtype=np.complex128)
+    for start in range(0, len(range_bins), rows):
+        block = range_bins[start : start + rows]
+        lags = buffer[: len(block)]
+        for i, r in enumerate(block):
+            np.multiply(x[r:], np.conj(x[: n - r]), out=lags[i, : n - r])
+            lags[i, n - r :] = 0.0
+        np.fft.fft(lags, axis=1, out=lags)
+        np.abs(lags, out=amp[start : start + len(block)])
     peak = float(np.max(amp))
     if peak == 0.0:
         raise DegenerateSceneError("all-zero ambiguity surface")

@@ -186,6 +186,13 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             for h in dopplers:
                 scatterers.append(ClutterScatterer(range_shift=r, doppler=h / n, power=power))
     _require(len(scatterers) >= 1, "scenario defines no clutter scatterers")
+    # |s^H Psi_k s| <= amp_k n, so n^2 sum(power) bounds the clutter energy
+    # of every code; past a float's range the figures of merit are inf or NaN
+    total = sum(sc.power for sc in scatterers)
+    _require(
+        math.isfinite(n**2 * total),
+        f"the clutter energy bound n^2 * total power = {n**2} * {total:g} overflows a float",
+    )
 
     fields = {name: parse(raw[key], key) for key, (name, parse) in _WRTR_KEYS.items() if key in raw}
     interval = raw.get("doppler_interval")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,18 @@ def random_scene(n: int, n_scatterers: int, rng, power_scale: float = 1.0) -> Cl
 
 def random_sequence(n: int, rng) -> UnitModulusSequence:
     return UnitModulusSequence(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)))
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes that tracemalloc saw allocated during the call above what was live before it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def pullback(objective, x, xi, t: float) -> float:

@@ -158,6 +158,10 @@ class TestWrtrCommand:
             pytest.param("scatterers", None, id="scatterers-null"),
             pytest.param("clutter_blocks", 5, id="clutter_blocks-int"),
             pytest.param("clutter_blocks", None, id="clutter_blocks-null"),
+            # finite, but n^2 * power, the bound on the clutter energy, is not
+            pytest.param(
+                "scatterers", [{"range_shift": 2, "doppler": 0.1, "power": 1e308}], id="scatterer_power-huge"
+            ),
         ],
     )
     def test_malformed_config_exits_2_without_outputs(self, tmp_path, key, value):
@@ -169,8 +173,9 @@ class TestWrtrCommand:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "nothing"
-        assert main(["wrtr", "--config", str(cfg), "--out", str(out)]) == 2
-        assert not out.exists()
+        for command in (["wrtr"], ["baseline", "--method", "random"]):
+            assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2, command
+            assert not out.exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         out_a = tmp_path / "a"

@@ -9,7 +9,7 @@ from wrtr.radar import ClutterScatterer, ClutterScene, DegenerateSceneError, clu
 from wrtr.rcg import solve_rcg
 from wrtr.rtr import TrustRegionConfig
 
-from conftest import make_tangent, random_scene, random_sequence, scenario2_scene
+from conftest import make_tangent, random_scene, random_sequence, scenario2_scene, traced_peak
 
 
 def small_cfg(**kw):
@@ -254,7 +254,7 @@ class TestMonteCarlo:
             assert np.allclose(got, expected[name], rtol=0, atol=1e-10)
 
     def test_matches_per_trial_reference_across_phase_blocks(self, rng):
-        # n = 1024 draws phases in blocks of 128 trials: 600 trials are four
+        # n = 1024 draws phases in blocks of 64 trials: 600 trials are nine
         # full blocks and a partial one
         n = 1024
         scene = random_scene(n, 4, rng)
@@ -264,6 +264,16 @@ class TestMonteCarlo:
         for name, st in stats.items():
             got = (st.mean_db, st.std_db, st.min_db, st.max_db)
             assert np.allclose(got, expected[name], rtol=0, atol=1e-10)
+
+    def test_uniform_phase_memory_is_one_block(self, rng):
+        # at n = 1024 the phase table, one 64-row block of draws and its work
+        # arrays take 4 MB; with the bank built beforehand nothing else is large
+        n = 1024
+        scene = random_scene(n, 16, rng)
+        clutter_energy(random_point(n, 46), scene)  # builds the bank before the measurement
+        designs = {"a": random_point(n, 46), "b": random_point(n, 47)}
+        _, peak = traced_peak(lambda: monte_carlo_scr(designs, scene, 2000, "uniform_random_phase", seed=12))
+        assert peak <= 5 * 2**20
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_uniform_phase_follows_the_exponential_law(self, seed):

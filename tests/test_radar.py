@@ -7,6 +7,7 @@ import pytest
 from wrtr.manifold import UnitModulusSequence, random_point
 from wrtr.objectives import SequenceObjective
 from wrtr.radar import (
+    STAF_DB_FLOOR,
     ClutterBank,
     ClutterScatterer,
     ClutterScene,
@@ -19,7 +20,7 @@ from wrtr.radar import (
 )
 from wrtr.scenario import load_scenario
 
-from conftest import dense_psi, random_scene, random_sequence
+from conftest import dense_psi, random_scene, random_sequence, traced_peak
 
 
 class TestSteeringVector:
@@ -321,6 +322,36 @@ class TestStaf:
             assert surface.shape == (len(bins), n)
             assert np.allclose(surface, expected, atol=1e-10)
             assert np.max(surface) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, bins",
+        [
+            # 2^16 // 300 = 218 rows per block: the second block is partial
+            pytest.param(300, range(300), id="n300-all"),
+            # 201 rows in blocks of 64, out of order, with bin 7 twice
+            pytest.param(1024, [*np.random.default_rng(5).permutation(1024)[:200], 7], id="n1024-shuffled-repeat"),
+            pytest.param(1024, [517], id="n1024-single"),
+        ],
+    )
+    def test_blocks_match_one_transform_bitwise(self, n, bins):
+        # the reference transforms every lag row in one np.fft.fft call
+        s = random_point(n, 17)
+        x = s.entries
+        lags = np.zeros((len(bins), n), dtype=np.complex128)
+        for i, r in enumerate(bins):
+            lags[i, : n - r] = x[r:] * np.conj(x[: n - r])
+        amp = np.abs(np.fft.fft(lags, axis=1))
+        amp /= np.max(amp)
+        expected = 20.0 * np.log10(np.maximum(amp, STAF_DB_FLOOR))
+        surface = staf(s, bins)
+        assert surface.shape == expected.shape
+        assert surface.tobytes() == expected.tobytes()
+
+    def test_memory_is_the_result_and_one_block(self):
+        # a complex (n, n) lag array alongside its magnitudes would be 3x the result
+        n = 1024
+        surface, peak = traced_peak(lambda: staf(random_point(n, 18), range(n)))
+        assert peak <= 1.25 * surface.nbytes
 
     def test_all_zero_surface_rejected(self):
         # unreachable for a unit-modulus code (lag 0 peaks at n); a stand-in
