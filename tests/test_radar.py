@@ -183,6 +183,20 @@ class TestClutterBank:
         assert sorted(bank.shifts.tolist()) == [0, 3, 3, 3, n - 1]
         assert_bank_matches_dense(scene, rng)
 
+    def test_weight_rows_equal_the_elementwise_expression(self, rng):
+        # diagonals(e_k) is scatterer k's weight row on its shift's blocks; it
+        # must equal amp_k e^{j 2 pi v_k m}, cut at n - r_k, with no rounding change
+        n = 10
+        scene = random_scene(n, 7, rng)
+        bank = ClutterBank(scene)
+        m = np.arange(n)
+        for k, sc in enumerate(scene.scatterers):
+            c = np.zeros(len(scene.scatterers), dtype=complex)
+            c[k] = 1.0
+            row = bank.diagonals(c)[bank.shifts == sc.range_shift].sum(axis=0)
+            expected = np.sqrt(sc.power) * np.exp(2j * np.pi * sc.doppler * m) * (m < n - sc.range_shift)
+            assert np.array_equal(row, expected)
+
     def test_quadratic_forms(self, rng):
         n = 10
         scene = random_scene(n, 5, rng)
