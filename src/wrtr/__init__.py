@@ -21,7 +21,6 @@ from .manifold import (
     transport,
 )
 from .objectives import (
-    NearOrthogonalSteeringError,
     SequenceObjective,
     WorstCaseObjective,
     epsilon_from_doppler,
@@ -49,7 +48,6 @@ __all__ = [
     "ClutterScatterer",
     "ClutterScene",
     "DegenerateSceneError",
-    "NearOrthogonalSteeringError",
     "ScenarioConfig",
     "ScenarioError",
     "ScrStats",

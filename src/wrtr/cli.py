@@ -23,18 +23,14 @@ import numpy as np
 
 from . import driver, fileio, radar, rtr
 from .manifold import random_point
-from .objectives import (
-    NearOrthogonalSteeringError,
-    SequenceObjective,
-    WorstCaseObjective,
-    worst_case_gain,
-)
+from .objectives import SequenceObjective, WorstCaseObjective, worst_case_gain
 from .radar import DegenerateSceneError
 from .rcg import solve_rcg
 from .scenario import ScenarioConfig, ScenarioError, load_scenario
 
 BASELINE_METHODS = ("rtr_nonrobust", "rcg_nonrobust", "random")
-_SOLVER_ERRORS = (DegenerateSceneError, NearOrthogonalSteeringError)
+# rtr.solve and rcg.solve_rcg raise FloatingPointError on an overflow or NaN (a huge clutter power)
+_SOLVER_ERRORS = (DegenerateSceneError, FloatingPointError)
 
 
 def _nominal_scr_db(seq, scene) -> float:
@@ -102,14 +98,15 @@ def _certificate(result: driver.WrtrResult) -> dict:
     }
 
 
-def _export_design(out: Path, cfg: ScenarioConfig, scene, initial, final, sections, objective) -> tuple:
+def _export_design(out: Path, cfg: ScenarioConfig, scene, initial, final, sections) -> tuple:
     """Write what every design command exports; returns the file names and the summary fields.
 
     These are the initial and final sequences, traces.csv when a solver
-    ran, the STAF products and, given the cost the design minimised, its
-    Hessian spectrum at the final sequence. The summary holds the nominal
-    SCRs and, with the spectrum, the second-order line: the spectrum's
-    ends and the gradient test of the last solve in sections.
+    ran, the STAF products and, when the last section is an RTR sequence
+    solve, the Hessian spectrum at the final sequence of the cost it
+    minimised. The summary holds the nominal SCRs and, with the spectrum,
+    the second-order line: the spectrum's ends and the gradient test of
+    that last solve.
     """
     fileio.write_sequence_csv(out / "sequence_initial.csv", initial)
     fileio.write_sequence_csv(out / "sequence_final.csv", final)
@@ -125,8 +122,11 @@ def _export_design(out: Path, cfg: ScenarioConfig, scene, initial, final, sectio
         "nominal_scr_initial_db": _nominal_scr_db(initial, scene),
         "nominal_scr_final_db": _nominal_scr_db(final, scene),
     }
-    if objective is not None:
-        spectrum = driver.hessian_spectrum(objective, final)
+    if sections and sections[-1][1] == "seq":
+        # wrtr and rtr_nonrobust both minimised SequenceObjective(scene); a fresh
+        # one, as the solve's would hold its last point's Hessian factor through
+        # the STAF export above
+        spectrum = driver.hessian_spectrum(SequenceObjective(scene), final)
         fileio.write_spectrum_csv(out / "hessian_spectrum_seq.csv", spectrum)
         files.append("hessian_spectrum_seq.csv")
         last = sections[-1][2]
@@ -140,9 +140,7 @@ def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> tuple:
     result = driver.optimize(scene, cfg.wrtr, seed)
     sections = [(0, "worst", result.worst_trace)]
     sections += [(k, "seq", it.seq_trace) for k, it in enumerate(result.history)]
-    # The cost the sequence step minimised: relative distortion held fixed.
-    seq_obj = SequenceObjective(scene, distortion=result.distortion)
-    files, design = _export_design(out, cfg, scene, result.initial_sequence, result.sequence, sections, seq_obj)
+    files, design = _export_design(out, cfg, scene, result.initial_sequence, result.sequence, sections)
     fileio.write_sequence_csv(out / "steering_worst.csv", result.worst_steering)
     files.append("steering_worst.csv")
     if result.epsilon > 0:
@@ -194,20 +192,18 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> tupl
     initial = random_point(cfg.n, seed)
     summary = {"method": method}
     if method == "random":
-        final, sections, objective = initial, [], None
+        final, sections = initial, []
     elif method == "rtr_nonrobust":
-        # the spectrum gets its own objective: the solve's would hold its
-        # last point's Hessian factor through the STAF export
         final, trace = rtr.solve(SequenceObjective(scene), initial, cfg.wrtr.seq_solver)
-        sections, objective = [(0, "seq", trace)], SequenceObjective(scene)
+        sections = [(0, "seq", trace)]
         summary.update(iterations=len(trace), converged=trace.converged, hvps=trace.hvps,
                        cost_evals=trace.cost_evals)
     else:
         final, trace = solve_rcg(SequenceObjective(scene), initial, cfg.wrtr.seq_solver)
-        sections, objective = [(0, "rcg", trace)], None
+        sections = [(0, "rcg", trace)]
         summary.update(iterations=len(trace), converged=trace.converged, cost_evals=trace.cost_evals,
                        grad_evals=trace.grad_evals)
-    files, design = _export_design(out, cfg, scene, initial, final, sections, objective)
+    files, design = _export_design(out, cfg, scene, initial, final, sections)
     return {**summary, **design}, files
 
 

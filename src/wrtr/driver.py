@@ -8,10 +8,11 @@ and the coupling s^H st = sum w depend on w alone, and the adversary's
 cost at s (.) w is the same for every s. The adversary is therefore
 solved once, at the seeded start s0, from a seeded tangent nudge of norm
 sqrt(eps) off s0 (s0 itself is a stationary saddle of the steering cost),
-and w is fixed from that solve. The sequence passes then minimize
-clutter energy / |sum w|^2 with w frozen (SequenceObjective(scene,
-distortion=w)), whose gradient is the min-max (Danskin) gradient; the
-worst steering s (.) w moves along with s. Each pass restarts the
+and w is fixed from that solve. With w fixed, the worst-case cost
+clutter / |sum w|^2 is the nominal cost clutter / n^2 times a constant,
+so the sequence passes minimize SequenceObjective(scene), the
+inverse nominal SCR, and w only reports: the worst steering s (.) w and
+each pass's worst-case SCR and SCNR. Each pass restarts the
 sequence solve where the previous one stopped; a restart begins close to
 stationary, where a tolerance relative to its own start gradient cannot
 be met, so passes after the first run to the absolute tolerance the first
@@ -89,7 +90,7 @@ class OuterIteration:
 
 @dataclass(frozen=True)
 class WrtrResult:
-    """Final design; worst_steering is sequence (.) distortion.
+    """Final design; worst_steering is sequence (.) w, w the adversary's relative distortion.
 
     worst_trace records the one adversary solve (None at eps = 0); history
     holds the sequence passes. Each solve's cost at its returned point is
@@ -98,7 +99,6 @@ class WrtrResult:
 
     sequence: UnitModulusSequence
     worst_steering: UnitModulusSequence
-    distortion: np.ndarray
     initial_sequence: UnitModulusSequence
     history: tuple
     epsilon: float
@@ -114,13 +114,14 @@ def _nudge(s: UnitModulusSequence, epsilon: float, seed: int) -> np.ndarray:
 def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
     """Solve the adversary once at a seeded start, then the sequence passes against it.
 
-    The sequence passes hold the adversary's relative distortion
-    w = conj(s) (.) st fixed, so the returned worst_steering is
-    sequence (.) w: the worst case of the returned sequence, with no
-    further adversary solve. The result records that one solve once, as
-    worst_trace, beside the per-pass history. With eps = 0
-    there is no adversary solve (worst_trace None), w = 1 and the passes
-    reduce to the nominal design (numerator n^2).
+    The adversary's relative distortion w = conj(s0) (.) st is held, so
+    the returned worst_steering is sequence (.) w: the worst case of the
+    returned sequence, with no further adversary solve. The passes
+    minimize the nominal cost, so the sequence does not depend on eps;
+    eps moves only the reported SCRs and, through them, the stopping
+    test. The result records the one adversary solve once, as
+    worst_trace, beside the per-pass history. With eps = 0 there is no
+    adversary solve (worst_trace None) and w = 1.
     """
     if len(scene.scatterers) < 1:
         raise ValueError("scene must contain at least one scatterer")
@@ -134,8 +135,7 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
     else:
         worst_trace = None
         w = np.ones(n, dtype=np.complex128)
-    w.setflags(write=False)
-    seq_obj = SequenceObjective(scene, distortion=w)
+    seq_obj = SequenceObjective(scene)
     s, seq_solver = s0, cfg.seq_solver
     history = []
     prev_scnr = None
@@ -155,7 +155,6 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
     return WrtrResult(
         sequence=s,
         worst_steering=st,
-        distortion=w,
         initial_sequence=s0,
         history=tuple(history),
         epsilon=eps,

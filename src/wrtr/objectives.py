@@ -1,21 +1,22 @@
-"""The two smooth costs driving the alternation, with hand-derived derivatives.
+"""The two smooth costs of the design, with hand-derived derivatives.
 
 Worst-case steering cost (sequence s fixed, lam the penalty weight,
 eps the squared uncertainty radius; a = s^H st):
 
     f(st) = Im(a)^2 + lam * (Re(a) - n + eps/2)^2
 
-Sequence cost (q_i = s^H Psi_i s, w the relative distortion):
+Sequence cost (q_i = s^H Psi_i s):
 
-    f(s) = sum_i |q_i|^2 / |sum_i w_i|^2
+    f(s) = sum_i |q_i|^2 / n^2
 
-The uncertainty ball is centred on s, so the adversary's answer is a
-relative distortion w = conj(s) (.) st with |w_i| = 1: s^H st = sum_i w_i
-and ||st - s||^2 = ||w - 1||^2 do not depend on s. The sequence step
-therefore holds w fixed: the worst steering s (.) w moves with s, the
-denominator is a constant, and the gradient of f is the min-max
-(Danskin) gradient in s. Without a distortion w = 1 and the denominator
-is n^2, the zero-error matched-filter gain of the non-robust design.
+the inverse nominal SCR. It is also the worst-case design's cost: the
+uncertainty ball is centred on s, so the adversary's answer is a relative
+distortion w = conj(s) (.) st with |w_i| = 1, and s^H st = sum_i w_i and
+||st - s||^2 = ||w - 1||^2 do not depend on s. With w held, the worst
+coupling |sum_i w_i|^2 is a constant in s. Dividing the clutter energy by
+it instead of n^2 scales the cost and its min-max (Danskin) gradient by
+one positive factor and moves no minimiser; when it is zero, every
+design's worst-case SCR is zero.
 
 Both objectives have one derivative convention, phase coordinates: with
 x (.) e^{j phi} the point moved by the real phases phi, rgrad(x) and
@@ -33,13 +34,6 @@ import numpy as np
 
 from .manifold import UnitModulusSequence
 from .radar import ClutterScene
-
-NEAR_ORTHOGONAL_RTOL = 1e-12
-
-
-class NearOrthogonalSteeringError(ValueError):
-    """Raised when the coupling |sum w| of a distortion underflows the sequence-cost guard."""
-
 
 def epsilon_from_doppler(doppler_set, target_doppler: float, n: int) -> float:
     """Uncertainty radius: max over the set of ||p(v) - p(v_t)||^2.
@@ -107,13 +101,7 @@ class WorstCaseObjective:
 
 
 class SequenceObjective:
-    """Clutter energy over the frozen coupling |sum w|^2.
-
-    distortion=w is the adversary's relative distortion (worst steering
-    s (.) w), held fixed by the alternation's sequence step; without it
-    w = 1 and the denominator is the nominal n^2 of the non-robust
-    design. The denominator is a constant, checked once against the
-    near-orthogonality guard.
+    """Clutter energy over n^2, the inverse nominal SCR (see the module docstring).
 
     Per point it keeps the lag products of s, q_k = s^H Psi_k s, the
     products p = d (.) lags with the diagonals d of sum_k conj(q_k) Psi_k,
@@ -123,20 +111,11 @@ class SequenceObjective:
     three matrix-vector products; the factor holds 2 N_t n + n^2 floats.
     """
 
-    def __init__(self, scene: ClutterScene, distortion: np.ndarray | None = None):
+    def __init__(self, scene: ClutterScene):
         self.n = scene.n
         self._bank = scene.bank
         self._cache: tuple | None = None
-        self._gamma = float(self.n) ** 2
-        if distortion is not None:
-            w = np.asarray(distortion, dtype=np.complex128)
-            if w.shape != (scene.n,):
-                raise ValueError(f"distortion shape {w.shape} != ({scene.n},)")
-            gain = abs(complex(np.sum(w)))
-            guard = NEAR_ORTHOGONAL_RTOL * scene.n
-            if gain < guard:
-                raise NearOrthogonalSteeringError(f"|sum w| = {gain:.3e} below guard {guard:.3e}")
-            self._gamma = gain**2
+        self._n2 = float(self.n) ** 2
 
     # Per-point quantities are reused across the many Hessian-vector
     # products of one trust-region iteration. Each point has its own state
@@ -156,30 +135,30 @@ class SequenceObjective:
     def _derivative_state(self, point: UnitModulusSequence) -> dict:
         """_state plus p = d (.) lags, the gradient and its radial part.
 
-        Differentiating u / gamma = sum_k |q_k|^2 / gamma along s (.) e^{j phi}
-        gives, with c = (2 / gamma) (sum_b J^{R_b} p_b + conj(sum_b p_b)),
+        Differentiating u / n^2 = sum_k |q_k|^2 / n^2 along s (.) e^{j phi}
+        gives, with c = (2 / n^2) (sum_b J^{R_b} p_b + conj(sum_b p_b)),
         the gradient Im c and the radial part Re c.
         """
         st = self._state(point)
         if "grad" not in st:
             p = self._bank.diagonals(np.conj(st["q"])) * st["lags"]
-            c = (2.0 / self._gamma) * (self._bank.down_shift_sum(p) + np.conj(p.sum(axis=0)))
+            c = (2.0 / self._n2) * (self._bank.down_shift_sum(p) + np.conj(p.sum(axis=0)))
             st.update(p=p, grad=c.imag, radial=c.real)
         return st
 
     def cost(self, s: UnitModulusSequence) -> float:
-        return self._state(s)["u"] / self._gamma
+        return self._state(s)["u"] / self._n2
 
     def rgrad(self, s: UnitModulusSequence) -> np.ndarray:
         return self._derivative_state(s)["grad"]
 
     def rhess(self, x: UnitModulusSequence, a: np.ndarray) -> np.ndarray:
-        """(2 / gamma) (G^T G + S) a - radial (.) a, with (G, S) from ClutterBank.hessian_factor."""
+        """(2 / n^2) (G^T G + S) a - radial (.) a, with (G, S) from ClutterBank.hessian_factor."""
         st = self._derivative_state(x)
         if "gauss_newton" not in st:
             g, s = self._bank.hessian_factor(st["lags"], st["p"])
-            curvature = (2.0 / self._gamma) * s
+            curvature = (2.0 / self._n2) * s
             curvature[np.diag_indices(self.n)] -= st["radial"]
             st.update(gauss_newton=g, curvature=curvature)
         g = st["gauss_newton"]
-        return (2.0 / self._gamma) * (g.T @ (g @ a)) + st["curvature"] @ a
+        return (2.0 / self._n2) * (g.T @ (g @ a)) + st["curvature"] @ a

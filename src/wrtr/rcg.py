@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .manifold import UnitModulusSequence, norm, retract, transport
 from .rtr import TrustRegionConfig, TrustRegionTrace
 
@@ -29,8 +31,13 @@ class RcgIteration:
     step_norm: float
 
 
+@np.errstate(over="raise", invalid="raise")
 def solve_rcg(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig = TrustRegionConfig()):
-    """Minimize problem.cost from x0; returns (x_final, TrustRegionTrace)."""
+    """Minimize problem.cost from x0; returns (x_final, TrustRegionTrace).
+
+    As rtr.solve, it raises FloatingPointError on a numpy overflow or
+    invalid operation.
+    """
     x = x0
     fx = problem.cost(x)
     g = problem.rgrad(x)

@@ -167,6 +167,7 @@ def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig,
     return eta, TcgStop.MAX_INNER
 
 
+@np.errstate(over="raise", invalid="raise")
 def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
     """Run the trust-region outer loop from x0.
 
@@ -176,7 +177,10 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
     met, but no further step can change x), or after max_iters; returns
     (x_final, TrustRegionTrace). Accepted-iterate costs are strictly
     decreasing; a nonpositive model decrease rejects the step with
-    rho = -inf and shrinks the radius.
+    rho = -inf and shrinks the radius. An overflow or invalid operation in
+    numpy (a huge clutter power can push costs or curvatures past the
+    float range) raises FloatingPointError instead of carrying inf or NaN
+    into the iterate.
     """
     delta_bar = math.sqrt(x0.n)
     delta = delta_bar / 8.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wrtr
-from wrtr import cli, driver, rcg
+from wrtr import cli, driver, objectives, rcg
 from wrtr.cli import main
 from wrtr.driver import OuterIteration, WrtrResult, monte_carlo_scr
 from wrtr.manifold import random_point
@@ -20,7 +20,8 @@ from conftest import random_scene
 
 SMALL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "small.json"
 
-DELETED = ("TangentVector", "zero_tangent", "DegenerateRetractionError", "tangent_basis")
+DELETED = ("TangentVector", "zero_tangent", "DegenerateRetractionError", "tangent_basis",
+           "NearOrthogonalSteeringError")
 # the ambient (Wirtinger) derivative convention; derivatives are phase coordinates only
 DELETED_METHODS = (
     (ClutterBank, "apply"),
@@ -43,7 +44,7 @@ def test_deleted_names_are_not_exported():
     for name in DELETED:
         assert name not in wrtr.__all__
         assert not hasattr(wrtr, name)
-        assert not hasattr(manifold, name) and not hasattr(driver, name)
+        assert not hasattr(manifold, name) and not hasattr(driver, name) and not hasattr(objectives, name)
 
 
 def test_deleted_methods_are_gone():
@@ -56,6 +57,12 @@ def test_deleted_parameters_are_gone():
     assert "energies" not in inspect.signature(monte_carlo_scr).parameters
     # the report's seed is main's, and recomputing a STAF draws nothing
     assert "seed" not in inspect.signature(cli.run_staf).parameters
+    # the sequence passes minimise clutter / n^2, so no relative distortion
+    # reaches the sequence cost and the design exports build their own spectrum cost
+    assert "distortion" not in inspect.signature(SequenceObjective).parameters
+    assert "distortion" not in {f.name for f in dataclasses.fields(WrtrResult)}
+    assert not hasattr(objectives, "NEAR_ORTHOGONAL_RTOL")
+    assert "objective" not in inspect.signature(cli._export_design).parameters
 
 
 def test_one_adversary_record_and_one_solver_config():

@@ -4,7 +4,6 @@ import pytest
 from wrtr.driver import hessian_matrix
 from wrtr.manifold import UnitModulusSequence, inner, project_tangent, random_point, retract
 from wrtr.objectives import (
-    NearOrthogonalSteeringError,
     SequenceObjective,
     WorstCaseObjective,
     epsilon_from_doppler,
@@ -12,7 +11,7 @@ from wrtr.objectives import (
 )
 from wrtr.radar import ClutterScatterer, ClutterScene, clutter_energy
 
-from conftest import dense_psi, loglog_slope, make_tangent, pullback, random_scene
+from conftest import dense_psi, loglog_slope, make_tangent, pullback, random_scene, scenario2_scene
 
 
 def central_difference(obj, x, a, t):
@@ -172,28 +171,27 @@ class TestSequenceCost:
     def test_zero_power_scene(self):
         n = 8
         scene = ClutterScene([ClutterScatterer(1, 0.2, 0.0)], n)
-        obj = SequenceObjective(scene, distortion=random_point(n, 19).entries)
+        obj = SequenceObjective(scene)
         assert obj.cost(random_point(n, 20)) == 0.0
 
     def test_identity_scatterer_matched_steering(self):
         n = 8
         scene = ClutterScene([ClutterScatterer(0, 0.0, 1.0)], n)
         s = random_point(n, 21)
-        obj = SequenceObjective(scene, distortion=np.ones(n))
-        # matched steering st = s (.) 1: |s^H I s|^2 / |s^H s|^2 = n^2 / n^2
+        obj = SequenceObjective(scene)
+        # |s^H I s|^2 / n^2 = n^2 / n^2
         assert obj.cost(s) == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_dense_brute_force(self, rng):
         n = 8
         scene = _small_scene(n)
-        w = random_point(n, 22).entries
         s = random_point(n, 23)
-        obj = SequenceObjective(scene, distortion=w)
+        obj = SequenceObjective(scene)
         num = sum(
             abs(np.vdot(s.entries, dense_psi(sc, n) @ s.entries)) ** 2
             for sc in scene.scatterers
         )
-        expected = num / abs(np.sum(w)) ** 2
+        expected = num / n**2
         assert obj.cost(s) == pytest.approx(expected, rel=1e-10)
 
     def test_nominal_mode_is_energy_over_n_squared(self, rng):
@@ -203,58 +201,41 @@ class TestSequenceCost:
         obj = SequenceObjective(scene)
         assert obj.cost(s) == pytest.approx(clutter_energy(s, scene) / n**2, rel=1e-12)
 
-    def test_frozen_distortion_matches_steering_and_scales_nominal(self, rng):
-        # at s the frozen-w cost is clutter / |s^H st|^2 with the steering
-        # st = s (.) w; in s it is the nominal cost times the constant
-        # n^2 / |sum w|^2
-        n = 8
-        scene = _small_scene(n)
-        s = random_point(n, 31)
-        w = random_point(n, 32).entries
-        frozen = SequenceObjective(scene, distortion=w)
-        nominal = SequenceObjective(scene)
-        coupling = abs(np.vdot(s.entries, s.entries * w)) ** 2
-        assert frozen.cost(s) == pytest.approx(clutter_energy(s, scene) / coupling, rel=1e-12)
-        scale = n**2 / abs(np.sum(w)) ** 2
-        x = random_point(n, 33)
-        xi = make_tangent(x, rng, scale=1.0)
-        assert frozen.cost(x) == pytest.approx(scale * nominal.cost(x), rel=1e-12)
-        assert np.allclose(frozen.rgrad(x), scale * nominal.rgrad(x), rtol=1e-12, atol=0)
-        assert np.allclose(
-            frozen.rhess(x, xi), scale * nominal.rhess(x, xi), rtol=1e-12, atol=0
-        )
-
-    def test_frozen_distortion_rejected_when_invalid(self):
-        n = 4
-        scene = ClutterScene([ClutterScatterer(1, 0.2, 1.0)], n)
-        alternating = np.array([1, -1, 1, -1], dtype=complex)
-        with pytest.raises(NearOrthogonalSteeringError):
-            SequenceObjective(scene, distortion=alternating)
-        with pytest.raises(ValueError):
-            SequenceObjective(scene, distortion=np.ones(n + 1))
-
 
 class TestSequenceGradient:
     def test_zero_power_gradient(self):
         n = 8
         scene = ClutterScene([ClutterScatterer(1, 0.2, 0.0)], n)
-        obj = SequenceObjective(scene, distortion=random_point(n, 25).entries)
+        obj = SequenceObjective(scene)
         assert np.allclose(obj.rgrad(random_point(n, 26)), 0.0, atol=1e-14)
 
     def test_global_phase_equivariance(self, rng):
-        # the cost is invariant to a global phase, so are its phase-coordinate derivatives
-        n = 8
-        obj = SequenceObjective(_small_scene(n), distortion=random_point(n, 27).entries)
-        s = random_point(n, 28)
-        phi = float(rng.uniform(0, 2 * np.pi))
-        rotated = UnitModulusSequence(np.exp(1j * phi) * s.entries)
-        a = make_tangent(s, rng)
-        assert np.allclose(obj.rgrad(rotated), obj.rgrad(s), atol=1e-10)
-        assert np.allclose(obj.rhess(rotated, a), obj.rhess(s, a), atol=1e-10)
+        # |q_k| is unchanged by a global phase and by a Doppler ramp
+        # s (.) e^{j(alpha + beta m)}, which multiplies q_k by e^{-j beta R_k};
+        # so are the cost and its phase-coordinate derivatives, and the Hessian
+        # maps the two symmetry directions 1 and (0, ..., n - 1) to zero.
+        # alpha and beta are multiples of 2^-7, so alpha + beta m is exact and
+        # only exp rounds the moved point
+        for scene in (_small_scene(8), scenario2_scene()):
+            n = scene.n
+            obj = SequenceObjective(scene)
+            s = random_point(n, 28)
+            a = make_tangent(s, rng)
+            g = obj.rgrad(s)
+            alpha, beta = rng.integers(0, 2**10, size=2) * 2.0**-7
+            ramp = np.arange(n, dtype=float)
+            for phases in (alpha, alpha + beta * ramp):
+                moved = UnitModulusSequence(np.exp(1j * phases) * s.entries)
+                assert abs(obj.cost(moved) - obj.cost(s)) <= 1e-14 * obj.cost(s)
+                assert np.linalg.norm(obj.rgrad(moved) - g) <= 1e-14 * np.linalg.norm(g)
+                assert np.allclose(obj.rhess(moved, a), obj.rhess(s, a), atol=1e-10)
+            spectral = np.linalg.norm(hessian_matrix(obj, s), 2)
+            for v in (np.ones(n), ramp):
+                assert np.linalg.norm(obj.rhess(s, v)) <= 1e-14 * spectral * np.linalg.norm(v)
 
     def test_central_finite_differences(self, rng):
         n = 8
-        obj = SequenceObjective(_small_scene(n), distortion=random_point(n, 29).entries)
+        obj = SequenceObjective(_small_scene(n))
         s = random_point(n, 30)
         t = 1e-6
         for _ in range(10):
@@ -265,13 +246,13 @@ class TestSequenceGradient:
 class TestSequenceHessian:
     def test_zero_direction(self):
         n = 8
-        obj = SequenceObjective(_small_scene(n), distortion=random_point(n, 31).entries)
+        obj = SequenceObjective(_small_scene(n))
         s = random_point(n, 32)
         assert np.allclose(obj.rhess(s, np.zeros(s.n)), 0.0)
 
     def test_real_linearity(self, rng):
         n = 8
-        obj = SequenceObjective(_small_scene(n), distortion=random_point(n, 33).entries)
+        obj = SequenceObjective(_small_scene(n))
         s = random_point(n, 34)
         xi, eta = make_tangent(s, rng), make_tangent(s, rng)
         lhs = obj.rhess(s, 2.0 * xi - 0.5 * eta)
@@ -283,7 +264,7 @@ class TestSequenceHessian:
         # rgrad at s (.) e^{j t a} is the gradient of phi -> f(s (.) e^{j phi})
         # at phi = t a, and rhess(s, a) is that gradient's derivative along a
         n = 8
-        obj = SequenceObjective(_small_scene(n), distortion=random_point(n, 35).entries)
+        obj = SequenceObjective(_small_scene(n))
         s = random_point(n, 36)
         a = make_tangent(s, rng, scale=1.0)
         t = 1e-6
@@ -327,7 +308,7 @@ class TestSequenceHessian:
 
     def test_riemannian_self_adjointness_relative(self, rng):
         n = 16
-        obj = SequenceObjective(random_scene(n, 5, rng), distortion=random_point(n, 39).entries)
+        obj = SequenceObjective(random_scene(n, 5, rng))
         s = random_point(n, 40)
         worst = 0.0
         scale = 0.0
@@ -342,7 +323,7 @@ class TestSequenceHessian:
 
     def test_second_order_taylor_slope(self, rng):
         n = 16
-        obj = SequenceObjective(random_scene(n, 5, rng), distortion=random_point(n, 41).entries)
+        obj = SequenceObjective(random_scene(n, 5, rng))
         s = random_point(n, 42)
         xi = make_tangent(s, rng, scale=1.0)
         f0 = obj.cost(s)
@@ -353,12 +334,12 @@ class TestSequenceHessian:
         assert loglog_slope(ts, residuals) == pytest.approx(3.0, abs=0.2)
 
 
-def dense_phase_derivatives(scene, x, gamma):
+def dense_phase_derivatives(scene, x):
     """Gradient and Hessian at 0 of phi -> f(x (.) e^{j phi}), built from dense Psi_k.
 
     t -> x (.) e^{j t a} is a geodesic of M, so these are the Riemannian
     gradient and Hessian in tangent coordinates at x (at any point, not
-    only a critical one). f = sum_k |q_k|^2 / gamma, gamma a constant.
+    only a critical one). f = sum_k |q_k|^2 / n^2.
     """
     z = x.entries
     grad_u, hess_u, u = 0.0, 0.0, 0.0
@@ -370,18 +351,13 @@ def dense_phase_derivatives(scene, x, gamma):
         u += abs(q) ** 2
         grad_u = grad_u + 2.0 * np.real(np.conj(q) * dq)
         hess_u = hess_u + 2.0 * np.real(np.outer(np.conj(dq), dq) + np.conj(q) * d2q)
-    return grad_u / gamma, hess_u / gamma
+    return grad_u / scene.n**2, hess_u / scene.n**2
 
 
-def assert_derivatives_match_dense(scene, form, rng):
-    n = scene.n
-    x = random_point(n, 50)
-    w = random_point(n, 51).entries
-    if form == "nominal":
-        obj, gamma = SequenceObjective(scene), n**2
-    else:
-        obj, gamma = SequenceObjective(scene, distortion=w), abs(w.sum()) ** 2
-    grad, hess = dense_phase_derivatives(scene, x, gamma)
+def assert_derivatives_match_dense(scene, rng):
+    x = random_point(scene.n, 50)
+    obj = SequenceObjective(scene)
+    grad, hess = dense_phase_derivatives(scene, x)
     assert np.max(np.abs(obj.rgrad(x) - grad)) <= 1e-10 * np.max(np.abs(grad))
     assert np.max(np.abs(hessian_matrix(obj, x) - hess)) <= 1e-10 * np.max(np.abs(hess))
     a = make_tangent(x, rng, scale=1.0)
@@ -389,7 +365,7 @@ def assert_derivatives_match_dense(scene, form, rng):
 
 
 class TestDenseHessianOracle:
-    @pytest.mark.parametrize("form", ["nominal", "distortion"])
+    @pytest.mark.parametrize("form", ["nominal"])
     def test_coordinate_derivatives_match_dense(self, rng, form):
         # repeated and distinct shifts, shift 0 and n - 1 included
         n = 12
@@ -398,9 +374,9 @@ class TestDenseHessianOracle:
              for r in (0, 3, 3, 3, 7, n - 1, 5, 3)],
             n,
         )
-        assert_derivatives_match_dense(scene, form, rng)
+        assert_derivatives_match_dense(scene, rng)
 
-    @pytest.mark.parametrize("form", ["nominal", "distortion"])
+    @pytest.mark.parametrize("form", ["nominal"])
     def test_every_shift_matches_dense(self, rng, form):
         # every shift 0..n-1 twice, the lower half three times: 161 scatterer
         # rows, so the factor is written in two chunks of 2^12 / n = 64 rows
@@ -411,7 +387,7 @@ class TestDenseHessianOracle:
             [ClutterScatterer(r, float(rng.uniform(0, 1)), float(rng.uniform(0.2, 2.0))) for r in shifts],
             n,
         )
-        assert_derivatives_match_dense(scene, form, rng)
+        assert_derivatives_match_dense(scene, rng)
 
 
 class TestRiemannianGradient:
@@ -435,7 +411,7 @@ class TestRiemannianGradient:
 
     def test_pullback_first_order(self, rng):
         n = 16
-        obj = SequenceObjective(random_scene(n, 4, rng), distortion=random_point(n, 46).entries)
+        obj = SequenceObjective(random_scene(n, 4, rng))
         s = random_point(n, 47)
         xi = make_tangent(s, rng, scale=1.0)
         t = 1e-6
