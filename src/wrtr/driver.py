@@ -14,9 +14,9 @@ so the sequence passes minimize SequenceObjective(scene), the
 inverse nominal SCR, and w only reports: the worst steering s (.) w and
 each pass's worst-case SCR and SCNR. Each pass restarts the
 sequence solve where the previous one stopped; a restart begins close to
-stationary, where a tolerance relative to its own start gradient cannot
-be met, so passes after the first run to the absolute tolerance the first
-reached (grad_tol_effective of its trace). The loop stops once the
+stationary, where a tolerance scaled by its own start gradient cannot be
+met, so every pass stops at grad_tol * g_ref with g_ref the first pass's
+initial gradient norm (see rtr.solve). The loop stops once the
 output SCNR moves by less than scnr_tol_db across consecutive passes, or
 at max_outer; the alternation is monitored, not proven, so hitting the
 cap is a warning outcome rather than an error.
@@ -28,7 +28,7 @@ that of the Riemannian Hessian on T_x M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,9 +119,10 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
     returned sequence, with no further adversary solve. The passes
     minimize the nominal cost, so the sequence does not depend on eps;
     eps moves only the reported SCRs and, through them, the stopping
-    test. The result records the one adversary solve once, as
-    worst_trace, beside the per-pass history. With eps = 0 there is no
-    adversary solve (worst_trace None) and w = 1.
+    test. Every pass stops at seq_solver.grad_tol times the first
+    pass's initial gradient norm. The result records the one adversary
+    solve once, as worst_trace, beside the per-pass history. With eps = 0
+    there is no adversary solve (worst_trace None) and w = 1.
     """
     if len(scene.scatterers) < 1:
         raise ValueError("scene must contain at least one scatterer")
@@ -136,14 +137,13 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
         worst_trace = None
         w = np.ones(n, dtype=np.complex128)
     seq_obj = SequenceObjective(scene)
-    s, seq_solver = s0, cfg.seq_solver
+    s = s0
     history = []
     prev_scnr = None
     converged = False
-    for outer in range(cfg.max_outer):
-        s, seq_trace = rtr.solve(seq_obj, s, seq_solver)
-        if outer == 0:
-            seq_solver = replace(seq_solver, grad_tol=seq_trace.grad_tol_effective, grad_tol_relative=False)
+    for _ in range(cfg.max_outer):
+        g_ref = history[0].seq_trace.initial_grad_norm if history else None
+        s, seq_trace = rtr.solve(seq_obj, s, cfg.seq_solver, g_ref=g_ref)
         st = UnitModulusSequence(s.entries * w)
         scr_db = radar.scr(s, st, scene)
         scnr_db = radar.scnr(s, st, scene, cfg.noise_power, cfg.target_power)

@@ -3,11 +3,11 @@
 Minimal first-order comparison method on tangent coordinates (see
 manifold): Fletcher-Reeves coefficient, projection transport of the
 previous direction, Armijo backtracking line search (c = 1e-4, step
-halving, at most 60 halvings), and the same gradient-norm stopping rule
-as the trust-region solver. It takes the trust-region solver's config and
-reads its grad_tol, grad_tol_relative and max_iters, and it returns the
-trust-region solver's trace type with hvps 0; the trace's iterations are
-RcgIteration rows, which have no rho, radius or tCG stop.
+halving, at most 60 halvings), and the trust-region solver's stopping
+rule ||grad|| <= grad_tol * g_ref with g_ref its own initial gradient
+norm. It takes the trust-region solver's config and reads its grad_tol
+and max_iters, and it returns the trust-region solver's trace type with
+hvps 0; its iterations are RcgIteration rows (no rho, radius or tCG stop).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def solve_rcg(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig = TrustRe
     fx = problem.cost(x)
     g = problem.rgrad(x)
     gn = norm(g)
-    tol = cfg.grad_tol * gn if cfg.grad_tol_relative else cfg.grad_tol
+    tol = cfg.grad_tol * gn
     trace = TrustRegionTrace(initial_grad_norm=gn, grad_tol_effective=tol, cost_evals=1, grad_evals=1)
     d = -g
     t_prev = None

@@ -54,15 +54,13 @@ TCG_KAPPA = 0.1  # linear factor of the tCG residual rule, in (0, 1)
 class TrustRegionConfig:
     """Stopping rules of one solve.
 
-    grad_tol is relative to the initial gradient norm when
-    grad_tol_relative is true (the paper-style stopping rule), otherwise
-    absolute. tcg_max_inner caps the tCG iterations per outer iteration
-    (None means n). The radii, RHO_BAR and TCG_KAPPA are fixed; see the
-    module docstring.
+    A solve stops once ||grad|| <= grad_tol * g_ref, g_ref a reference
+    gradient norm (see solve). tcg_max_inner caps the tCG iterations per
+    outer iteration (None means n). The radii, RHO_BAR and TCG_KAPPA are
+    fixed; see the module docstring.
     """
 
     grad_tol: float = 1e-9
-    grad_tol_relative: bool = True
     max_iters: int = 100
     tcg_max_inner: int | None = None
 
@@ -168,11 +166,12 @@ def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig,
 
 
 @np.errstate(over="raise", invalid="raise")
-def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
+def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig, g_ref: float | None = None):
     """Run the trust-region outer loop from x0.
 
-    Terminates when the gradient norm reaches the (relative or absolute)
-    tolerance, when a rejected step leaves the radius below
+    Terminates when the gradient norm reaches grad_tol * g_ref (g_ref is
+    the gradient norm at x0 unless given: a warm restart passes the first
+    solve's), when a rejected step leaves the radius below
     eps_machine * delta_bar (converged stays false: the tolerance was not
     met, but no further step can change x), or after max_iters; returns
     (x_final, TrustRegionTrace). Accepted-iterate costs are strictly
@@ -188,7 +187,7 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
     fx = problem.cost(x)
     g = problem.rgrad(x)
     gn = norm(g)
-    tol = cfg.grad_tol * gn if cfg.grad_tol_relative else cfg.grad_tol
+    tol = cfg.grad_tol * (gn if g_ref is None else g_ref)
     trace = TrustRegionTrace(initial_grad_norm=gn, grad_tol_effective=tol, cost_evals=1, grad_evals=1)
     eps = float(np.finfo(float).eps)
     interior = None  # (stop, step_norm, rho) of the last step if rejected inside the region

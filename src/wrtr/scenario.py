@@ -3,7 +3,9 @@
 A scenario file is a JSON object; its clutter, at least one scatterer,
 can be given as explicit scatterers (linear power) and/or rectangular
 blocks of range bins x Doppler bins with a power in dB (10 log10 of the
-linear power). Doppler bin h maps to normalized Doppler h/n. Example:
+linear power). Doppler bin h maps to normalized Doppler h/n. Bins are a
+list or a {start, stop} object spanning at most n bins; range bins lie
+in 0..n-1. Example:
 
     {"n": 64, "seed": 2024, "lambda": 100.0, "doppler_interval": [-0.1, 0.1],
      "clutter_blocks": [{"range_bins": {"start": 11, "stop": 30},
@@ -26,8 +28,9 @@ The top-level keys, with their defaults; any other key is an error:
     doppler_cut_range_bins     bins whose STAF Doppler cuts are written, []
     monte_carlo_trials         trials per design and error model, 100
 
-A solver block takes grad_tol (1e-9), grad_tol_relative (true), max_iters
-(100) and tcg_max_inner (null: n); the radii and thresholds are fixed in rtr.
+A solver block takes grad_tol (1e-9), max_iters (100) and tcg_max_inner
+(null: n); the radii and thresholds are fixed in rtr. A solve stops at
+gradient norm grad_tol * g_ref, g_ref a reference norm (see rtr.solve).
 """
 
 from __future__ import annotations
@@ -68,17 +71,24 @@ def _as_number(value, key: str) -> float:
     return value
 
 
-def _bin_list(value, key: str) -> list:
+def _bin_list(value, key: str, n: int, doppler: bool = False) -> list:
+    """Bins of a list or a {start, stop} object; range bins (not doppler) must lie in 0..n-1."""
     if isinstance(value, dict):
         unknown = set(value) - {"start", "stop"}
         _require(not unknown, f"{key}: unknown keys {sorted(unknown)}")
         start = _as_int(value.get("start"), f"{key}.start")
         stop = _as_int(value.get("stop"), f"{key}.stop")
         _require(start <= stop, f"{key}: start {start} > stop {stop}")
-        return list(range(start, stop + 1))
-    if isinstance(value, list):
-        return [_as_int(v, f"{key}[]") for v in value]
-    raise ScenarioError(f"{key} must be a list of bins or a start/stop object")
+        # checked before it is expanded; Doppler bins h and h + n are the same Doppler
+        _require(stop - start < n, f"{key}: {start}..{stop} spans more than n = {n} bins")
+        bins = list(range(start, stop + 1))
+    elif isinstance(value, list):
+        bins = [_as_int(v, f"{key}[]") for v in value]
+    else:
+        raise ScenarioError(f"{key} must be a list of bins or a start/stop object")
+    for b in () if doppler else bins:
+        _require(0 <= b <= n - 1, f"{key}: bin {b} outside 0..{n - 1}")
+    return bins
 
 
 def _as_list(value, key: str) -> list:
@@ -111,15 +121,8 @@ def _solver_config(raw, key: str) -> TrustRegionConfig:
     _require(not unknown, f"{key}: unknown solver keys {sorted(unknown)}")
     values = {}
     for name, value in raw.items():
-        if value is None and name == "tcg_max_inner":
-            values[name] = None
-        elif name == "grad_tol_relative":
-            _require(isinstance(value, bool), f"{key}.{name} must be true or false")
-            values[name] = value
-        elif name in _INT_SOLVER_KEYS:
-            values[name] = _as_int(value, f"{key}.{name}")
-        else:
-            values[name] = _as_number(value, f"{key}.{name}")
+        parse = _as_int if name in _INT_SOLVER_KEYS else _as_number
+        values[name] = None if value is None and name == "tcg_max_inner" else parse(value, f"{key}.{name}")
     try:
         return TrustRegionConfig(**values)
     except ValueError as exc:
@@ -174,15 +177,14 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         _require(isinstance(block, dict), f"{key} must be an object")
         unknown = set(block) - {"range_bins", "doppler_bins", "power_db"}
         _require(not unknown, f"{key}: unknown keys {sorted(unknown)}")
-        ranges = _bin_list(block.get("range_bins"), f"{key}.range_bins")
-        dopplers = _bin_list(block.get("doppler_bins"), f"{key}.doppler_bins")
+        ranges = _bin_list(block.get("range_bins"), f"{key}.range_bins", n)
+        dopplers = _bin_list(block.get("doppler_bins"), f"{key}.doppler_bins", n, doppler=True)
         power_db = _as_number(block.get("power_db"), f"{key}.power_db")
         try:
             power = 10.0 ** (power_db / 10.0)
         except OverflowError:
             raise ScenarioError(f"{key}.power_db {power_db:g} gives a power too large for a float") from None
         for r in ranges:
-            _require(0 <= r <= n - 1, f"{key}: range bin {r} outside 0..{n - 1}")
             for h in dopplers:
                 scatterers.append(ClutterScatterer(range_shift=r, doppler=h / n, power=power))
     _require(len(scatterers) >= 1, "scenario defines no clutter scatterers")
@@ -217,9 +219,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    cut_bins = tuple(_bin_list(raw.get("doppler_cut_range_bins", []), "doppler_cut_range_bins"))
-    for r in cut_bins:
-        _require(0 <= r <= n - 1, f"doppler_cut_range_bins: bin {r} outside 0..{n - 1}")
+    cut_bins = tuple(_bin_list(raw.get("doppler_cut_range_bins", []), "doppler_cut_range_bins", n))
 
     trials = _as_int(raw.get("monte_carlo_trials", 100), "monte_carlo_trials")
     _require(trials >= 1, "monte_carlo_trials must be >= 1")

@@ -36,7 +36,7 @@ def _report(num: int, description: str, ok: bool, detail: str = ""):
 
 
 def paper_solver():
-    return TrustRegionConfig(max_iters=100, grad_tol=1e-9, grad_tol_relative=True)
+    return TrustRegionConfig(max_iters=100, grad_tol=1e-9)
 
 
 def nominal_scr_db(seq, scene) -> float:

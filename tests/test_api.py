@@ -94,7 +94,7 @@ def test_solver_config_holds_only_the_stopping_rules():
     # the trust-region radii and thresholds are rtr constants, and STAF
     # files always hold every range bin
     fields = {f.name for f in dataclasses.fields(TrustRegionConfig)}
-    assert fields == {"grad_tol", "grad_tol_relative", "max_iters", "tcg_max_inner"}
+    assert fields == {"grad_tol", "max_iters", "tcg_max_inner"}
     assert not hasattr(TrustRegionConfig, "resolved_radii")
     assert "staf_range_bins" not in {f.name for f in dataclasses.fields(ScenarioConfig)}
 
@@ -105,7 +105,7 @@ def test_solver_config_holds_only_the_stopping_rules():
         *[pytest.param(block, key, value, "unknown solver keys", id=f"{block}.{key}")
           for block in ("worst_solver", "seq_solver")
           for key, value in (("delta_bar", 4.0), ("delta0", 0.5), ("rho_bar", 0.1),
-                             ("tcg_kappa", 0.1), ("tcg_theta", 1.0))],
+                             ("tcg_kappa", 0.1), ("tcg_theta", 1.0), ("grad_tol_relative", True))],
         pytest.param(None, "staf_range_bins", [0, 1], "unknown config keys", id="staf_range_bins"),
     ],
 )

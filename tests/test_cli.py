@@ -150,9 +150,22 @@ class TestWrtrCommand:
             pytest.param("seq_solver", {"max_iters": 30, "grad_tol": math.inf}, id="grad_tol-inf"),
             pytest.param("seq_solver", {"max_iters": 30.5}, id="max_iters-float"),
             pytest.param("worst_solver", {"max_iters": 60, "grad_tol": math.nan}, id="grad_tol-nan"),
-            pytest.param("seq_solver", {"grad_tol_relative": "no"}, id="grad_tol_relative-str"),
             pytest.param("seq_solver", {"tcg_max_inner": 0}, id="tcg_max_inner-0"),
             pytest.param("seq_solver", {"tcg_max_inner": -3}, id="tcg_max_inner-neg"),
+            # a {start, stop} bin range is checked before it is expanded
+            pytest.param(
+                "clutter_blocks",
+                [{"range_bins": {"start": 3, "stop": 10**18}, "doppler_bins": [7], "power_db": 10.0}],
+                id="range_bins-huge_stop",
+            ),
+            pytest.param(
+                "clutter_blocks",
+                [{"range_bins": [3], "doppler_bins": {"start": 3, "stop": 10**18}, "power_db": 10.0}],
+                id="doppler_bins-huge_stop",
+            ),
+            pytest.param(
+                "doppler_cut_range_bins", {"start": 3, "stop": 10**18}, id="doppler_cut_range_bins-huge_stop"
+            ),
             # the clutter lists must be lists
             pytest.param("scatterers", 5, id="scatterers-int"),
             pytest.param("scatterers", None, id="scatterers-null"),
@@ -164,7 +177,7 @@ class TestWrtrCommand:
             ),
         ],
     )
-    def test_malformed_config_exits_2_without_outputs(self, tmp_path, key, value):
+    def test_malformed_config_exits_2_without_outputs(self, tmp_path, capsys, key, value):
         raw = json.loads(SMALL_CONFIG.read_text())
         if value is DROP:
             del raw[key]
@@ -176,6 +189,7 @@ class TestWrtrCommand:
         for command in (["wrtr"], ["baseline", "--method", "random"]):
             assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2, command
             assert not out.exists()
+            assert len(capsys.readouterr().err.splitlines()) == 1, command
 
     def test_seed_flag_overrides_config(self, tmp_path):
         out_a = tmp_path / "a"

@@ -37,6 +37,14 @@ def scenario2_cfg():
                       worst_solver=solver, seq_solver=solver)
 
 
+def shipped_design(which):
+    """(scene, WrtrConfig, seed) of configs/small.json or of scenario 2 as the acceptance fixture runs it."""
+    if which == "small":
+        config = load_scenario(SMALL_CONFIG)
+        return config.to_scene(), config.wrtr, config.seed
+    return scenario2_scene(), scenario2_cfg(), 2024
+
+
 def tiny_scene(n=16):
     return ClutterScene(
         [ClutterScatterer(3, 7 / n, 10.0), ClutterScatterer(4, 7 / n, 10.0),
@@ -143,8 +151,8 @@ class TestOptimize:
         # is clutter / n^2, the inverse nominal SCR of the sequence it returned
         solve, returned = rtr.solve, {}
 
-        def recording(problem, x0, cfg):
-            x, trace = solve(problem, x0, cfg)
+        def recording(problem, x0, cfg, **kwargs):
+            x, trace = solve(problem, x0, cfg, **kwargs)
             returned[id(trace)] = x
             return x, trace
 
@@ -158,15 +166,21 @@ class TestOptimize:
             assert h.seq_trace.final_cost * 10 ** (nominal_db / 10) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("which", ["small", "scenario2"])
+    def test_every_pass_stops_at_the_first_pass_tolerance(self, which):
+        # a restart begins near stationary, so every pass takes g_ref from
+        # the first: the same float product grad_tol * ||grad(s0)||
+        scene, cfg, seed = shipped_design(which)
+        result = driver.optimize(scene, cfg, seed)
+        assert len(result.history) >= 2
+        tol = cfg.seq_solver.grad_tol * result.history[0].seq_trace.initial_grad_norm
+        assert [h.seq_trace.grad_tol_effective for h in result.history] == [tol] * len(result.history)
+
+    @pytest.mark.parametrize("which", ["small", "scenario2"])
     def test_design_does_not_depend_on_eps(self, which):
         # the passes minimise clutter / n^2 from the seeded start whatever the
         # ball, and the stopping test reads SCNR differences, in which the
         # worst coupling |sum w|^2 cancels
-        if which == "small":
-            config = load_scenario(SMALL_CONFIG)
-            scene, cfg, seed = config.to_scene(), config.wrtr, config.seed
-        else:
-            scene, cfg, seed = scenario2_scene(), scenario2_cfg(), 2024
+        scene, cfg, seed = shipped_design(which)
         n = scene.n
         runs = [driver.optimize(scene, replace(cfg, epsilon=eps), seed) for eps in (0.0, n / 2, 2.0 * n, 3.0 * n)]
         assert runs[0].worst_trace is None and all(r.worst_trace is not None for r in runs[1:])

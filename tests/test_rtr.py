@@ -196,7 +196,7 @@ class TestSolve:
     def test_converges_on_worst_case_objective(self):
         # 20 random starts at n = 64 reach 1e-6 of the initial gradient
         # norm well inside 500 iterations
-        cfg = TrustRegionConfig(grad_tol=1e-6, grad_tol_relative=True, max_iters=500)
+        cfg = TrustRegionConfig(grad_tol=1e-6, max_iters=500)
         for seed in range(20):
             obj, start = worst_case_instance(64, 200 + seed, eps=float(2.0 + seed / 7.0))
             _, trace = solve(obj, start, cfg)
@@ -205,20 +205,19 @@ class TestSolve:
 
     def test_max_iters_respected(self):
         obj, start = worst_case_instance(32, 13)
-        _, trace = solve(obj, start, TrustRegionConfig(max_iters=3, grad_tol=0.0,
-                                                       grad_tol_relative=False))
+        _, trace = solve(obj, start, TrustRegionConfig(max_iters=3, grad_tol=0.0))
         assert len(trace) == 3
         assert not trace.converged
 
     def test_trace_records_are_complete(self):
         obj, start = worst_case_instance(16, 14)
-        for cfg in (
-            TrustRegionConfig(max_iters=50),
-            TrustRegionConfig(max_iters=5, grad_tol=1e-9, grad_tol_relative=False),
+        for cfg, g_ref in (
+            (TrustRegionConfig(max_iters=50), None),
+            (TrustRegionConfig(max_iters=5, grad_tol=1e-9), 1.0),
         ):
-            _, trace = solve(obj, start, cfg)
+            _, trace = solve(obj, start, cfg, g_ref=g_ref)
             assert trace.initial_grad_norm > 0
-            tol = cfg.grad_tol * trace.initial_grad_norm if cfg.grad_tol_relative else cfg.grad_tol
+            tol = cfg.grad_tol * (trace.initial_grad_norm if g_ref is None else g_ref)
             assert trace.grad_tol_effective == tol
             assert trace.converged == (trace.final_grad_norm <= trace.grad_tol_effective)
             for it in trace.iterations:
@@ -234,7 +233,7 @@ class TestSolve:
         n = 16
         x = random_point(n, 14)
         problem = QuadraticModelProblem(x, spd_matrix(n, rng), rng.standard_normal(n))
-        cfg = TrustRegionConfig(grad_tol=0.0, grad_tol_relative=False, max_iters=500)
+        cfg = TrustRegionConfig(grad_tol=0.0, max_iters=500)
         _, trace = solve(problem, x, cfg)
         assert len(trace) < 100
         assert not trace.converged
@@ -253,7 +252,7 @@ class TestSolve:
         n = 8
         x = random_point(n, 15)
         problem = QuadraticModelProblem(x, spd_matrix(n, rng), 1e-2 * rng.standard_normal(n))
-        cfg = TrustRegionConfig(grad_tol=0.0, grad_tol_relative=False, max_iters=12)
+        cfg = TrustRegionConfig(grad_tol=0.0, max_iters=12)
         _, trace = solve(problem, x, cfg)
         rows = trace.iterations
         assert len(rows) == 12 and not any(it.accepted for it in rows)
@@ -284,7 +283,7 @@ class TestSolve:
             n = 8
             x = random_point(n, 15)
             problem = QuadraticModelProblem(x, spd_matrix(n, rng), 1e-2 * rng.standard_normal(n))
-            cfg = TrustRegionConfig(grad_tol=0.0, grad_tol_relative=False, max_iters=12)
+            cfg = TrustRegionConfig(grad_tol=0.0, max_iters=12)
         problem = CountingProblem(problem)
         _, trace = solve(problem, x, cfg)
         assert trace.hvps == problem.hvp_calls > len(trace)
@@ -304,8 +303,8 @@ class TestSolve:
 
 class TestCheckTermination:
     """The stopping rule of solve: converged iff the final gradient norm is
-    at most grad_tol_effective (grad_tol, scaled by the initial gradient
-    norm in relative mode)."""
+    at most grad_tol_effective (grad_tol times g_ref, the initial gradient
+    norm unless given)."""
 
     def test_zero_gradient(self):
         x = random_point(8, 20)
@@ -337,8 +336,8 @@ class TestCheckTermination:
 
     def test_absolute_mode(self):
         obj, start = worst_case_instance(16, 23)
-        cfg = TrustRegionConfig(grad_tol=1e-3, grad_tol_relative=False)
-        _, trace = solve(obj, start, cfg)
+        cfg = TrustRegionConfig(grad_tol=1e-3)
+        _, trace = solve(obj, start, cfg, g_ref=1.0)
         assert trace.initial_grad_norm > 1.0
         assert trace.grad_tol_effective == 1e-3
         assert trace.final_grad_norm <= 1e-3

@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import re
 
 import pytest
 
+from wrtr import scenario
 from wrtr.driver import WrtrConfig
+from wrtr.rtr import TrustRegionConfig
 from wrtr.scenario import ScenarioError, load_scenario, parse_scenario
 
 
@@ -133,3 +137,17 @@ class TestLoadScenario:
         assert len(paths) >= 4
         for path in paths:
             assert load_scenario(path).n >= 1
+
+
+class TestDocstring:
+    def test_key_table_names_exactly_the_accepted_keys(self):
+        doc = scenario.__doc__
+        table = doc.split("any other key is an error:")[1].split("A solver block takes")[0]
+        rows = [line.strip() for line in table.splitlines() if re.match(r"    \S", line)]
+        documented = {key for row in rows for key in re.split(r"\s{2,}", row)[0].split(", ")}
+        assert documented == scenario._KNOWN_KEYS
+
+    def test_solver_block_sentence_names_exactly_the_config_fields(self):
+        sentence = " ".join(scenario.__doc__.split("A solver block takes")[1].split(";")[0].split())
+        documented = set(re.findall(r"(\w+) \(", sentence))
+        assert documented == {f.name for f in dataclasses.fields(TrustRegionConfig)}
