@@ -6,8 +6,10 @@ Subcommands:
     montecarlo  realized-SCR statistics for previously exported designs
     staf        recompute the ambiguity surface for an existing sequence
 
-Exit codes: 0 success, 2 config/input error (no partial outputs),
-3 solver failure, which includes a design that sees zero clutter energy.
+Exit codes: 0 success, 2 config/input error, including an --out that
+cannot be made a directory (no partial outputs), 3 solver failure, which
+includes a design that sees zero clutter energy, or an array too large
+to allocate (a huge n).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _export_staf_products(out: Path, cfg: ScenarioConfig, named_sequences) -> li
     baseline's final is its initial) is not computed again: its file is a
     byte copy of the previous one.
     """
-    bins, grid = list(range(cfg.n)), np.arange(cfg.n) / cfg.n
+    bins, grid = range(cfg.n), np.arange(cfg.n) / cfg.n
     files = []
     previous = None
     for label, seq in named_sequences:
@@ -55,8 +57,8 @@ def _export_staf_products(out: Path, cfg: ScenarioConfig, named_sequences) -> li
         if seq is previous:
             shutil.copyfile(out / files[-1], out / name)
         else:
-            full = radar.staf(seq, bins)
-            fileio.write_staf_csv(out / name, bins, bins, full)
+            full = radar.staf(seq)
+            fileio.write_staf_csv(out / name, full)
         files.append(name)
         previous = seq
     for b in cfg.doppler_cut_range_bins:
@@ -144,7 +146,7 @@ def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> tuple:
     fileio.write_sequence_csv(out / "steering_worst.csv", result.worst_steering)
     files.append("steering_worst.csv")
     if result.epsilon > 0:
-        worst_obj = WorstCaseObjective(result.sequence, lam=cfg.wrtr.lam, epsilon=result.epsilon)
+        worst_obj = WorstCaseObjective(result.sequence, epsilon=result.epsilon)
         fileio.write_spectrum_csv(
             out / "hessian_spectrum_worst.csv",
             driver.hessian_spectrum(worst_obj, result.worst_steering),
@@ -326,12 +328,16 @@ def main(argv=None) -> int:
             if cfg.wrtr.doppler_interval is None:
                 raise ScenarioError("montecarlo needs doppler_interval in the config")
             designs = _load_designs(Path(args.designs), cfg.n)
+        out = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            # an existing file at --out, or under its path
+            raise ScenarioError(f"cannot create output directory {out}: {exc.strerror}") from exc
     except ScenarioError as exc:
         print(f"wrtr: config error: {exc}", file=sys.stderr)
         return 2
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     try:
         if args.command == "wrtr":
@@ -347,6 +353,9 @@ def main(argv=None) -> int:
         return 2
     except _SOLVER_ERRORS as exc:
         print(f"wrtr: solver failure [{args.command}]: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"wrtr: out of memory [{args.command}]: {exc}", file=sys.stderr)
         return 3
     _write_report(out, args.command, args.config, seed, time.perf_counter() - started, summary, files)
     print(f"wrtr: {args.command} finished; outputs in {out}")

@@ -17,9 +17,12 @@ sequence solve where the previous one stopped; a restart begins close to
 stationary, where a tolerance scaled by its own start gradient cannot be
 met, so every pass stops at grad_tol * g_ref with g_ref the first pass's
 initial gradient norm (see rtr.solve). The loop stops once the
-output SCNR moves by less than scnr_tol_db across consecutive passes, or
-at max_outer; the alternation is monitored, not proven, so hitting the
-cap is a warning outcome rather than an error.
+output SCNR (see radar.scnr) moves by less than SCNR_TOL_DB = 0.01 dB
+across consecutive passes, or at max_outer; the alternation is
+monitored, not proven, so hitting the cap is a warning outcome rather
+than an error. A doppler_interval gives eps as the largest
+||p(v) - 1||^2 on a grid of INTERVAL_GRID_POINTS = 2001 Dopplers v
+spanning it.
 
 The diagnostics work in tangent coordinates (see manifold): the Hessian
 matrix is rhess applied to the identity columns, and its spectrum is
@@ -38,34 +41,21 @@ from .objectives import SequenceObjective, WorstCaseObjective, epsilon_from_dopp
 from .radar import ClutterScene, clutter_energy
 
 ERROR_MODELS = ("doppler_interval", "uniform_random_phase")
+SCNR_TOL_DB = 0.01  # outer stop: the SCNR change between passes, in dB
+INTERVAL_GRID_POINTS = 2001  # Dopplers on which a doppler_interval's eps is taken
 
 
 @dataclass(frozen=True)
 class WrtrConfig:
-    lam: float = 100.0
     epsilon: float | None = None
     doppler_interval: tuple[float, float] | None = None
-    interval_grid_points: int = 2001
     max_outer: int = 20
-    scnr_tol_db: float = 0.01
-    noise_power: float = 1.0
-    target_power: float = 1.0
     worst_solver: rtr.TrustRegionConfig = field(default_factory=rtr.TrustRegionConfig)
     seq_solver: rtr.TrustRegionConfig = field(default_factory=rtr.TrustRegionConfig)
 
     def __post_init__(self):
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if self.scnr_tol_db <= 0:
-            raise ValueError("scnr_tol_db must be > 0")
-        if self.interval_grid_points < 1:
-            raise ValueError("interval_grid_points must be >= 1")
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
-        if self.noise_power < 0:
-            raise ValueError("noise_power must be >= 0")
-        if self.target_power <= 0:
-            raise ValueError("target_power must be > 0")
         if self.epsilon is None and self.doppler_interval is None:
             raise ValueError("either epsilon or doppler_interval must be given")
 
@@ -74,7 +64,7 @@ class WrtrConfig:
             eps = float(self.epsilon)
         else:
             lo, hi = self.doppler_interval
-            grid = np.linspace(lo, hi, self.interval_grid_points)
+            grid = np.linspace(lo, hi, INTERVAL_GRID_POINTS)
             eps = epsilon_from_doppler(grid, 0.0, n)
         if not 0.0 <= eps <= 4.0 * n:
             raise ValueError(f"epsilon {eps} outside [0, 4n]")
@@ -130,7 +120,7 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
     eps = cfg.resolve_epsilon(n)
     s0 = random_point(n, seed)
     if eps > 0.0:
-        worst_obj = WorstCaseObjective(s0, lam=cfg.lam, epsilon=eps)
+        worst_obj = WorstCaseObjective(s0, epsilon=eps)
         st, worst_trace = rtr.solve(worst_obj, retract(s0, _nudge(s0, eps, seed)), cfg.worst_solver)
         w = np.conj(s0.entries) * st.entries
     else:
@@ -146,9 +136,9 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
         s, seq_trace = rtr.solve(seq_obj, s, cfg.seq_solver, g_ref=g_ref)
         st = UnitModulusSequence(s.entries * w)
         scr_db = radar.scr(s, st, scene)
-        scnr_db = radar.scnr(s, st, scene, cfg.noise_power, cfg.target_power)
+        scnr_db = radar.scnr(s, st, scene)
         history.append(OuterIteration(scr_db=scr_db, scnr_db=scnr_db, seq_trace=seq_trace))
-        if prev_scnr is not None and abs(scnr_db - prev_scnr) < cfg.scnr_tol_db:
+        if prev_scnr is not None and abs(scnr_db - prev_scnr) < SCNR_TOL_DB:
             converged = True
             break
         prev_scnr = scnr_db

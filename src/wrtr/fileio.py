@@ -50,12 +50,14 @@ def read_sequence_csv(path) -> UnitModulusSequence:
     return UnitModulusSequence(values)
 
 
-def write_staf_csv(path, range_bins, doppler_bins, values_db: np.ndarray) -> None:
+def write_staf_csv(path, values_db: np.ndarray) -> None:
+    """The (n, n) surface of radar.staf: row r is range bin r, column k Doppler bin k."""
+    n = values_db.shape[1]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_header(["range_bin"] + [str(h) for h in doppler_bins]))
-        line = "%d" + ",%.10g" * len(doppler_bins) + "\r\n"
+        fh.write(_header(["range_bin"] + [str(k) for k in range(n)]))
+        line = "%d" + ",%.10g" * n + "\r\n"
         # one row at a time: a list of every value would hold n^2 Python floats
-        for r, row in zip(range_bins, values_db):
+        for r, row in enumerate(values_db):
             fh.write(line % (r, *row.tolist()))
 
 

@@ -96,12 +96,10 @@ def random_point(n: int, seed: int) -> UnitModulusSequence:
     return UnitModulusSequence(np.exp(1j * phases))
 
 
-def random_tangent(x: UnitModulusSequence, rng, scale: float | None = None) -> np.ndarray:
-    """Random tangent vector at x (projected complex Gaussian); if scale is given, of that norm."""
+def random_tangent(x: UnitModulusSequence, rng, scale: float) -> np.ndarray:
+    """Random tangent vector at x of norm scale (a projected complex Gaussian, rescaled)."""
     a = project_tangent(x, rng.standard_normal(x.n) + 1j * rng.standard_normal(x.n))
-    if scale is not None:
-        current = norm(a)
-        if current == 0.0:
-            raise ValueError("degenerate random tangent draw")
-        a = a * (scale / current)
-    return a
+    current = norm(a)
+    if current == 0.0:
+        raise ValueError("degenerate random tangent draw")
+    return a * (scale / current)

@@ -1,9 +1,9 @@
 """The two smooth costs of the design, with hand-derived derivatives.
 
-Worst-case steering cost (sequence s fixed, lam the penalty weight,
-eps the squared uncertainty radius; a = s^H st):
+Worst-case steering cost (sequence s fixed, LAM = 100 the penalty
+weight, eps the squared uncertainty radius; a = s^H st):
 
-    f(st) = Im(a)^2 + lam * (Re(a) - n + eps/2)^2
+    f(st) = Im(a)^2 + LAM * (Re(a) - n + eps/2)^2
 
 Sequence cost (q_i = s^H Psi_i s):
 
@@ -34,6 +34,9 @@ import numpy as np
 
 from .manifold import UnitModulusSequence
 from .radar import ClutterScene
+
+LAM = 100.0  # the steering cost's penalty weight
+
 
 def epsilon_from_doppler(doppler_set, target_doppler: float, n: int) -> float:
     """Uncertainty radius: max over the set of ||p(v) - p(v_t)||^2.
@@ -66,13 +69,10 @@ class WorstCaseObjective:
     a = sum b with b = conj(s) (.) st: a phase step phi gives da = j b.phi and d^2 a = -b.phi^2.
     """
 
-    def __init__(self, s: UnitModulusSequence, lam: float = 100.0, epsilon: float = 0.0):
-        if lam <= 0:
-            raise ValueError(f"lam must be > 0, got {lam}")
+    def __init__(self, s: UnitModulusSequence, epsilon: float):
         if not 0.0 <= epsilon <= 4.0 * s.n:
             raise ValueError(f"epsilon must lie in [0, 4n] = [0, {4 * s.n}], got {epsilon}")
         self.s = s
-        self.lam = float(lam)
         self.epsilon = float(epsilon)
         self._target = s.n - 0.5 * self.epsilon
 
@@ -81,17 +81,17 @@ class WorstCaseObjective:
 
     def cost(self, st: UnitModulusSequence) -> float:
         a = self._correlation(st)
-        return a.imag**2 + self.lam * (a.real - self._target) ** 2
+        return a.imag**2 + LAM * (a.real - self._target) ** 2
 
     def rgrad(self, st: UnitModulusSequence) -> np.ndarray:
         a, b = self._correlation(st), np.conj(self.s.entries) * st.entries
-        return 2.0 * a.imag * b.real - 2.0 * self.lam * (a.real - self._target) * b.imag
+        return 2.0 * a.imag * b.real - 2.0 * LAM * (a.real - self._target) * b.imag
 
     def rhess(self, st: UnitModulusSequence, v: np.ndarray) -> np.ndarray:
         a, b = self._correlation(st), np.conj(self.s.entries) * st.entries
         re, im = b.real, b.imag
-        radial = 2.0 * a.imag * im + 2.0 * self.lam * (a.real - self._target) * re
-        return 2.0 * float(re @ v) * re + 2.0 * self.lam * float(im @ v) * im - radial * v
+        radial = 2.0 * a.imag * im + 2.0 * LAM * (a.real - self._target) * re
+        return 2.0 * float(re @ v) * re + 2.0 * LAM * float(im @ v) * im - radial * v
 
     def boundary_residuals(self, st: UnitModulusSequence) -> tuple[float, float]:
         """(|‖st-s‖²-eps|, |Re(s^H st)-(n-eps/2)|) for the Theorem-1 boundary check."""

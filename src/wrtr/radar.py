@@ -3,7 +3,8 @@
 The clutter seen by the slow-time matched filter is a sum of scatterer
 operators Psi_k = amp_k * diag(p(v_t)) J^{r_k} diag(p(v_k)), where p(v)
 is the Doppler steering vector, J^r the down-shift by r pulses and
-amp_k the scatterer amplitude (sqrt of its mean power). The Doppler axis
+amp_k the scatterer amplitude (sqrt of its mean power). Powers are in
+units of the noise power, and the target's power is 1. The Doppler axis
 is centred on the target, so v_t = 0, p(v_t) is the all-ones vector and
 Psi_k = amp_k * J^{r_k} diag(p(v_k)). Every figure of merit goes
 through s^H Psi_k s = amp_k sum_m p_k[m] s[m] conj(s[m + r_k]), a lag
@@ -221,70 +222,59 @@ def clutter_energy(s: UnitModulusSequence, scene: ClutterScene) -> float:
     return float(np.sum(np.abs(q) ** 2))
 
 
-def scnr(
-    s: UnitModulusSequence,
-    s_tilde: UnitModulusSequence,
-    scene: ClutterScene,
-    noise_power: float = 1.0,
-    target_power: float = 1.0,
-) -> float:
-    """Output SCNR in dB with a (possibly distorted) target steering s_tilde.
-
-    Numerator target_power * |s^H s_tilde|^2; denominator
-    noise_power * n + clutter energy. The noise term is constant on the
-    manifold since ||s||^2 = n. Returns -inf for an orthogonal steering;
-    raises DegenerateSceneError when the denominator is exactly zero.
-    """
-    if noise_power < 0:
-        raise ValueError("noise_power must be >= 0")
-    if target_power <= 0:
-        raise ValueError("target_power must be > 0")
-    num = target_power * abs(np.vdot(s.entries, s_tilde.entries)) ** 2
-    den = noise_power * s.n + clutter_energy(s, scene)
-    if den == 0.0:
-        raise DegenerateSceneError("zero-power scene with zero noise")
+def _coupling_db(s: UnitModulusSequence, s_tilde: UnitModulusSequence, den: float) -> float:
+    num = abs(np.vdot(s.entries, s_tilde.entries)) ** 2
     if num == 0.0:
         return float("-inf")
     return float(10.0 * np.log10(num / den))
 
 
+def scnr(s: UnitModulusSequence, s_tilde: UnitModulusSequence, scene: ClutterScene) -> float:
+    """Output SCNR in dB with a (possibly distorted) target steering s_tilde.
+
+    Powers are in units of the noise power and the target's power is 1, so
+    the numerator is |s^H s_tilde|^2 and the denominator n + clutter
+    energy; the noise term n = ||s||^2 is constant on the manifold. Returns
+    -inf for an orthogonal steering.
+    """
+    return _coupling_db(s, s_tilde, s.n + clutter_energy(s, scene))
+
+
 def scr(s: UnitModulusSequence, s_tilde: UnitModulusSequence, scene: ClutterScene) -> float:
-    """Signal-to-clutter ratio in dB (noise-free SCNR)."""
-    return scnr(s, s_tilde, scene, noise_power=0.0, target_power=1.0)
+    """Signal-to-clutter ratio in dB (noise-free SCNR); raises DegenerateSceneError at zero clutter."""
+    energy = clutter_energy(s, scene)
+    if energy == 0.0:
+        raise DegenerateSceneError("the sequence sees zero clutter energy, so its SCR is infinite")
+    return _coupling_db(s, s_tilde, energy)
 
 
-def staf(s: UnitModulusSequence, range_bins) -> np.ndarray:
+def staf(s: UnitModulusSequence) -> np.ndarray:
     """Slow-time ambiguity surface in dB on the DFT grid, peak-normalized to 0 dB.
 
-    Entry (r, k) is 20*log10 |s^H J^r (s (.) p(k/n))| for r in range_bins
-    and k = 0..n-1; per row that magnitude is the DFT's of the lag products
-    s[m + r] conj(s[m]) (zero for m >= n - r). Normalizing to the peak of
-    the rows asked for makes null depths comparable across sequences.
+    Entry (r, k) is 20*log10 |s^H J^r (s (.) p(k/n))| for r, k = 0..n-1;
+    per row that magnitude is the DFT's of the lag products
+    s[m + r] conj(s[m]) (zero for m >= n - r). Normalizing to the peak
+    makes null depths comparable across sequences.
 
     The lag products are transformed in blocks of 2^16 / n rows through
     one reused complex buffer (1 MB), and the magnitudes go straight into
     the float result, which is then scaled in place: the peak is the
-    result plus that buffer, where a complex (rows, n) array would add
+    result plus that buffer, where a complex (n, n) array would add
     twice the result. An FFT row does not depend on the rows beside it,
     so the block size changes no value.
     """
     n = s.n
-    range_bins = [int(r) for r in range_bins]
-    for r in range_bins:
-        if not 0 <= r <= n - 1:
-            raise ValueError(f"range bin {r} out of range for n={n}")
     x = s.entries
-    amp = np.empty((len(range_bins), n))
-    rows = max(1, min(2**16 // n, len(range_bins)))
+    amp = np.empty((n, n))
+    rows = max(1, min(2**16 // n, n))
     buffer = np.empty((rows, n), dtype=np.complex128)
-    for start in range(0, len(range_bins), rows):
-        block = range_bins[start : start + rows]
-        lags = buffer[: len(block)]
-        for i, r in enumerate(block):
+    for start in range(0, n, rows):
+        lags = buffer[: min(rows, n - start)]
+        for i, r in enumerate(range(start, start + len(lags))):
             np.multiply(x[r:], np.conj(x[: n - r]), out=lags[i, : n - r])
             lags[i, n - r :] = 0.0
         np.fft.fft(lags, axis=1, out=lags)
-        np.abs(lags, out=amp[start : start + len(block)])
+        np.abs(lags, out=amp[start : start + len(lags)])
     peak = float(np.max(amp))
     if peak == 0.0:
         raise DegenerateSceneError("all-zero ambiguity surface")

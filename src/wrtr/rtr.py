@@ -120,9 +120,9 @@ def _boundary_step(eta: np.ndarray, d: np.ndarray, delta: float) -> np.ndarray:
     return eta + tau * d
 
 
-def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig,
-        grad: np.ndarray | None = None, on_iterate=None, trace: TrustRegionTrace | None = None):
-    """Steihaug-Toint truncated CG on the model at x.
+def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig, grad: np.ndarray,
+        on_iterate=None, trace: TrustRegionTrace | None = None):
+    """Steihaug-Toint truncated CG on the model at x, whose gradient is grad.
 
     Returns (step, TcgStop). The step never exceeds the radius (boundary
     and negative-curvature exits land exactly on it) and the model
@@ -131,8 +131,6 @@ def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig,
     monotone-norm property); trace, if given, has its hvps counter raised
     by each Hessian-vector product.
     """
-    if grad is None:
-        grad = problem.rgrad(x)
     max_inner = cfg.tcg_max_inner if cfg.tcg_max_inner is not None else x.n
     eta = np.zeros(x.n)
     r0 = norm(grad)
@@ -197,7 +195,7 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig, g_ref: float
         if interior is not None and delta > interior[1]:
             stop, step_norm, rho = interior
         else:
-            xi, stop = tcg(problem, x, delta, cfg, grad=g, trace=trace)
+            xi, stop = tcg(problem, x, delta, cfg, g, trace=trace)
             step_norm = norm(xi)
             h_xi = problem.rhess(x, xi)
             model_decrease = -(float(g @ xi) + 0.5 * float(h_xi @ xi))

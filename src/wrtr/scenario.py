@@ -3,11 +3,12 @@
 A scenario file is a JSON object; its clutter, at least one scatterer,
 can be given as explicit scatterers (linear power) and/or rectangular
 blocks of range bins x Doppler bins with a power in dB (10 log10 of the
-linear power). Doppler bin h maps to normalized Doppler h/n. Bins are a
-list or a {start, stop} object spanning at most n bins; range bins lie
-in 0..n-1. Example:
+linear power). Powers are in units of the noise power, and the target's
+power is 1 (see radar.scnr). Doppler bin h maps to normalized Doppler
+h/n. Bins are a list or a {start, stop} object spanning at most n bins;
+range bins lie in 0..n-1. Example:
 
-    {"n": 64, "seed": 2024, "lambda": 100.0, "doppler_interval": [-0.1, 0.1],
+    {"n": 64, "seed": 2024, "doppler_interval": [-0.1, 0.1],
      "clutter_blocks": [{"range_bins": {"start": 11, "stop": 30},
                          "doppler_bins": [25, 26], "power_db": 10.0}]}
 
@@ -19,10 +20,7 @@ The top-level keys, with their defaults; any other key is an error:
     doppler_interval           [lo, hi], the target's Doppler uncertainty
     epsilon                    steering uncertainty radius in [0, 4n]; given, it
                                overrides doppler_interval, and one is required
-    interval_grid_points       grid that turns doppler_interval into epsilon, 2001
-    lambda                     the adversary's penalty weight, 100.0
-    noise_power, target_power  1.0 each
-    max_outer, scnr_tol_db     alternation stop rules, 20 and 0.01 dB
+    max_outer                  cap on the alternation's sequence passes, 20
     worst_solver, seq_solver   solver blocks, {} each
     seed                       default --seed, 0
     doppler_cut_range_bins     bins whose STAF Doppler cuts are written, []
@@ -31,6 +29,9 @@ The top-level keys, with their defaults; any other key is an error:
 A solver block takes grad_tol (1e-9), max_iters (100) and tcg_max_inner
 (null: n); the radii and thresholds are fixed in rtr. A solve stops at
 gradient norm grad_tol * g_ref, g_ref a reference norm (see rtr.solve).
+The adversary's penalty weight, the alternation's SCNR stop and the
+Doppler grid of doppler_interval are constants: objectives.LAM,
+driver.SCNR_TOL_DB and driver.INTERVAL_GRID_POINTS.
 """
 
 from __future__ import annotations
@@ -131,12 +132,7 @@ def _solver_config(raw, key: str) -> TrustRegionConfig:
 
 # JSON key -> (WrtrConfig field, parser); an absent key keeps WrtrConfig's default.
 _WRTR_KEYS = {
-    "lambda": ("lam", _as_number),
-    "noise_power": ("noise_power", _as_number),
-    "target_power": ("target_power", _as_number),
-    "interval_grid_points": ("interval_grid_points", _as_int),
     "max_outer": ("max_outer", _as_int),
-    "scnr_tol_db": ("scnr_tol_db", _as_number),
     "worst_solver": ("worst_solver", _solver_config),
     "seq_solver": ("seq_solver", _solver_config),
 }

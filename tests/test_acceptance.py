@@ -47,10 +47,8 @@ def nominal_scr_db(seq, scene) -> float:
 def scenario1():
     scene = scenario1_scene()
     cfg = WrtrConfig(
-        lam=LAM,
         doppler_interval=DOPPLER_INTERVAL,
         max_outer=20,
-        scnr_tol_db=0.01,
         worst_solver=paper_solver(),
         seq_solver=paper_solver(),
     )
@@ -71,10 +69,8 @@ def scenario1():
 def scenario2():
     scene = scenario2_scene()
     cfg = WrtrConfig(
-        lam=LAM,
         doppler_interval=DOPPLER_INTERVAL,
         max_outer=20,
-        scnr_tol_db=0.01,
         worst_solver=paper_solver(),
         seq_solver=paper_solver(),
     )
@@ -87,7 +83,7 @@ def test_criterion_01_gradient_oracle():
     t = 1e-5
     for n in (8, 16, 64):
         rng = np.random.default_rng(n)
-        worst_obj = WorstCaseObjective(random_point(n, n + 1), lam=LAM, epsilon=2.0)
+        worst_obj = WorstCaseObjective(random_point(n, n + 1), epsilon=2.0)
         seq_obj = SequenceObjective(random_scene(n, 6, rng))
         for obj in (worst_obj, seq_obj):
             for _ in range(100):
@@ -111,7 +107,7 @@ def test_criterion_02_hessian_oracle():
     started = time.perf_counter()
     n = 16
     rng = np.random.default_rng(99)
-    worst_obj = WorstCaseObjective(random_point(n, 3), lam=LAM, epsilon=2.0)
+    worst_obj = WorstCaseObjective(random_point(n, 3), epsilon=2.0)
     seq_obj = SequenceObjective(random_scene(n, 5, rng))
     slopes = []
     asymmetries = []
@@ -145,7 +141,7 @@ def test_criterion_03_boundary_property():
     for trial in range(20):
         s = random_point(n, 300 + trial)
         eps = float(rng.uniform(0.5, 3.5 * n))
-        obj = WorstCaseObjective(s, lam=LAM, epsilon=eps)
+        obj = WorstCaseObjective(s, epsilon=eps)
         start = retract(s, random_tangent(s, rng, scale=float(np.sqrt(eps))))
         st, _ = rtr.solve(obj, start, paper_solver())
         ball, corr = obj.boundary_residuals(st)
@@ -193,7 +189,7 @@ def test_criterion_04_small_instance_oracle():
     worst_rel = 0.0
     for trial in range(10):
         s = random_point(n, 400 + trial)
-        obj = WorstCaseObjective(s, lam=LAM, epsilon=eps)
+        obj = WorstCaseObjective(s, epsilon=eps)
         start = retract(s, random_tangent(s, rng, scale=float(np.sqrt(eps))))
         st, _ = rtr.solve(obj, start, TrustRegionConfig(max_iters=200, grad_tol=1e-9))
         achieved = abs(np.vdot(s.entries, st.entries)) ** 2
@@ -239,7 +235,7 @@ def test_criterion_05_scenario1_reproduction(scenario1):
 def test_criterion_06_hessian_spectrum_at_convergence(scenario1):
     robust = scenario1["robust"]
     scene = scenario1["scene"]
-    worst_obj = WorstCaseObjective(robust.sequence, lam=LAM, epsilon=robust.epsilon)
+    worst_obj = WorstCaseObjective(robust.sequence, epsilon=robust.epsilon)
     spec_worst = hessian_spectrum(worst_obj, robust.worst_steering)
     seq_obj = SequenceObjective(scene)
     spec_seq = hessian_spectrum(seq_obj, robust.sequence)
@@ -255,7 +251,7 @@ def test_criterion_06_hessian_spectrum_at_convergence(scenario1):
 
 def _clutter_bin_mean(seq, scene) -> float:
     n = scene.n
-    surface = radar.staf(seq, range(n))
+    surface = radar.staf(seq)
     values = [surface[sc.range_shift, round(sc.doppler * n)] for sc in scene.scatterers]
     return float(np.mean(values))
 

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import wrtr
-from wrtr import cli, driver, objectives, rcg
+from wrtr import cli, driver, fileio, objectives, radar, rcg, rtr
 from wrtr.cli import main
-from wrtr.driver import OuterIteration, WrtrResult, monte_carlo_scr
-from wrtr.manifold import random_point
+from wrtr.driver import OuterIteration, WrtrConfig, WrtrResult, monte_carlo_scr
+from wrtr.manifold import random_point, random_tangent
 from wrtr.objectives import SequenceObjective, WorstCaseObjective
 from wrtr.radar import ClutterBank
 from wrtr.rtr import TrustRegionConfig, TrustRegionTrace
@@ -99,6 +99,20 @@ def test_solver_config_holds_only_the_stopping_rules():
     assert "staf_range_bins" not in {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
+def test_one_valued_settings_are_constants():
+    # the penalty weight, the SCNR stop and the Doppler grid are constants,
+    # and powers are in noise units with a unit target power
+    fields = {f.name for f in dataclasses.fields(WrtrConfig)}
+    assert fields == {"epsilon", "doppler_interval", "max_outer", "worst_solver", "seq_solver"}
+    assert "lam" not in inspect.signature(WorstCaseObjective).parameters
+    assert not {"noise_power", "target_power"} & set(inspect.signature(radar.scnr).parameters)
+    # STAF surfaces always hold every range bin
+    assert list(inspect.signature(radar.staf).parameters) == ["s"]
+    assert list(inspect.signature(fileio.write_staf_csv).parameters) == ["path", "values_db"]
+    for fn, name in ((random_tangent, "scale"), (rtr.tcg, "grad")):
+        assert inspect.signature(fn).parameters[name].default is inspect.Parameter.empty
+
+
 @pytest.mark.parametrize(
     "block, key, value, message",
     [
@@ -107,6 +121,9 @@ def test_solver_config_holds_only_the_stopping_rules():
           for key, value in (("delta_bar", 4.0), ("delta0", 0.5), ("rho_bar", 0.1),
                              ("tcg_kappa", 0.1), ("tcg_theta", 1.0), ("grad_tol_relative", True))],
         pytest.param(None, "staf_range_bins", [0, 1], "unknown config keys", id="staf_range_bins"),
+        *[pytest.param(None, key, value, "unknown config keys", id=key)
+          for key, value in (("lambda", 100.0), ("noise_power", 1.0), ("target_power", 1.0),
+                             ("scnr_tol_db", 0.01), ("interval_grid_points", 2001))],
     ],
 )
 def test_removed_config_keys_exit_2_without_outputs(tmp_path, capsys, block, key, value, message):

@@ -49,7 +49,7 @@ def assert_second_order(summary: dict, out_dir: Path, trace) -> None:
 def scenario1_config(doppler_interval) -> ScenarioConfig:
     """Scenario 1 (n = 64, 40 scatterers, seed 2024) built in-process with the given Doppler interval."""
     solver = TrustRegionConfig(max_iters=100, grad_tol=1e-9)
-    wrtr = WrtrConfig(lam=100.0, doppler_interval=doppler_interval, max_outer=20, scnr_tol_db=0.01,
+    wrtr = WrtrConfig(doppler_interval=doppler_interval, max_outer=20,
                       worst_solver=solver, seq_solver=solver)
     return ScenarioConfig(n=64, scatterers=scenario1_scene().scatterers, wrtr=wrtr, seed=2024)
 
@@ -103,6 +103,7 @@ class TestWrtrCommand:
         [
             pytest.param("n", DROP, id="missing_n"),
             ("max_outer", 0),
+            # removed keys, rejected as unknown (test_api checks the message)
             ("scnr_tol_db", 0),
             ("interval_grid_points", 0),
             ("lambda", 0),
@@ -111,6 +112,7 @@ class TestWrtrCommand:
             # json reads NaN and Infinity; none of them is a valid number here
             pytest.param("lambda", math.nan, id="lambda-nan"),
             pytest.param("noise_power", math.nan, id="noise_power-nan"),
+            pytest.param("epsilon", math.nan, id="epsilon-nan"),
             pytest.param("doppler_interval", [-math.inf, 0.01], id="doppler_interval-neg_inf"),
             pytest.param(
                 "clutter_blocks",
@@ -146,6 +148,7 @@ class TestWrtrCommand:
             ("seed", -3),
             # a 401-digit integer is a valid json number that no float holds
             pytest.param("noise_power", 10**400, id="noise_power-huge_int"),
+            pytest.param("epsilon", 10**400, id="epsilon-huge_int"),
             # solver values are checked by type before TrustRegionConfig sees them
             pytest.param("seq_solver", {"max_iters": 30, "grad_tol": math.inf}, id="grad_tol-inf"),
             pytest.param("seq_solver", {"max_iters": 30.5}, id="max_iters-float"),
@@ -205,6 +208,29 @@ class TestWrtrCommand:
         out = tmp_path / "nothing"
         assert main(command + ["--config", str(SMALL_CONFIG), "--out", str(out), "--seed", "-1"]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["wrtr"], ["baseline", "--method", "random"]], ids=["wrtr", "baseline"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "file_sub"])
+    def test_out_under_a_file_exits_2(self, tmp_path, capsys, command, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept")
+        out = blocker / "sub" if below else blocker
+        assert main([*command, "--config", str(SMALL_CONFIG), "--out", str(out)]) == 2
+        assert blocker.read_text() == "kept"
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("wrtr: config error: cannot create output directory")
+
+    @pytest.mark.parametrize("command", [["wrtr"], ["baseline", "--method", "random"]], ids=["wrtr", "baseline"])
+    def test_unallocatable_n_exits_3(self, tmp_path, capsys, command):
+        # n = 10^18 passes validation; numpy refuses its 6.9 EiB arrays
+        # before allocating anything
+        raw = json.loads(SMALL_CONFIG.read_text())
+        raw.update(n=10**18, clutter_blocks=[], scatterers=[{"range_shift": 2, "doppler": 0.1, "power": 1.0}])
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(raw))
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("wrtr: out of memory")
 
     def test_report_certifies_the_worst_case(self, tmp_path):
         # report.json compares |s^H st|^2 with the closed form max(n - eps/2, 0)^2;

@@ -21,7 +21,6 @@ SMALL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "small.json"
 
 def small_cfg(**kw):
     defaults = dict(
-        lam=100.0,
         epsilon=2.0,
         max_outer=4,
         worst_solver=TrustRegionConfig(max_iters=60),
@@ -33,7 +32,7 @@ def small_cfg(**kw):
 
 def scenario2_cfg():
     solver = TrustRegionConfig(max_iters=100, grad_tol=1e-9)
-    return WrtrConfig(lam=100.0, doppler_interval=(-0.1, 0.1), max_outer=20, scnr_tol_db=0.01,
+    return WrtrConfig(doppler_interval=(-0.1, 0.1), max_outer=20,
                       worst_solver=solver, seq_solver=solver)
 
 
@@ -79,7 +78,7 @@ class TestOptimize:
         # returned sequence (boundary residuals at lambda-scale tolerance)
         scene = tiny_scene()
         result = driver.optimize(scene, small_cfg(), seed=7)
-        obj = WorstCaseObjective(result.sequence, lam=100.0, epsilon=result.epsilon)
+        obj = WorstCaseObjective(result.sequence, epsilon=result.epsilon)
         ball, corr = obj.boundary_residuals(result.worst_steering)
         assert ball <= 10.0 / np.sqrt(100.0)
         assert corr <= 5.0 / np.sqrt(100.0)
@@ -119,7 +118,7 @@ class TestOptimize:
             assert result.worst_trace.converged
             # the worst steering is the final sequence times the adversary's w = conj(s0) (.) st
             s0, eps = result.initial_sequence, result.epsilon
-            adversary = WorstCaseObjective(s0, lam=cfg.lam, epsilon=eps)
+            adversary = WorstCaseObjective(s0, epsilon=eps)
             st, _ = rtr.solve(adversary, retract(s0, driver._nudge(s0, eps, 40 + k)), cfg.worst_solver)
             w = np.conj(s0.entries) * st.entries
             assert np.array_equal(result.worst_steering.entries, result.sequence.entries * w)
@@ -132,8 +131,8 @@ class TestOptimize:
         for eps in (2.0, 20.0, 40.0):
             w = random_sequence(n, rng).entries
             s1, s2 = random_sequence(n, rng), random_sequence(n, rng)
-            obj1 = WorstCaseObjective(s1, lam=100.0, epsilon=eps)
-            obj2 = WorstCaseObjective(s2, lam=100.0, epsilon=eps)
+            obj1 = WorstCaseObjective(s1, epsilon=eps)
+            obj2 = WorstCaseObjective(s2, epsilon=eps)
             x1, x2 = UnitModulusSequence(s1.entries * w), UnitModulusSequence(s2.entries * w)
             a = make_tangent(x1, rng)
             assert obj1.cost(x1) == pytest.approx(obj2.cost(x2), rel=1e-12)
@@ -197,7 +196,7 @@ class TestOptimize:
 
     def test_epsilon_from_interval(self):
         scene = tiny_scene()
-        cfg = small_cfg(epsilon=None, doppler_interval=(-0.02, 0.02), interval_grid_points=101)
+        cfg = small_cfg(epsilon=None, doppler_interval=(-0.02, 0.02))
         result = driver.optimize(scene, cfg, seed=9)
         assert 0.0 < result.epsilon <= 4 * scene.n
 
@@ -210,7 +209,7 @@ class TestHessianSpectrum:
     def test_penalty_minimum_is_psd(self):
         # at st = s with eps = 0 the cost is at its global minimum
         s = random_point(12, 10)
-        obj = WorstCaseObjective(s, lam=100.0, epsilon=0.0)
+        obj = WorstCaseObjective(s, epsilon=0.0)
         spectrum = hessian_spectrum(obj, s)
         assert spectrum[0] >= -1e-10
         assert np.all(np.diff(spectrum) >= 0)

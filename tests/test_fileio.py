@@ -39,14 +39,14 @@ def oracle(tmp_path):
 
 
 def test_staf(tmp_path, oracle, rng):
-    range_bins, doppler_bins = [0, 3, 7, 12], list(range(16))
-    values = 20 * np.log10(rng.uniform(1e-16, 1.0, (len(range_bins), len(doppler_bins))))
+    n = 16
+    values = 20 * np.log10(rng.uniform(1e-16, 1.0, (n, n)))
     values[0, : len(AWKWARD)] = AWKWARD
     values[1, 0] = -values[1, 0]
-    fileio.write_staf_csv(tmp_path / "staf.csv", range_bins, doppler_bins, values)
+    fileio.write_staf_csv(tmp_path / "staf.csv", values)
     expected = oracle(
-        [["range_bin"] + [str(h) for h in doppler_bins]]
-        + [[r] + [_g10(v) for v in row] for r, row in zip(range_bins, values)]
+        [["range_bin"] + [str(h) for h in range(n)]]
+        + [[r] + [_g10(v) for v in row] for r, row in enumerate(values)]
     )
     assert (tmp_path / "staf.csv").read_bytes() == expected
 

@@ -4,6 +4,7 @@ import pytest
 from wrtr.driver import hessian_matrix
 from wrtr.manifold import UnitModulusSequence, inner, project_tangent, random_point, retract
 from wrtr.objectives import (
+    LAM,
     SequenceObjective,
     WorstCaseObjective,
     epsilon_from_doppler,
@@ -63,28 +64,26 @@ class TestEpsilonFromDoppler:
 class TestWorstCaseCost:
     def test_at_center_equals_penalty(self):
         s = random_point(8, 0)
-        obj = WorstCaseObjective(s, lam=100.0, epsilon=3.0)
+        obj = WorstCaseObjective(s, epsilon=3.0)
         assert obj.cost(s) == pytest.approx(100.0 * (3.0 / 2.0) ** 2, rel=1e-12)
 
     def test_zero_radius_zero_cost(self):
         s = random_point(8, 1)
-        obj = WorstCaseObjective(s, lam=50.0, epsilon=0.0)
+        obj = WorstCaseObjective(s, epsilon=0.0)
         assert obj.cost(s) == pytest.approx(0.0, abs=1e-20)
 
     def test_recomputed_from_correlation(self, rng):
         s, st = random_point(8, 2), random_point(8, 3)
-        lam, eps = 100.0, 2.5
-        obj = WorstCaseObjective(s, lam=lam, epsilon=eps)
+        eps = 2.5
+        obj = WorstCaseObjective(s, epsilon=eps)
         a = np.vdot(s.entries, st.entries)
-        expected = a.imag**2 + lam * (a.real - 8 + eps / 2) ** 2
+        expected = a.imag**2 + LAM * (a.real - 8 + eps / 2) ** 2
         assert obj.cost(st) == pytest.approx(expected, rel=1e-14)
 
     def test_invalid_parameters(self):
         s = random_point(4, 4)
         with pytest.raises(ValueError):
-            WorstCaseObjective(s, lam=0.0, epsilon=1.0)
-        with pytest.raises(ValueError):
-            WorstCaseObjective(s, lam=1.0, epsilon=17.0)
+            WorstCaseObjective(s, epsilon=17.0)
 
 
 class TestWorstCaseGradient:
@@ -92,23 +91,23 @@ class TestWorstCaseGradient:
         # at st = s with eps = 0 both residuals vanish: the gradient is 0 and
         # the Hessian is the rank-one coupling term 2 (1.v) 1
         s = random_point(8, 5)
-        obj = WorstCaseObjective(s, lam=100.0, epsilon=0.0)
+        obj = WorstCaseObjective(s, epsilon=0.0)
         assert np.allclose(obj.rgrad(s), 0.0, atol=1e-14)
         v = np.arange(8.0)
         assert np.allclose(obj.rhess(s, v), 2.0 * v.sum(), atol=1e-10)
 
     def test_center_gradient_is_radius_penalty(self):
         # Eq.-level value: at st = s the real residual is +eps/2, so the
-        # penalty's radial term enters the Hessian as -lam*eps (.) v
+        # penalty's radial term enters the Hessian as -LAM*eps (.) v
         s = random_point(8, 6)
-        lam, eps = 100.0, 2.0
-        obj = WorstCaseObjective(s, lam=lam, epsilon=eps)
+        eps = 2.0
+        obj = WorstCaseObjective(s, epsilon=eps)
         v = np.linspace(-1.0, 1.0, 8) ** 3
-        assert np.allclose(obj.rhess(s, v), 2.0 * v.sum() - lam * eps * v, atol=1e-10)
+        assert np.allclose(obj.rhess(s, v), 2.0 * v.sum() - LAM * eps * v, atol=1e-10)
 
     def test_central_finite_differences(self, rng):
         s, st = random_point(8, 7), random_point(8, 8)
-        obj = WorstCaseObjective(s, lam=100.0, epsilon=2.0)
+        obj = WorstCaseObjective(s, epsilon=2.0)
         t = 1e-6
         for _ in range(10):
             v = rng.standard_normal(8)
@@ -118,18 +117,18 @@ class TestWorstCaseGradient:
 class TestWorstCaseHessian:
     def test_zero_direction(self, rng):
         s, st = random_point(8, 9), random_point(8, 10)
-        obj = WorstCaseObjective(s, lam=100.0, epsilon=2.0)
+        obj = WorstCaseObjective(s, epsilon=2.0)
         assert np.allclose(obj.rhess(st, np.zeros(st.n)), 0.0)
 
     def test_real_linearity(self, rng):
         s, st = random_point(8, 11), random_point(8, 12)
-        obj = WorstCaseObjective(s, lam=100.0, epsilon=2.0)
+        obj = WorstCaseObjective(s, epsilon=2.0)
         a = make_tangent(st, rng)
         assert np.allclose(obj.rhess(st, 3.5 * a), 3.5 * obj.rhess(st, a), atol=1e-12)
 
     def test_forward_difference_of_gradient(self, rng):
         s, st = random_point(8, 13), random_point(8, 14)
-        obj = WorstCaseObjective(s, lam=100.0, epsilon=2.0)
+        obj = WorstCaseObjective(s, epsilon=2.0)
         a = make_tangent(st, rng, scale=1.0)
         t = 1e-7
         fd = (obj.rgrad(retract(st, t * a)) - obj.rgrad(st)) / t
@@ -138,7 +137,7 @@ class TestWorstCaseHessian:
 
     def test_riemannian_self_adjointness(self, rng):
         st = random_point(16, 15)
-        obj = WorstCaseObjective(random_point(16, 16), lam=100.0, epsilon=2.0)
+        obj = WorstCaseObjective(random_point(16, 16), epsilon=2.0)
         worst = 0.0
         for _ in range(50):
             xi = make_tangent(st, rng, scale=1.0)
@@ -150,7 +149,7 @@ class TestWorstCaseHessian:
 
     def test_second_order_taylor_slope(self, rng):
         st = random_point(16, 17)
-        obj = WorstCaseObjective(random_point(16, 18), lam=100.0, epsilon=2.0)
+        obj = WorstCaseObjective(random_point(16, 18), epsilon=2.0)
         xi = make_tangent(st, rng, scale=1.0)
         f0 = obj.cost(st)
         g = inner(obj.rgrad(st), xi)
@@ -400,13 +399,13 @@ class TestRiemannianGradient:
 
     def test_zero_at_center_zero_radius(self):
         s = random_point(8, 44)
-        obj = WorstCaseObjective(s, lam=100.0, epsilon=0.0)
+        obj = WorstCaseObjective(s, epsilon=0.0)
         assert np.allclose(obj.rgrad(s), 0.0, atol=1e-14)
 
     def test_center_is_stationary_for_any_radius(self):
         # the radius penalty gradient at st = s is radial, so it projects out
         s = random_point(8, 45)
-        obj = WorstCaseObjective(s, lam=100.0, epsilon=3.0)
+        obj = WorstCaseObjective(s, epsilon=3.0)
         assert np.allclose(obj.rgrad(s), 0.0, atol=1e-10)
 
     def test_pullback_first_order(self, rng):
@@ -426,17 +425,16 @@ class TestBoundaryProperty:
         from wrtr import rtr
         from wrtr.manifold import random_tangent
 
-        lam = 100.0
         for seed in range(3):
             n = 64
             s = random_point(n, 100 + seed)
             eps = float(rng.uniform(1.0, 3.5 * n))
-            obj = WorstCaseObjective(s, lam=lam, epsilon=eps)
+            obj = WorstCaseObjective(s, epsilon=eps)
             start = retract(s, random_tangent(s, rng, scale=float(np.sqrt(eps))))
             st, trace = rtr.solve(obj, start, rtr.TrustRegionConfig(max_iters=200))
             ball_residual, corr_residual = obj.boundary_residuals(st)
-            assert ball_residual <= 10.0 / np.sqrt(lam)
-            assert corr_residual <= 5.0 / np.sqrt(lam)
+            assert ball_residual <= 10.0 / np.sqrt(LAM)
+            assert corr_residual <= 5.0 / np.sqrt(LAM)
 
 
 class TestClosedFormWorstCase:
@@ -457,7 +455,7 @@ class TestClosedFormWorstCase:
         for eps in (5.0, 20.0, 100.0):
             for seed in range(5):
                 s = random_point(n, 300 + seed)
-                obj = WorstCaseObjective(s, lam=100.0, epsilon=eps)
+                obj = WorstCaseObjective(s, epsilon=eps)
                 rng = np.random.default_rng([seed, 0])
                 start = retract(s, random_tangent(s, rng, scale=float(np.sqrt(eps))))
                 st, _ = rtr.solve(obj, start, rtr.TrustRegionConfig())

@@ -69,7 +69,7 @@ class TestTcg:
     def test_zero_gradient_returns_zero_step(self, rng):
         x = random_point(8, 0)
         problem = QuadraticModelProblem(x, np.eye(8), np.zeros(8))
-        step, reason = tcg(problem, x, 1.0, TrustRegionConfig())
+        step, reason = tcg(problem, x, 1.0, TrustRegionConfig(), problem.rgrad(x))
         assert reason is TcgStop.RESIDUAL_SMALL
         assert norm(step) == 0.0
 
@@ -77,7 +77,7 @@ class TestTcg:
         x = random_point(1, 1)
         h, g = 4.0, 2.0
         problem = QuadraticModelProblem(x, [[h]], [g])
-        step, reason = tcg(problem, x, 100.0, TrustRegionConfig())
+        step, reason = tcg(problem, x, 100.0, TrustRegionConfig(), problem.rgrad(x))
         assert reason is TcgStop.RESIDUAL_SMALL
         assert step[0] == pytest.approx(-g / h, rel=1e-14)
 
@@ -89,7 +89,7 @@ class TestTcg:
         g = rng.standard_normal(n)
         problem = QuadraticModelProblem(x, a, g)
         cfg = TrustRegionConfig(tcg_max_inner=4 * n)
-        step, reason = tcg(problem, x, 1e6, cfg)
+        step, reason = tcg(problem, x, 1e6, cfg, problem.rgrad(x))
         expected = -np.linalg.solve(a, g)
         assert reason is TcgStop.RESIDUAL_SMALL
         assert np.allclose(step, expected, atol=1e-8)
@@ -99,7 +99,7 @@ class TestTcg:
         x = random_point(n, 3)
         problem = QuadraticModelProblem(x, spd_matrix(n, rng), 10 * rng.standard_normal(n))
         for delta in (1e-3, 0.1, 1.0):
-            step, _ = tcg(problem, x, delta, TrustRegionConfig())
+            step, _ = tcg(problem, x, delta, TrustRegionConfig(), problem.rgrad(x))
             assert norm(step) <= delta + 1e-12
 
     def test_boundary_exit_lands_on_radius(self, rng):
@@ -108,7 +108,7 @@ class TestTcg:
         # tiny curvature, big gradient: the unconstrained minimizer is far away
         problem = QuadraticModelProblem(x, 1e-3 * np.eye(n), rng.standard_normal(n))
         delta = 0.5
-        step, reason = tcg(problem, x, delta, TrustRegionConfig())
+        step, reason = tcg(problem, x, delta, TrustRegionConfig(), problem.rgrad(x))
         assert reason is TcgStop.BOUNDARY
         assert norm(step) == pytest.approx(delta, abs=1e-12)
 
@@ -117,7 +117,7 @@ class TestTcg:
         x = random_point(n, 5)
         problem = QuadraticModelProblem(x, -np.eye(n), rng.standard_normal(n))
         delta = 2.0
-        step, reason = tcg(problem, x, delta, TrustRegionConfig())
+        step, reason = tcg(problem, x, delta, TrustRegionConfig(), problem.rgrad(x))
         assert reason is TcgStop.NEGATIVE_CURVATURE
         assert norm(step) == pytest.approx(delta, abs=1e-12)
 
@@ -127,7 +127,7 @@ class TestTcg:
         x = random_point(n, 6)
         problem = QuadraticModelProblem(x, spd_matrix(n, rng), rng.standard_normal(n))
         cfg = TrustRegionConfig(tcg_max_inner=1)
-        _, reason = tcg(problem, x, 1e6, cfg)
+        _, reason = tcg(problem, x, 1e6, cfg, problem.rgrad(x))
         assert reason is TcgStop.MAX_INNER
 
     def test_iterate_norms_nondecreasing(self, rng, monkeypatch):
@@ -136,7 +136,7 @@ class TestTcg:
         x = random_point(n, 7)
         problem = QuadraticModelProblem(x, spd_matrix(n, rng), rng.standard_normal(n))
         norms = []
-        tcg(problem, x, 10.0, TrustRegionConfig(tcg_max_inner=n),
+        tcg(problem, x, 10.0, TrustRegionConfig(tcg_max_inner=n), problem.rgrad(x),
             on_iterate=lambda eta: norms.append(norm(eta)))
         assert len(norms) >= 2
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
@@ -150,14 +150,14 @@ class TestTcg:
             g = rng.standard_normal(n)
             problem = QuadraticModelProblem(x, matrix, g)
             grad = problem.rgrad(x)
-            step, _ = tcg(problem, x, 0.7, TrustRegionConfig(), grad=grad)
+            step, _ = tcg(problem, x, 0.7, TrustRegionConfig(), grad)
             decrease = -(inner(grad, step) + 0.5 * inner(problem.rhess(x, step), step))
             assert decrease >= -1e-12
 
 
-def worst_case_instance(n, seed, eps=2.0, lam=100.0):
+def worst_case_instance(n, seed, eps=2.0):
     s = random_point(n, seed)
-    obj = WorstCaseObjective(s, lam=lam, epsilon=eps)
+    obj = WorstCaseObjective(s, epsilon=eps)
     rng = np.random.default_rng(seed + 1)
     start = retract(s, random_tangent(s, rng, scale=float(np.sqrt(eps))))
     return obj, start
@@ -166,7 +166,7 @@ def worst_case_instance(n, seed, eps=2.0, lam=100.0):
 class TestSolve:
     def test_stationary_start_returns_immediately(self):
         s = random_point(8, 10)
-        obj = WorstCaseObjective(s, lam=100.0, epsilon=0.0)
+        obj = WorstCaseObjective(s, epsilon=0.0)
         x, trace = solve(obj, s, TrustRegionConfig())
         assert len(trace) == 0
         assert trace.converged

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,16 @@ from wrtr import scenario
 from wrtr.driver import WrtrConfig
 from wrtr.rtr import TrustRegionConfig
 from wrtr.scenario import ScenarioError, load_scenario, parse_scenario
+
+from conftest import scenario1_scene, scenario2_scene
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# the scene each paper config builds; small.json has none to compare with
+SHIPPED_SCENES = {
+    "scenario1.json": scenario1_scene,
+    "scenario1_subbin.json": scenario1_scene,
+    "scenario2.json": scenario2_scene,
+}
 
 
 def base_config(**overrides):
@@ -151,3 +162,10 @@ class TestDocstring:
         sentence = " ".join(scenario.__doc__.split("A solver block takes")[1].split(";")[0].split())
         documented = set(re.findall(r"(\w+) \(", sentence))
         assert documented == {f.name for f in dataclasses.fields(TrustRegionConfig)}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_config_loads(path):
+    cfg = load_scenario(path)
+    if path.name in SHIPPED_SCENES:
+        assert cfg.to_scene() == SHIPPED_SCENES[path.name]()
