@@ -340,6 +340,9 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
+        if 8 * cfg.n**2 > np.iinfo(np.intp).max:
+            # numpy reports an array past its size limit as a ValueError
+            raise MemoryError(f"the n x n STAF of n = {cfg.n} exceeds the largest possible array")
         if args.command == "wrtr":
             summary, files = run_wrtr(cfg, out, seed)
         elif args.command == "baseline":

@@ -222,15 +222,17 @@ class TestWrtrCommand:
 
     @pytest.mark.parametrize("command", [["wrtr"], ["baseline", "--method", "random"]], ids=["wrtr", "baseline"])
     def test_unallocatable_n_exits_3(self, tmp_path, capsys, command):
-        # n = 10^18 passes validation; numpy refuses its 6.9 EiB arrays
-        # before allocating anything
-        raw = json.loads(SMALL_CONFIG.read_text())
-        raw.update(n=10**18, clutter_blocks=[], scatterers=[{"range_shift": 2, "doppler": 0.1, "power": 1.0}])
-        cfg = tmp_path / "huge.json"
-        cfg.write_text(json.dumps(raw))
-        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("wrtr: out of memory")
+        # each n passes validation; none of its arrays is allocated. Past
+        # 1.15e18 an n-entry int64 array overflows numpy's byte count, and
+        # 2^63 overflows int64 itself
+        for n in (10**18, 2 * 10**18, 2**63):
+            raw = json.loads(SMALL_CONFIG.read_text())
+            raw.update(n=n, clutter_blocks=[], scatterers=[{"range_shift": 2, "doppler": 0.1, "power": 1.0}])
+            cfg = tmp_path / "huge.json"
+            cfg.write_text(json.dumps(raw))
+            assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("wrtr: out of memory")
 
     def test_report_certifies_the_worst_case(self, tmp_path):
         # report.json compares |s^H st|^2 with the closed form max(n - eps/2, 0)^2;

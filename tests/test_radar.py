@@ -325,11 +325,14 @@ class TestStaf:
                     for r in range(n)
                 ]
             )
-            # in linear magnitude: row 0 is 0 off k = 0, and the two evaluations
-            # round those zeros to 0 and to 3e-14 (-295 dB), either side of the floor
-            expected = np.maximum(raw / raw.max(), 1e-15)
+            expected = 20 * np.log10(np.maximum(raw / raw.max(), 1e-15))
+            # row 0 (lag 0) is exactly 0 off k = 0; the two evaluations round
+            # those zeros to 0 and to 3e-14 (-290 dB), either side of the floor
+            zeros = np.zeros((n, n), dtype=bool)
+            zeros[0, 1:] = True
             assert surface.shape == (n, n)
-            assert np.allclose(10 ** (surface / 20), expected, rtol=1e-9, atol=1e-13)
+            assert np.allclose(surface[~zeros], expected[~zeros], atol=1e-10)
+            assert np.all(surface[zeros] < -240) and np.all(expected[zeros] < -240)
             assert np.max(surface) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize(
