@@ -6,16 +6,16 @@ Subcommands:
     montecarlo  realized-SCR statistics for previously exported designs
     staf        recompute the ambiguity surface for an existing sequence
 
-Exit codes: 0 success, 2 config/input error, including an --out that
-cannot be made a directory (no partial outputs), 3 solver failure, which
-includes a design that sees zero clutter energy, or an array too large
-to allocate (a huge n).
+Exit codes: 0 success, 2 config/input error (no partial outputs),
+including a config, designs manifest or sequence file that cannot be
+read, decoded or parsed and an --out that cannot be made a directory,
+3 solver failure, which includes a design that sees zero clutter
+energy, or an array too large to allocate (a huge n).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import sys
 import time
@@ -28,7 +28,7 @@ from .manifold import random_point
 from .objectives import SequenceObjective, WorstCaseObjective, worst_case_gain
 from .radar import DegenerateSceneError
 from .rcg import solve_rcg
-from .scenario import ScenarioConfig, ScenarioError, load_scenario
+from .scenario import ScenarioConfig, ScenarioError, load_scenario, read_json
 
 BASELINE_METHODS = ("rtr_nonrobust", "rcg_nonrobust", "random")
 # rtr.solve and rcg.solve_rcg raise FloatingPointError on an overflow or NaN (a huge clutter power)
@@ -209,14 +209,19 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> tupl
     return {**summary, **design}, files
 
 
-def _load_designs(manifest_path: Path, n: int) -> dict:
+def _load_sequence(path: Path, n: int, label: str):
+    """The sequence CSV at path, of length n; label names it in errors."""
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read designs manifest {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid JSON in manifest {manifest_path}: {exc.msg}") from exc
+        seq = fileio.read_sequence_csv(path)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"{label}: cannot load {path}: {exc}") from exc
+    if seq.n != n:
+        raise ScenarioError(f"{label}: length {seq.n} does not match config n={n}")
+    return seq
+
+
+def _load_designs(manifest_path: Path, n: int) -> dict:
+    manifest = read_json(manifest_path, "designs manifest")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("designs"), list):
         raise ScenarioError("manifest must be an object with a 'designs' list")
     designs = {}
@@ -229,20 +234,9 @@ def _load_designs(manifest_path: Path, n: int) -> dict:
             raise ScenarioError(f"designs[{i}]: name {name!r} is already taken by an earlier design")
         if not isinstance(entry["sequence"], str):
             raise ScenarioError(f"designs[{i}] ({entry['name']}): 'sequence' must be a path string")
-        path = Path(entry["sequence"])
-        if not path.is_absolute():
-            path = manifest_path.parent / path
-        if not path.is_file():
-            raise ScenarioError(f"designs[{i}] ({entry['name']}): missing sequence file {path}")
-        try:
-            seq = fileio.read_sequence_csv(path)
-        except ValueError as exc:
-            raise ScenarioError(f"designs[{i}] ({entry['name']}): {exc}") from exc
-        if seq.n != n:
-            raise ScenarioError(
-                f"designs[{i}] ({entry['name']}): length {seq.n} does not match config n={n}"
-            )
-        designs[name] = seq
+        # relative to the manifest's directory; an absolute path stays as it is
+        path = manifest_path.parent / entry["sequence"]
+        designs[name] = _load_sequence(path, n, f"designs[{i}] ({name})")
     if not designs:
         raise ScenarioError("manifest lists no designs")
     return designs
@@ -271,16 +265,6 @@ def run_monte_carlo(cfg: ScenarioConfig, out: Path, seed: int, designs: dict) ->
             }
     fileio.write_mc_csv(out / "scr_stats.csv", rows)
     return summary, ["scr_stats.csv"]
-
-
-def _load_sequence(path: Path, n: int):
-    try:
-        seq = fileio.read_sequence_csv(path)
-    except (OSError, ValueError) as exc:
-        raise ScenarioError(f"cannot load sequence {path}: {exc}") from exc
-    if seq.n != n:
-        raise ScenarioError(f"sequence length {seq.n} does not match config n={n}")
-    return seq
 
 
 def run_staf(cfg: ScenarioConfig, out: Path, sequence_path: Path, seq) -> tuple:
@@ -312,34 +296,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_out_dir(path: str) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # an existing file at --out, or under its path
+        raise ScenarioError(f"cannot create output directory {out}: {exc.strerror}") from exc
+    return out
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Validate every input before creating any output, so a bad config
-    # leaves no partial artifacts behind.
     try:
+        # every input is checked before --out is made, so a bad one leaves no partial outputs
         cfg = load_scenario(args.config)
         seed = args.seed if args.seed is not None else cfg.seed
         if seed < 0:
             raise ScenarioError(f"--seed must be >= 0, got {seed}")
-        designs = sequence = None
         if args.command == "staf":
-            sequence = _load_sequence(Path(args.sequence), cfg.n)
+            sequence = _load_sequence(Path(args.sequence), cfg.n, "sequence")
         elif args.command == "montecarlo":
             if cfg.wrtr.doppler_interval is None:
                 raise ScenarioError("montecarlo needs doppler_interval in the config")
             designs = _load_designs(Path(args.designs), cfg.n)
-        out = Path(args.out)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            # an existing file at --out, or under its path
-            raise ScenarioError(f"cannot create output directory {out}: {exc.strerror}") from exc
-    except ScenarioError as exc:
-        print(f"wrtr: config error: {exc}", file=sys.stderr)
-        return 2
-
-    started = time.perf_counter()
-    try:
+        out = _make_out_dir(args.out)
+        started = time.perf_counter()
         if 8 * cfg.n**2 > np.iinfo(np.intp).max:
             # numpy reports an array past its size limit as a ValueError
             raise MemoryError(f"the n x n STAF of n = {cfg.n} exceeds the largest possible array")

@@ -32,7 +32,7 @@ class RcgIteration:
 
 
 @np.errstate(over="raise", invalid="raise")
-def solve_rcg(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig = TrustRegionConfig()):
+def solve_rcg(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
     """Minimize problem.cost from x0; returns (x_final, TrustRegionTrace).
 
     As rtr.solve, it raises FloatingPointError on a numpy overflow or

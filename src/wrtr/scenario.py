@@ -232,12 +232,17 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     )
 
 
-def load_scenario(path) -> ScenarioConfig:
+def read_json(path, what: str):
+    """The JSON value in the file at path; what ("config") names the file in a ScenarioError."""
+    # ValueError: not UTF-8, or an integer past CPython's 4,300 digits; RecursionError: deep nesting
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read config {path}: {exc}") from exc
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}") from exc
-    return parse_scenario(raw)
+        raise ScenarioError(f"invalid JSON in {what} {path}: line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, RecursionError, ValueError) as exc:
+        raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_scenario(path) -> ScenarioConfig:
+    return parse_scenario(read_json(path, "config"))

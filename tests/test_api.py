@@ -109,7 +109,7 @@ def test_one_valued_settings_are_constants():
     # STAF surfaces always hold every range bin
     assert list(inspect.signature(radar.staf).parameters) == ["s"]
     assert list(inspect.signature(fileio.write_staf_csv).parameters) == ["path", "values_db"]
-    for fn, name in ((random_tangent, "scale"), (rtr.tcg, "grad")):
+    for fn, name in ((random_tangent, "scale"), (rtr.tcg, "grad"), (rcg.solve_rcg, "cfg")):
         assert inspect.signature(fn).parameters[name].default is inspect.Parameter.empty
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wrtr import radar, rtr
+from wrtr import fileio, radar, rtr
 from wrtr.cli import main, run_wrtr
 from wrtr.driver import WrtrConfig, hessian_spectrum, optimize
 from wrtr.fileio import read_sequence_csv, write_sequence_csv
@@ -21,6 +21,23 @@ from conftest import scenario1_scene
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SMALL_CONFIG = CONFIGS / "small.json"
 DROP = object()  # a config value that deletes its key
+# JSON files json cannot read: bytes that are not UTF-8, nesting past the
+# recursion limit, and an integer past CPython's 4,300-digit parsing limit
+UNDECODABLE_JSON = [
+    pytest.param(b"\xff{}", id="not_utf8"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested_100000_deep"),
+    pytest.param(b'{"designs": [], "epsilon": ' + b"7" * 5000 + b"}", id="int_5000_digits"),
+]
+# a sequence row whose field is past the csv module's 131,072-character limit
+LONG_FIELD_ROW = "0," + "1" * 140_000 + ",0\n"
+
+
+def assert_input_error(capsys, code: int, out: Path) -> None:
+    """Exit 2, one "wrtr: config error:" line on stderr and no --out."""
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("wrtr: config error: "), err
 
 
 def read_report(out_dir: Path) -> dict:
@@ -193,6 +210,13 @@ class TestWrtrCommand:
             assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2, command
             assert not out.exists()
             assert len(capsys.readouterr().err.splitlines()) == 1, command
+
+    @pytest.mark.parametrize("body", UNDECODABLE_JSON)
+    def test_undecodable_config_exits_2_without_outputs(self, tmp_path, capsys, body):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(body)
+        out = tmp_path / "nothing"
+        assert_input_error(capsys, main(["wrtr", "--config", str(cfg), "--out", str(out)]), out)
 
     def test_seed_flag_overrides_config(self, tmp_path):
         out_a = tmp_path / "a"
@@ -450,6 +474,49 @@ class TestMonteCarloCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("body", UNDECODABLE_JSON)
+    def test_undecodable_manifest_exits_2_without_outputs(self, tmp_path, capsys, body):
+        manifest = tmp_path / "designs.json"
+        manifest.write_bytes(body)
+        out = tmp_path / "mc"
+        code = main(["montecarlo", "--config", str(SMALL_CONFIG), "--out", str(out),
+                     "--designs", str(manifest)])
+        assert_input_error(capsys, code, out)
+
+    @pytest.mark.parametrize("failure", ["unreadable", "long_field"])
+    def test_unloadable_design_file_exits_2_without_outputs(self, tmp_path, capsys, monkeypatch, failure):
+        manifest = self._make_designs(tmp_path)
+        if failure == "unreadable":
+            # a file that exists but cannot be read (root reads a mode-000 file, so fake it)
+            def refuse(path):
+                raise PermissionError(13, "Permission denied", str(path))
+
+            monkeypatch.setattr(fileio, "read_sequence_csv", refuse)
+        else:
+            (tmp_path / "d2.csv").write_text("index,real,imag\n" + LONG_FIELD_ROW)
+        out = tmp_path / "mc"
+        code = main(["montecarlo", "--config", str(SMALL_CONFIG), "--out", str(out),
+                     "--designs", str(manifest)])
+        assert_input_error(capsys, code, out)
+
+    def test_absolute_sequence_path(self, tmp_path):
+        # an absolute path is read as it is, a relative one from the manifest's directory
+        manifest = self._make_designs(tmp_path)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "d2.csv").write_bytes((tmp_path / "d2.csv").read_bytes())
+        moved = elsewhere / "designs.json"
+        moved.write_text(json.dumps({"designs": [
+            {"name": "one", "sequence": str(tmp_path / "d1.csv")},
+            {"name": "two", "sequence": "d2.csv"},
+        ]}))
+        tables = []
+        for m, out in ((manifest, tmp_path / "a"), (moved, tmp_path / "b")):
+            assert main(["montecarlo", "--config", str(SMALL_CONFIG), "--out", str(out),
+                         "--designs", str(m)]) == 0
+            tables.append((out / "scr_stats.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     @pytest.mark.parametrize("names", [["a", "a"], [1, "1"]], ids=["same", "same_after_str"])
     def test_repeated_design_name_exits_2(self, tmp_path, names):
         # designs are keyed by str(name): a repeat would drop the earlier design's rows
@@ -498,18 +565,18 @@ class TestStafCommand:
     @pytest.mark.parametrize(
         "body",
         # small.json has n = 16: the third case has the right length, row 3 indexed 2
-        ["0,1,0\n1,1\n", None, "".join(f"{i - (i == 3)},1,0\n" for i in range(16))],
-        ids=["short_row", "missing", "repeated_index"],
+        ["0,1,0\n1,1\n", None, "".join(f"{i - (i == 3)},1,0\n" for i in range(16)),
+         LONG_FIELD_ROW],
+        ids=["short_row", "missing", "repeated_index", "long_field"],
     )
-    def test_bad_sequence_exits_2_without_outputs(self, tmp_path, body):
+    def test_bad_sequence_exits_2_without_outputs(self, tmp_path, capsys, body):
         # the sequence is read before --out is created, as the montecarlo manifest is
         seq_path = tmp_path / "seq.csv"
         if body is not None:
             seq_path.write_text("index,real,imag\n" + body)
         out = tmp_path / "staf"
         code = main(["staf", "--config", str(SMALL_CONFIG), "--out", str(out), str(seq_path)])
-        assert code == 2
-        assert not out.exists()
+        assert_input_error(capsys, code, out)
 
     def test_length_mismatch_exits_2(self, tmp_path):
         seq_path = tmp_path / "seq.csv"

@@ -141,6 +141,22 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="invalid JSON"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"\xff{}",
+            b"[" * 100_000 + b"]" * 100_000,
+            # past CPython's 4,300-digit limit on int parsing
+            b'{"n": 16, "epsilon": ' + b"7" * 5000 + b"}",
+        ],
+        ids=["not_utf8", "nested_100000_deep", "int_5000_digits"],
+    )
+    def test_undecodable_file(self, tmp_path, body):
+        path = tmp_path / "bad.json"
+        path.write_bytes(body)
+        with pytest.raises(ScenarioError, match="cannot read config"):
+            load_scenario(path)
+
     def test_bundled_configs_parse(self):
         from pathlib import Path
 
