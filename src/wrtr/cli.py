@@ -222,12 +222,12 @@ def _load_sequence(path: Path, n: int, label: str):
 
 def _load_designs(manifest_path: Path, n: int) -> dict:
     manifest = read_json(manifest_path, "designs manifest")
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("designs"), list):
-        raise ScenarioError("manifest must be an object with a 'designs' list")
+    if not isinstance(manifest, dict) or set(manifest) != {"designs"} or not isinstance(manifest["designs"], list):
+        raise ScenarioError("manifest must be an object whose one key, 'designs', holds a list")
     designs = {}
     for i, entry in enumerate(manifest["designs"]):
-        if not isinstance(entry, dict) or "name" not in entry or "sequence" not in entry:
-            raise ScenarioError(f"designs[{i}] must have 'name' and 'sequence' keys")
+        if not isinstance(entry, dict) or set(entry) != {"name", "sequence"}:
+            raise ScenarioError(f"designs[{i}] must have the keys 'name' and 'sequence' and no other")
         name = str(entry["name"])
         if name in designs:
             # names key the results, so a repeated one would drop a design's rows

@@ -52,9 +52,6 @@ class UnitModulusSequence:
     def n(self) -> int:
         return self.entries.size
 
-    def __len__(self) -> int:
-        return self.entries.size
-
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:
     """Riemannian metric of two tangent vectors in coordinates at one point."""

@@ -1,19 +1,19 @@
 """Clutter scene model and slow-time figures of merit.
 
 The clutter seen by the slow-time matched filter is a sum of scatterer
-operators Psi_k = amp_k * diag(p(v_t)) J^{r_k} diag(p(v_k)), where p(v)
-is the Doppler steering vector, J^r the down-shift by r pulses and
-amp_k the scatterer amplitude (sqrt of its mean power). Powers are in
-units of the noise power, and the target's power is 1. The Doppler axis
-is centred on the target, so v_t = 0, p(v_t) is the all-ones vector and
-Psi_k = amp_k * J^{r_k} diag(p(v_k)). Every figure of merit goes
-through s^H Psi_k s = amp_k sum_m p_k[m] s[m] conj(s[m + r_k]), a lag
-product, so ClutterBank groups the scatterers by range shift: the lag
-products of a shift are formed once for all its scatterers, and a
-weighted sum of operators is held as a few diagonals per shift. A scene
-has one ClutterBank, scene.bank, built on first use and shared by the
-sequence objective and every figure of merit. Dense matrices exist only
-in the test oracles.
+operators Psi_k = amp_k * diag(p(v_t)) J^{r_k} diag(p(v_k)), where
+p(v) = [1, e^{j2πv}, ..., e^{j2π(n-1)v}] is the Doppler steering vector,
+J^r the down-shift by r pulses and amp_k the scatterer amplitude (sqrt
+of its mean power). Powers are in units of the noise power, and the
+target's power is 1. The Doppler axis is centred on the target, so
+v_t = 0, p(v_t) is the all-ones vector and Psi_k = amp_k * J^{r_k}
+diag(p(v_k)). Every figure of merit goes through the lag product
+s^H Psi_k s = amp_k sum_m p_k[m] s[m] conj(s[m + r_k]), so ClutterBank
+groups the scatterers by range shift: the lag products of a shift are
+formed once for all its scatterers, and a weighted sum of operators is
+held as a few diagonals per shift. A scene has one ClutterBank,
+scene.bank, built on first use and shared by the sequence objective and
+every figure of merit. Dense matrices exist only in the test oracles.
 """
 
 from __future__ import annotations
@@ -30,13 +30,6 @@ STAF_DB_FLOOR = 1e-15
 
 class DegenerateSceneError(ValueError):
     """Raised when an SCNR/SCR denominator is exactly zero."""
-
-
-def steering_vector(doppler: float, n: int) -> np.ndarray:
-    """Doppler steering vector [1, e^{j2πv}, ..., e^{j2π(n-1)v}]."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return np.exp(2j * np.pi * doppler * np.arange(n))
 
 
 @dataclass(frozen=True)

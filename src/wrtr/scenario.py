@@ -32,6 +32,14 @@ gradient norm grad_tol * g_ref, g_ref a reference norm (see rtr.solve).
 The adversary's penalty weight, the alternation's SCNR stop and the
 Doppler grid of doppler_interval are constants: objectives.LAM,
 driver.SCNR_TOL_DB and driver.INTERVAL_GRID_POINTS.
+
+read_json also reads the montecarlo command's designs manifest,
+
+    {"designs": [{"name": "wrtr", "sequence": "wrtr/sequence_final.csv"}]}
+
+whose only key is designs, and whose entries' only keys are name and
+sequence (a sequence CSV, relative to the manifest's directory). In a
+config or a manifest each key may appear once in an object.
 """
 
 from __future__ import annotations
@@ -234,12 +242,24 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
 
 def read_json(path, what: str):
     """The JSON value in the file at path; what ("config") names the file in a ScenarioError."""
+
+    def unique_keys(pairs):
+        # json.load keeps the last of repeated keys, which would drop a setting unseen
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ScenarioError(f"repeated key {key!r} in {what} {path}")
+            obj[key] = value
+        return obj
+
     # ValueError: not UTF-8, or an integer past CPython's 4,300 digits; RecursionError: deep nesting
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON in {what} {path}: line {exc.lineno}: {exc.msg}") from exc
+    except ScenarioError:
+        raise
     except (OSError, RecursionError, ValueError) as exc:
         raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
 

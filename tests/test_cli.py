@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +35,13 @@ UNDECODABLE_JSON = [
 LONG_FIELD_ROW = "0," + "1" * 140_000 + ",0\n"
 
 
-def assert_input_error(capsys, code: int, out: Path) -> None:
-    """Exit 2, one "wrtr: config error:" line on stderr and no --out."""
+def assert_input_error(capsys, code: int, out: Path) -> str:
+    """Exit 2, one "wrtr: config error:" line on stderr and no --out; returns that line."""
     assert code == 2
     assert not out.exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("wrtr: config error: "), err
+    return err[0]
 
 
 def read_report(out_dir: Path) -> dict:
@@ -217,6 +221,15 @@ class TestWrtrCommand:
         cfg.write_bytes(body)
         out = tmp_path / "nothing"
         assert_input_error(capsys, main(["wrtr", "--config", str(cfg), "--out", str(out)]), out)
+
+    def test_repeated_config_key_exits_2_without_outputs(self, tmp_path, capsys):
+        # json.load keeps the last of a repeated key, which would run small.json at n = 8
+        text = SMALL_CONFIG.read_text().rstrip()
+        cfg = tmp_path / "repeated.json"
+        cfg.write_text(text.removesuffix("}") + ', "n": 8}')
+        out = tmp_path / "nothing"
+        err = assert_input_error(capsys, main(["wrtr", "--config", str(cfg), "--out", str(out)]), out)
+        assert f"repeated key 'n' in config {cfg}" in err
 
     def test_seed_flag_overrides_config(self, tmp_path):
         out_a = tmp_path / "a"
@@ -543,6 +556,33 @@ class TestMonteCarloCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_repeated_sequence_key_exits_2_without_outputs(self, tmp_path, capsys):
+        self._make_designs(tmp_path)
+        manifest = tmp_path / "repeated.json"
+        manifest.write_text('{"designs": [{"name": "one", "sequence": "d1.csv", "sequence": "d2.csv"}]}')
+        out = tmp_path / "mc"
+        code = main(["montecarlo", "--config", str(SMALL_CONFIG), "--out", str(out),
+                     "--designs", str(manifest)])
+        assert "repeated key 'sequence' in designs manifest" in assert_input_error(capsys, code, out)
+
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            pytest.param({"designs": [{"name": "one", "sequence": "d1.csv"}], "trials": 5},
+                         "manifest must be an object whose one key, 'designs', holds a list", id="top_level"),
+            pytest.param({"designs": [{"name": "one", "sequence": "d1.csv", "weight": 2}]},
+                         "designs[0] must have the keys 'name' and 'sequence' and no other", id="entry"),
+        ],
+    )
+    def test_unknown_manifest_key_exits_2_without_outputs(self, tmp_path, capsys, manifest, message):
+        self._make_designs(tmp_path)
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "mc"
+        code = main(["montecarlo", "--config", str(SMALL_CONFIG), "--out", str(out),
+                     "--designs", str(path)])
+        assert message in assert_input_error(capsys, code, out)
+
     def test_rerun_byte_identical(self, tmp_path):
         manifest = self._make_designs(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -687,3 +727,18 @@ class TestHugeClutterPower:
         else:
             assert code == 3
             assert len(err) == 1 and err[0].startswith(f"wrtr: solver failure [{command[0]}]: ")
+
+
+def test_module_entry_point(tmp_path):
+    # python -m wrtr in a fresh interpreter, under the warning filters pyproject.toml gives pytest
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "PYTHONWARNINGS": "error::RuntimeWarning,error::DeprecationWarning,error::PendingDeprecationWarning"}
+    out = tmp_path / "random"
+    done = subprocess.run(
+        [sys.executable, "-m", "wrtr", "baseline", "--method", "random", "--config", str(SMALL_CONFIG),
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert read_report(out)["command"] == "baseline"

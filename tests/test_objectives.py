@@ -44,13 +44,13 @@ class TestEpsilonFromDoppler:
             epsilon_from_doppler([], 0.0, 8)
 
     def test_matches_steering_vector_differences(self):
-        # the direct definition max_v ||p(v) - p(v_t)||^2, one grid point at a time
-        from wrtr.radar import steering_vector
-
+        # the direct definition max_v ||p(v) - p(v_t)||^2, one grid point at a time,
+        # with p(v) = exp(j 2 pi v m), m = 0..n-1
         n, vt = 64, 0.013
+        m = np.arange(n)
         grid = np.linspace(-0.1, 0.1, 201)
         direct = max(
-            float(np.sum(np.abs(steering_vector(v, n) - steering_vector(vt, n)) ** 2)) for v in grid
+            float(np.sum(np.abs(np.exp(2j * np.pi * v * m) - np.exp(2j * np.pi * vt * m)) ** 2)) for v in grid
         )
         assert epsilon_from_doppler(grid, vt, n) == pytest.approx(direct, rel=1e-12)
 

@@ -16,26 +16,10 @@ from wrtr.radar import (
     scnr,
     scr,
     staf,
-    steering_vector,
 )
 from wrtr.scenario import load_scenario
 
 from conftest import dense_psi, random_scene, random_sequence, traced_peak
-
-
-class TestSteeringVector:
-    def test_zero_doppler(self):
-        assert np.allclose(steering_vector(0.0, 4), np.ones(4))
-
-    def test_half_cycle(self):
-        assert np.allclose(steering_vector(0.5, 4), [1, -1, 1, -1], atol=1e-15)
-
-    def test_quarter_cycle(self):
-        assert np.allclose(steering_vector(0.25, 4), [1, 1j, -1, -1j], atol=1e-15)
-
-    def test_unit_modulus(self):
-        p = steering_vector(0.1234, 33)
-        assert np.allclose(np.abs(p), 1.0, atol=1e-15)
 
 
 def pure_shifts(n: int) -> ClutterBank:
