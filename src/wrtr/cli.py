@@ -188,8 +188,6 @@ def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> tuple:
 
 
 def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> tuple:
-    if method not in BASELINE_METHODS:
-        raise ScenarioError(f"unknown baseline method {method!r}")
     scene = cfg.to_scene()
     initial = random_point(cfg.n, seed)
     summary = {"method": method}
@@ -228,12 +226,15 @@ def _load_designs(manifest_path: Path, n: int) -> dict:
     for i, entry in enumerate(manifest["designs"]):
         if not isinstance(entry, dict) or set(entry) != {"name", "sequence"}:
             raise ScenarioError(f"designs[{i}] must have the keys 'name' and 'sequence' and no other")
-        name = str(entry["name"])
+        name = entry["name"]
+        if not isinstance(name, str) or not name:
+            # a name labels its design's scr_stats.csv rows
+            raise ScenarioError(f"designs[{i}]: 'name' must be a non-empty string")
         if name in designs:
             # names key the results, so a repeated one would drop a design's rows
             raise ScenarioError(f"designs[{i}]: name {name!r} is already taken by an earlier design")
         if not isinstance(entry["sequence"], str):
-            raise ScenarioError(f"designs[{i}] ({entry['name']}): 'sequence' must be a path string")
+            raise ScenarioError(f"designs[{i}] ({name}): 'sequence' must be a path string")
         # relative to the manifest's directory; an absolute path stays as it is
         path = manifest_path.parent / entry["sequence"]
         designs[name] = _load_sequence(path, n, f"designs[{i}] ({name})")
@@ -317,8 +318,6 @@ def main(argv=None) -> int:
         if args.command == "staf":
             sequence = _load_sequence(Path(args.sequence), cfg.n, "sequence")
         elif args.command == "montecarlo":
-            if cfg.wrtr.doppler_interval is None:
-                raise ScenarioError("montecarlo needs doppler_interval in the config")
             designs = _load_designs(Path(args.designs), cfg.n)
         out = _make_out_dir(args.out)
         started = time.perf_counter()

@@ -20,9 +20,11 @@ initial gradient norm (see rtr.solve). The loop stops once the
 output SCNR (see radar.scnr) moves by less than SCNR_TOL_DB = 0.01 dB
 across consecutive passes, or at max_outer; the alternation is
 monitored, not proven, so hitting the cap is a warning outcome rather
-than an error. A doppler_interval gives eps as the largest
-||p(v) - 1||^2 on a grid of INTERVAL_GRID_POINTS = 2001 Dopplers v
-spanning it.
+than an error. eps comes from the config's doppler_interval, the
+target's Doppler uncertainty: the largest ||p(v) - 1||^2 on a grid of
+INTERVAL_GRID_POINTS = 2001 Dopplers v spanning it. It is taken in
+optimize, not when the config is read, so commands that run no
+adversary do not pay for the grid.
 
 The diagnostics work in tangent coordinates (see manifold): the Hessian
 matrix is rhess applied to the identity columns, and its spectrum is
@@ -47,8 +49,7 @@ INTERVAL_GRID_POINTS = 2001  # Dopplers on which a doppler_interval's eps is tak
 
 @dataclass(frozen=True)
 class WrtrConfig:
-    epsilon: float | None = None
-    doppler_interval: tuple[float, float] | None = None
+    doppler_interval: tuple[float, float]
     max_outer: int = 20
     worst_solver: rtr.TrustRegionConfig = field(default_factory=rtr.TrustRegionConfig)
     seq_solver: rtr.TrustRegionConfig = field(default_factory=rtr.TrustRegionConfig)
@@ -56,19 +57,6 @@ class WrtrConfig:
     def __post_init__(self):
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if self.epsilon is None and self.doppler_interval is None:
-            raise ValueError("either epsilon or doppler_interval must be given")
-
-    def resolve_epsilon(self, n: int) -> float:
-        if self.epsilon is not None:
-            eps = float(self.epsilon)
-        else:
-            lo, hi = self.doppler_interval
-            grid = np.linspace(lo, hi, INTERVAL_GRID_POINTS)
-            eps = epsilon_from_doppler(grid, 0.0, n)
-        if not 0.0 <= eps <= 4.0 * n:
-            raise ValueError(f"epsilon {eps} outside [0, 4n]")
-        return eps
 
 
 @dataclass(frozen=True)
@@ -107,17 +95,20 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
     The adversary's relative distortion w = conj(s0) (.) st is held, so
     the returned worst_steering is sequence (.) w: the worst case of the
     returned sequence, with no further adversary solve. The passes
-    minimize the nominal cost, so the sequence does not depend on eps;
-    eps moves only the reported SCRs and, through them, the stopping
-    test. Every pass stops at seq_solver.grad_tol times the first
-    pass's initial gradient norm. The result records the one adversary
-    solve once, as worst_trace, beside the per-pass history. With eps = 0
-    there is no adversary solve (worst_trace None) and w = 1.
+    minimize the nominal cost, so the sequence does not depend on eps,
+    and neither does the number of passes: the stopping test reads SCNR
+    differences, in which the worst coupling |sum w|^2 cancels; eps
+    moves only the reported SCRs. Every pass stops at seq_solver.grad_tol
+    times the first pass's initial gradient norm. The result records the
+    one adversary solve once, as worst_trace, beside the per-pass
+    history. With eps = 0 there is no adversary solve (worst_trace None)
+    and w = 1.
     """
     if len(scene.scatterers) < 1:
         raise ValueError("scene must contain at least one scatterer")
     n = scene.n
-    eps = cfg.resolve_epsilon(n)
+    lo, hi = cfg.doppler_interval
+    eps = epsilon_from_doppler(np.linspace(lo, hi, INTERVAL_GRID_POINTS), 0.0, n)
     s0 = random_point(n, seed)
     if eps > 0.0:
         worst_obj = WorstCaseObjective(s0, epsilon=eps)

@@ -268,10 +268,7 @@ def staf(s: UnitModulusSequence) -> np.ndarray:
             lags[i, n - r :] = 0.0
         np.fft.fft(lags, axis=1, out=lags)
         np.abs(lags, out=amp[start : start + len(lags)])
-    peak = float(np.max(amp))
-    if peak == 0.0:
-        raise DegenerateSceneError("all-zero ambiguity surface")
-    amp /= peak
+    amp /= np.max(amp)  # at least amp[0, 0] = sum |s_m|^2 = n
     np.maximum(amp, STAF_DB_FLOOR, out=amp)
     np.log10(amp, out=amp)
     amp *= 20.0

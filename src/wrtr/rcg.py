@@ -70,7 +70,7 @@ def solve_rcg(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
         g_next = problem.rgrad(candidate)
         trace.grad_evals += 1
         gn_next = norm(g_next)
-        beta = (gn_next * gn_next) / (gn * gn) if gn > 0 else 0.0
+        beta = (gn_next * gn_next) / (gn * gn)
         d = -g_next + beta * transport(x, candidate, d)
         x, fx = candidate, f_cand
         g, gn = g_next, gn_next

@@ -121,15 +121,13 @@ def _boundary_step(eta: np.ndarray, d: np.ndarray, delta: float) -> np.ndarray:
 
 
 def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig, grad: np.ndarray,
-        on_iterate=None, trace: TrustRegionTrace | None = None):
+        trace: TrustRegionTrace | None = None):
     """Steihaug-Toint truncated CG on the model at x, whose gradient is grad.
 
     Returns (step, TcgStop). The step never exceeds the radius (boundary
     and negative-curvature exits land exactly on it) and the model
-    decrease is nonnegative by the Cauchy-point property. on_iterate, if
-    given, is called with each interior iterate (test hook for the
-    monotone-norm property); trace, if given, has its hvps counter raised
-    by each Hessian-vector product.
+    decrease is nonnegative by the Cauchy-point property. trace, if given,
+    has its hvps counter raised by each Hessian-vector product.
     """
     max_inner = cfg.tcg_max_inner if cfg.tcg_max_inner is not None else x.n
     eta = np.zeros(x.n)
@@ -152,8 +150,6 @@ def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig, g
         if norm(eta_next) >= delta:
             return _boundary_step(eta, d, delta), TcgStop.BOUNDARY
         eta = eta_next
-        if on_iterate is not None:
-            on_iterate(eta)
         r = r + alpha * hd
         rr_next = float(r @ r)
         if math.sqrt(rr_next) <= stop_tol:

@@ -17,9 +17,7 @@ The top-level keys, with their defaults; any other key is an error:
     n                          code length (required)
     scatterers                 [{range_shift, doppler, power}], default []
     clutter_blocks             [{range_bins, doppler_bins, power_db}], default []
-    doppler_interval           [lo, hi], the target's Doppler uncertainty
-    epsilon                    steering uncertainty radius in [0, 4n]; given, it
-                               overrides doppler_interval, and one is required
+    doppler_interval           [lo, hi], the target's Doppler uncertainty (required)
     max_outer                  cap on the alternation's sequence passes, 20
     worst_solver, seq_solver   solver blocks, {} each
     seed                       default --seed, 0
@@ -149,7 +147,6 @@ _KNOWN_KEYS = {
     "clutter_blocks",
     "scatterers",
     "doppler_interval",
-    "epsilon",
     "seed",
     "doppler_cut_range_bins",
     "monte_carlo_trials",
@@ -201,21 +198,13 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     )
 
     fields = {name: parse(raw[key], key) for key, (name, parse) in _WRTR_KEYS.items() if key in raw}
-    interval = raw.get("doppler_interval")
-    if interval is not None:
-        _require(
-            isinstance(interval, list) and len(interval) == 2,
-            "doppler_interval must be [lo, hi]",
-        )
-        lo = _as_number(interval[0], "doppler_interval[0]")
-        hi = _as_number(interval[1], "doppler_interval[1]")
-        _require(lo <= hi, "doppler_interval must satisfy lo <= hi")
-        fields["doppler_interval"] = (lo, hi)
-    epsilon = raw.get("epsilon")
-    if epsilon is not None:
-        epsilon = _as_number(epsilon, "epsilon")
-        _require(0.0 <= epsilon <= 4.0 * n, f"epsilon must lie in [0, {4 * n}]")
-        fields["epsilon"] = epsilon
+    _require("doppler_interval" in raw, "missing required key 'doppler_interval'")
+    interval = raw["doppler_interval"]
+    _require(isinstance(interval, list) and len(interval) == 2, "doppler_interval must be [lo, hi]")
+    lo = _as_number(interval[0], "doppler_interval[0]")
+    hi = _as_number(interval[1], "doppler_interval[1]")
+    _require(lo <= hi, "doppler_interval must satisfy lo <= hi")
+    fields["doppler_interval"] = (lo, hi)
     # WrtrConfig checks its own values, so a bad config fails here,
     # before the CLI creates any output.
     try:

@@ -73,6 +73,8 @@ def test_deleted_parameters_are_gone():
     assert "distortion" not in {f.name for f in dataclasses.fields(WrtrResult)}
     assert not hasattr(objectives, "NEAR_ORTHOGONAL_RTOL")
     assert "objective" not in inspect.signature(cli._export_design).parameters
+    # tCG's iterates are reached by capping its inner iterations, not by a hook
+    assert "on_iterate" not in inspect.signature(rtr.tcg).parameters
 
 
 def test_one_adversary_record_and_one_solver_config():
@@ -109,9 +111,10 @@ def test_solver_config_holds_only_the_stopping_rules():
 
 def test_one_valued_settings_are_constants():
     # the penalty weight, the SCNR stop and the Doppler grid are constants,
-    # and powers are in noise units with a unit target power
+    # powers are in noise units with a unit target power, and the Doppler
+    # interval is the one uncertainty input
     fields = {f.name for f in dataclasses.fields(WrtrConfig)}
-    assert fields == {"epsilon", "doppler_interval", "max_outer", "worst_solver", "seq_solver"}
+    assert fields == {"doppler_interval", "max_outer", "worst_solver", "seq_solver"}
     assert "lam" not in inspect.signature(WorstCaseObjective).parameters
     assert not {"noise_power", "target_power"} & set(inspect.signature(radar.scnr).parameters)
     # STAF surfaces always hold every range bin
@@ -131,7 +134,7 @@ def test_one_valued_settings_are_constants():
         pytest.param(None, "staf_range_bins", [0, 1], "unknown config keys", id="staf_range_bins"),
         *[pytest.param(None, key, value, "unknown config keys", id=key)
           for key, value in (("lambda", 100.0), ("noise_power", 1.0), ("target_power", 1.0),
-                             ("scnr_tol_db", 0.01), ("interval_grid_points", 2001))],
+                             ("scnr_tol_db", 0.01), ("interval_grid_points", 2001), ("epsilon", 2.0))],
     ],
 )
 def test_removed_config_keys_exit_2_without_outputs(tmp_path, capsys, block, key, value, message):

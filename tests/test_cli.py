@@ -29,7 +29,7 @@ DROP = object()  # a config value that deletes its key
 UNDECODABLE_JSON = [
     pytest.param(b"\xff{}", id="not_utf8"),
     pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested_100000_deep"),
-    pytest.param(b'{"designs": [], "epsilon": ' + b"7" * 5000 + b"}", id="int_5000_digits"),
+    pytest.param(b'{"designs": [], "seed": ' + b"7" * 5000 + b"}", id="int_5000_digits"),
 ]
 # a sequence row whose field is past the csv module's 131,072-character limit
 LONG_FIELD_ROW = "0," + "1" * 140_000 + ",0\n"
@@ -123,6 +123,7 @@ class TestWrtrCommand:
         "key, value",
         [
             pytest.param("n", DROP, id="missing_n"),
+            pytest.param("doppler_interval", DROP, id="missing_doppler_interval"),
             ("max_outer", 0),
             # removed keys, rejected as unknown (test_api checks the message)
             ("scnr_tol_db", 0),
@@ -133,7 +134,7 @@ class TestWrtrCommand:
             # json reads NaN and Infinity; none of them is a valid number here
             pytest.param("lambda", math.nan, id="lambda-nan"),
             pytest.param("noise_power", math.nan, id="noise_power-nan"),
-            pytest.param("epsilon", math.nan, id="epsilon-nan"),
+            pytest.param("doppler_interval", [-0.05, math.nan], id="doppler_interval-nan"),
             pytest.param("doppler_interval", [-math.inf, 0.01], id="doppler_interval-neg_inf"),
             pytest.param(
                 "clutter_blocks",
@@ -169,7 +170,7 @@ class TestWrtrCommand:
             ("seed", -3),
             # a 401-digit integer is a valid json number that no float holds
             pytest.param("noise_power", 10**400, id="noise_power-huge_int"),
-            pytest.param("epsilon", 10**400, id="epsilon-huge_int"),
+            pytest.param("doppler_interval", [-(10**400), 0.05], id="doppler_interval-huge_int"),
             # solver values are checked by type before TrustRegionConfig sees them
             pytest.param("seq_solver", {"max_iters": 30, "grad_tol": math.inf}, id="grad_tol-inf"),
             pytest.param("seq_solver", {"max_iters": 30.5}, id="max_iters-float"),
@@ -532,7 +533,7 @@ class TestMonteCarloCommand:
 
     @pytest.mark.parametrize("names", [["a", "a"], [1, "1"]], ids=["same", "same_after_str"])
     def test_repeated_design_name_exits_2(self, tmp_path, names):
-        # designs are keyed by str(name): a repeat would drop the earlier design's rows
+        # designs are keyed by name: a repeat would drop the earlier design's rows
         write_sequence_csv(tmp_path / "d1.csv", random_point(16, 1))
         write_sequence_csv(tmp_path / "d2.csv", random_point(16, 2))
         manifest = tmp_path / "designs.json"
@@ -545,6 +546,17 @@ class TestMonteCarloCommand:
                      "--designs", str(manifest)])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", [None, ["x"], 3, ""], ids=["null", "list", "int", "empty"])
+    def test_name_not_a_nonempty_string_exits_2_without_outputs(self, tmp_path, capsys, name):
+        # a name labels its scr_stats.csv rows; null would have written a design called None
+        write_sequence_csv(tmp_path / "d1.csv", random_point(16, 1))
+        manifest = tmp_path / "designs.json"
+        manifest.write_text(json.dumps({"designs": [{"name": name, "sequence": "d1.csv"}]}))
+        out = tmp_path / "mc"
+        code = main(["montecarlo", "--config", str(SMALL_CONFIG), "--out", str(out),
+                     "--designs", str(manifest)])
+        assert "designs[0]: 'name' must be a non-empty string" in assert_input_error(capsys, code, out)
 
     @pytest.mark.parametrize("sequence", [5, None, ["d1.csv"]], ids=["int", "null", "list"])
     def test_sequence_not_a_path_exits_2(self, tmp_path, sequence):

@@ -17,11 +17,13 @@ from conftest import make_tangent, random_scene, random_sequence, scenario2_scen
 
 
 SMALL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "small.json"
+# Doppler intervals whose eps at n = 16 are 1.97 and 20.1
+NARROW, WIDE = (-0.0064, 0.0064), (-0.023, 0.023)
 
 
 def small_cfg(**kw):
     defaults = dict(
-        epsilon=2.0,
+        doppler_interval=NARROW,
         max_outer=4,
         worst_solver=TrustRegionConfig(max_iters=60),
         seq_solver=TrustRegionConfig(max_iters=30),
@@ -55,7 +57,7 @@ def tiny_scene(n=16):
 class TestOptimize:
     def test_zero_epsilon_reduces_to_nominal_design(self):
         scene = tiny_scene()
-        result = driver.optimize(scene, small_cfg(epsilon=0.0), seed=5)
+        result = driver.optimize(scene, small_cfg(doppler_interval=(0.0, 0.0)), seed=5)
         # steering collapses onto the final sequence and the clutter drops
         assert np.allclose(result.worst_steering.entries, result.sequence.entries)
         assert clutter_energy(result.sequence, scene) < clutter_energy(
@@ -88,7 +90,7 @@ class TestOptimize:
         # moves with the clutter energy alone
         for k in range(3):
             scene = random_scene(16, 40, np.random.default_rng(100 + k))
-            result = driver.optimize(scene, small_cfg(epsilon=20.0, max_outer=6), seed=40 + k)
+            result = driver.optimize(scene, small_cfg(doppler_interval=WIDE, max_outer=6), seed=40 + k)
             scrs = [h.scr_db for h in result.history]
             assert all(b >= a - 1e-6 for a, b in zip(scrs, scrs[1:])), scrs
             final = radar.scr(result.sequence, result.worst_steering, scene)
@@ -109,7 +111,7 @@ class TestOptimize:
         monkeypatch.setattr(driver, "SequenceObjective", counting(SequenceObjective, "seq"))
         scenes = [(tiny_scene(), small_cfg())]
         scenes += [(random_scene(16, 40, np.random.default_rng(100 + k)),
-                    small_cfg(epsilon=20.0, max_outer=6)) for k in range(3)]
+                    small_cfg(doppler_interval=WIDE, max_outer=6)) for k in range(3)]
         for k, (scene, cfg) in enumerate(scenes):
             built.update(worst=0, seq=0)
             result = driver.optimize(scene, cfg, seed=40 + k)
@@ -141,7 +143,7 @@ class TestOptimize:
 
     def test_last_seq_cost_is_clutter_over_n_squared(self):
         scene = random_scene(16, 40, np.random.default_rng(101))
-        result = driver.optimize(scene, small_cfg(epsilon=20.0, max_outer=6), seed=41)
+        result = driver.optimize(scene, small_cfg(doppler_interval=WIDE, max_outer=6), seed=41)
         expected = clutter_energy(result.sequence, scene) / scene.n**2
         assert result.history[-1].seq_trace.final_cost == pytest.approx(expected, rel=1e-12)
 
@@ -181,7 +183,10 @@ class TestOptimize:
         # worst coupling |sum w|^2 cancels
         scene, cfg, seed = shipped_design(which)
         n = scene.n
-        runs = [driver.optimize(scene, replace(cfg, epsilon=eps), seed) for eps in (0.0, n / 2, 2.0 * n, 3.0 * n)]
+        # eps = 0, 0.67n, 2n - 2 and 2.36n
+        intervals = [(-c / n, c / n) for c in (0.0, 0.25, 0.5, 1.0)]
+        runs = [driver.optimize(scene, replace(cfg, doppler_interval=iv), seed) for iv in intervals]
+        assert [r.epsilon >= 2 * n for r in runs] == [False, False, False, True]
         assert runs[0].worst_trace is None and all(r.worst_trace is not None for r in runs[1:])
         for r in runs[1:]:
             assert np.array_equal(r.sequence.entries, runs[0].sequence.entries)
@@ -196,7 +201,7 @@ class TestOptimize:
 
     def test_epsilon_from_interval(self):
         scene = tiny_scene()
-        cfg = small_cfg(epsilon=None, doppler_interval=(-0.02, 0.02))
+        cfg = small_cfg(doppler_interval=(-0.02, 0.02))
         result = driver.optimize(scene, cfg, seed=9)
         assert 0.0 < result.epsilon <= 4 * scene.n
 

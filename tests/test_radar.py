@@ -1,5 +1,4 @@
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -347,13 +346,6 @@ class TestStaf:
         n = 1024
         surface, peak = traced_peak(lambda: staf(random_point(n, 18)))
         assert peak <= 1.25 * surface.nbytes
-
-    def test_all_zero_surface_rejected(self):
-        # unreachable for a unit-modulus code (lag 0 peaks at n); a stand-in
-        # with zero entries exercises the guard
-        s = SimpleNamespace(n=4, entries=np.zeros(4, dtype=complex))
-        with pytest.raises(DegenerateSceneError):
-            staf(s)
 
 
 class TestSceneValidation:

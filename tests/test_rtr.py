@@ -135,9 +135,14 @@ class TestTcg:
         n = 16
         x = random_point(n, 7)
         problem = QuadraticModelProblem(x, spd_matrix(n, rng), rng.standard_normal(n))
+        # tCG is deterministic, so a run capped at k inner iterations that
+        # exits at the cap returns the k-th interior iterate of the uncapped run
         norms = []
-        tcg(problem, x, 10.0, TrustRegionConfig(tcg_max_inner=n), problem.rgrad(x),
-            on_iterate=lambda eta: norms.append(norm(eta)))
+        for k in range(1, n + 1):
+            step, reason = tcg(problem, x, 10.0, TrustRegionConfig(tcg_max_inner=k), problem.rgrad(x))
+            if reason is not TcgStop.MAX_INNER:
+                break
+            norms.append(norm(step))
         assert len(norms) >= 2
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 

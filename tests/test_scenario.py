@@ -79,15 +79,11 @@ class TestValidation:
             with pytest.raises(ScenarioError, match="unknown config keys"):
                 parse_scenario(base_config(**{key: value}))
 
-    def test_needs_interval_or_epsilon(self):
+    def test_needs_doppler_interval(self):
         cfg = base_config()
         del cfg["doppler_interval"]
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="missing required key 'doppler_interval'"):
             parse_scenario(cfg)
-
-    def test_epsilon_bounds(self):
-        with pytest.raises(ScenarioError):
-            parse_scenario(base_config(epsilon=65.0))
 
     def test_solver_overrides(self):
         cfg = parse_scenario(base_config(seq_solver={"max_iters": 7, "grad_tol": 1e-6}))
@@ -147,7 +143,7 @@ class TestLoadScenario:
             b"\xff{}",
             b"[" * 100_000 + b"]" * 100_000,
             # past CPython's 4,300-digit limit on int parsing
-            b'{"n": 16, "epsilon": ' + b"7" * 5000 + b"}",
+            b'{"n": 16, "seed": ' + b"7" * 5000 + b"}",
         ],
         ids=["not_utf8", "nested_100000_deep", "int_5000_digits"],
     )
