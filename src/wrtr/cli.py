@@ -42,47 +42,60 @@ def _nominal_scr_db(seq, scene) -> float:
     return 10.0 * np.log10(seq.n**2 / energy)
 
 
-def _export_staf_products(out: Path, cfg: ScenarioConfig, named_sequences) -> list:
-    """Write STAF grids, and Doppler cuts of the last sequence's; returns the file names.
+class _Outputs:
+    """A command's output directory, the CSV files written into it and the wall time spent writing them."""
+
+    def __init__(self, directory: Path):
+        self.dir = directory
+        self.files = []
+        self.export_seconds = 0.0
+
+    def write(self, name: str, writer, *args) -> None:
+        """Run writer(dir / name, *args), which writes that file, timed; name joins the report's files."""
+        started = time.perf_counter()
+        writer(self.dir / name, *args)
+        self.export_seconds += time.perf_counter() - started
+        self.files.append(name)
+
+
+def _export_staf_products(out: _Outputs, cfg: ScenarioConfig, named_sequences) -> None:
+    """Write STAF grids, and Doppler cuts of the last sequence's.
 
     A sequence that is the same object as the one before it (the random
     baseline's final is its initial) is not computed again: its file is a
     byte copy of the previous one.
     """
     bins, grid = range(cfg.n), np.arange(cfg.n) / cfg.n
-    files = []
     previous = None
     for label, seq in named_sequences:
         name = f"staf_{label}.csv"
         if seq is previous:
-            shutil.copyfile(out / files[-1], out / name)
+            source = out.dir / out.files[-1]
+            out.write(name, lambda path: shutil.copyfile(source, path))
         else:
             full = radar.staf(seq)
-            fileio.write_staf_csv(out / name, full)
-        files.append(name)
+            out.write(name, fileio.write_staf_csv, full)
         previous = seq
     for b in cfg.doppler_cut_range_bins:
-        name = f"doppler_cut_r{b}.csv"
-        fileio.write_cut_csv(out / name, bins, grid, full[b])
-        files.append(name)
-    return files
+        out.write(f"doppler_cut_r{b}.csv", fileio.write_cut_csv, bins, grid, full[b])
 
 
-def _write_report(out: Path, command: str, config_path, seed: int, elapsed: float, summary: dict,
-                  files: list) -> None:
-    files = sorted(set(files + ["report.json"]))
+def _write_report(out: _Outputs, command: str, config_path, seed: int, elapsed: float, summary: dict) -> None:
+    files = sorted(set(out.files + ["report.json"]))
     fileio.write_report(
-        out / "report.json",
+        out.dir / "report.json",
         {
             "command": command,
             "config": str(config_path),
             "seed": seed,
             "elapsed_seconds": elapsed,
+            # the part of elapsed_seconds spent writing the CSV files
+            "export_seconds": out.export_seconds,
             "summary": summary,
             "files": files,
         },
     )
-    fileio.check_manifest(out, files)
+    fileio.check_manifest(out.dir, files)
 
 
 def _certificate(result: driver.WrtrResult) -> dict:
@@ -100,8 +113,8 @@ def _certificate(result: driver.WrtrResult) -> dict:
     }
 
 
-def _export_design(out: Path, cfg: ScenarioConfig, scene, initial, final, sections) -> tuple:
-    """Write what every design command exports; returns the file names and the summary fields.
+def _export_design(out: _Outputs, cfg: ScenarioConfig, scene, initial, final, sections) -> dict:
+    """Write what every design command exports; returns the summary fields.
 
     These are the initial and final sequences, traces.csv when a solver
     ran, the STAF products and, when the last section is an RTR sequence
@@ -110,13 +123,11 @@ def _export_design(out: Path, cfg: ScenarioConfig, scene, initial, final, sectio
     the second-order line: the spectrum's ends and the gradient test of
     that last solve.
     """
-    fileio.write_sequence_csv(out / "sequence_initial.csv", initial)
-    fileio.write_sequence_csv(out / "sequence_final.csv", final)
-    files = ["sequence_initial.csv", "sequence_final.csv"]
+    out.write("sequence_initial.csv", fileio.write_sequence_csv, initial)
+    out.write("sequence_final.csv", fileio.write_sequence_csv, final)
     if sections:
-        fileio.write_trace_csv(out / "traces.csv", sections)
-        files.append("traces.csv")
-    files += _export_staf_products(out, cfg, [("initial", initial), ("final", final)])
+        out.write("traces.csv", fileio.write_trace_csv, sections)
+    _export_staf_products(out, cfg, [("initial", initial), ("final", final)])
     # after the STAF surfaces: for the random design this builds the scene's clutter
     # bank, and holding it while they are computed raised the peak RSS of the
     # analysis-n1024 benchmark's random baseline from 44.9 to 52.7 MB
@@ -129,29 +140,24 @@ def _export_design(out: Path, cfg: ScenarioConfig, scene, initial, final, sectio
         # one, as the solve's would hold its last point's Hessian factor through
         # the STAF export above
         spectrum = driver.hessian_spectrum(SequenceObjective(scene), final)
-        fileio.write_spectrum_csv(out / "hessian_spectrum_seq.csv", spectrum)
-        files.append("hessian_spectrum_seq.csv")
+        out.write("hessian_spectrum_seq.csv", fileio.write_spectrum_csv, spectrum)
         last = sections[-1][2]
         summary.update(seq_hessian_lambda_min=float(spectrum[0]), seq_hessian_lambda_max=float(spectrum[-1]),
                        seq_final_grad_norm=last.final_grad_norm, seq_grad_tol_effective=last.grad_tol_effective)
-    return files, summary
+    return summary
 
 
-def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> tuple:
+def run_wrtr(cfg: ScenarioConfig, out: _Outputs, seed: int) -> dict:
     scene = cfg.to_scene()
     result = driver.optimize(scene, cfg.wrtr, seed)
     sections = [(0, "worst", result.worst_trace)]
     sections += [(k, "seq", it.seq_trace) for k, it in enumerate(result.history)]
-    files, design = _export_design(out, cfg, scene, result.initial_sequence, result.sequence, sections)
-    fileio.write_sequence_csv(out / "steering_worst.csv", result.worst_steering)
-    files.append("steering_worst.csv")
+    design = _export_design(out, cfg, scene, result.initial_sequence, result.sequence, sections)
+    out.write("steering_worst.csv", fileio.write_sequence_csv, result.worst_steering)
     if result.epsilon > 0:
         worst_obj = WorstCaseObjective(result.sequence, epsilon=result.epsilon)
-        fileio.write_spectrum_csv(
-            out / "hessian_spectrum_worst.csv",
-            driver.hessian_spectrum(worst_obj, result.worst_steering),
-        )
-        files.append("hessian_spectrum_worst.csv")
+        out.write("hessian_spectrum_worst.csv", fileio.write_spectrum_csv,
+                  driver.hessian_spectrum(worst_obj, result.worst_steering))
 
     last, worst = result.history[-1], result.worst_trace
     n, eps = cfg.n, result.epsilon
@@ -184,10 +190,10 @@ def run_wrtr(cfg: ScenarioConfig, out: Path, seed: int) -> tuple:
             for h in result.history
         ],
     }
-    return summary, files
+    return summary
 
 
-def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> tuple:
+def run_baseline(cfg: ScenarioConfig, out: _Outputs, seed: int, method: str) -> dict:
     scene = cfg.to_scene()
     initial = random_point(cfg.n, seed)
     summary = {"method": method}
@@ -203,8 +209,7 @@ def run_baseline(cfg: ScenarioConfig, out: Path, seed: int, method: str) -> tupl
         sections = [(0, "rcg", trace)]
         summary.update(iterations=len(trace), converged=trace.converged, cost_evals=trace.cost_evals,
                        grad_evals=trace.grad_evals)
-    files, design = _export_design(out, cfg, scene, initial, final, sections)
-    return {**summary, **design}, files
+    return {**summary, **_export_design(out, cfg, scene, initial, final, sections)}
 
 
 def _load_sequence(path: Path, n: int, label: str):
@@ -243,7 +248,7 @@ def _load_designs(manifest_path: Path, n: int) -> dict:
     return designs
 
 
-def run_monte_carlo(cfg: ScenarioConfig, out: Path, seed: int, designs: dict) -> tuple:
+def run_monte_carlo(cfg: ScenarioConfig, out: _Outputs, seed: int, designs: dict) -> dict:
     scene = cfg.to_scene()
     rows = []
     summary = {"n_trials": cfg.monte_carlo_trials, "designs": {}}
@@ -264,14 +269,13 @@ def run_monte_carlo(cfg: ScenarioConfig, out: Path, seed: int, designs: dict) ->
                 "min_db": st.min_db,
                 "max_db": st.max_db,
             }
-    fileio.write_mc_csv(out / "scr_stats.csv", rows)
-    return summary, ["scr_stats.csv"]
+    out.write("scr_stats.csv", fileio.write_mc_csv, rows)
+    return summary
 
 
-def run_staf(cfg: ScenarioConfig, out: Path, sequence_path: Path, seq) -> tuple:
-    files = _export_staf_products(out, cfg, [("recomputed", seq)])
-    summary = {"sequence": str(sequence_path), "nominal_scr_db": _nominal_scr_db(seq, cfg.to_scene())}
-    return summary, files
+def run_staf(cfg: ScenarioConfig, out: _Outputs, sequence_path: Path, seq) -> dict:
+    _export_staf_products(out, cfg, [("recomputed", seq)])
+    return {"sequence": str(sequence_path), "nominal_scr_db": _nominal_scr_db(seq, cfg.to_scene())}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,19 +323,19 @@ def main(argv=None) -> int:
             sequence = _load_sequence(Path(args.sequence), cfg.n, "sequence")
         elif args.command == "montecarlo":
             designs = _load_designs(Path(args.designs), cfg.n)
-        out = _make_out_dir(args.out)
+        out = _Outputs(_make_out_dir(args.out))
         started = time.perf_counter()
         if 8 * cfg.n**2 > np.iinfo(np.intp).max:
             # numpy reports an array past its size limit as a ValueError
             raise MemoryError(f"the n x n STAF of n = {cfg.n} exceeds the largest possible array")
         if args.command == "wrtr":
-            summary, files = run_wrtr(cfg, out, seed)
+            summary = run_wrtr(cfg, out, seed)
         elif args.command == "baseline":
-            summary, files = run_baseline(cfg, out, seed, args.method)
+            summary = run_baseline(cfg, out, seed, args.method)
         elif args.command == "montecarlo":
-            summary, files = run_monte_carlo(cfg, out, seed, designs)
+            summary = run_monte_carlo(cfg, out, seed, designs)
         else:
-            summary, files = run_staf(cfg, out, Path(args.sequence), sequence)
+            summary = run_staf(cfg, out, Path(args.sequence), sequence)
     except ScenarioError as exc:
         print(f"wrtr: config error: {exc}", file=sys.stderr)
         return 2
@@ -341,8 +345,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"wrtr: out of memory [{args.command}]: {exc}", file=sys.stderr)
         return 3
-    _write_report(out, args.command, args.config, seed, time.perf_counter() - started, summary, files)
-    print(f"wrtr: {args.command} finished; outputs in {out}")
+    _write_report(out, args.command, args.config, seed, time.perf_counter() - started, summary)
+    print(f"wrtr: {args.command} finished; outputs in {out.dir}")
     return 0
 
 

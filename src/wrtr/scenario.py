@@ -17,7 +17,8 @@ The top-level keys, with their defaults; any other key is an error:
     n                          code length (required)
     scatterers                 [{range_shift, doppler, power}], default []
     clutter_blocks             [{range_bins, doppler_bins, power_db}], default []
-    doppler_interval           [lo, hi], the target's Doppler uncertainty (required)
+    doppler_interval           [lo, hi], the target's Doppler uncertainty, with
+                               lo <= 0 <= hi (required)
     max_outer                  cap on the alternation's sequence passes, 20
     worst_solver, seq_solver   solver blocks, {} each
     seed                       default --seed, 0
@@ -204,6 +205,8 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     lo = _as_number(interval[0], "doppler_interval[0]")
     hi = _as_number(interval[1], "doppler_interval[1]")
     _require(lo <= hi, "doppler_interval must satisfy lo <= hi")
+    # eps and every nominal SCR are taken at the target's Doppler 0
+    _require(lo <= 0.0 <= hi, f"doppler_interval [{lo:g}, {hi:g}] must contain the target's Doppler 0")
     fields["doppler_interval"] = (lo, hi)
     # WrtrConfig checks its own values, so a bad config fails here,
     # before the CLI creates any output.

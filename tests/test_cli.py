@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wrtr import fileio, radar, rtr
-from wrtr.cli import main, run_wrtr
+from wrtr.cli import _Outputs, main, run_wrtr
 from wrtr.driver import WrtrConfig, hessian_spectrum, optimize
 from wrtr.fileio import read_sequence_csv, write_sequence_csv
 from wrtr.manifold import random_point
@@ -136,6 +136,8 @@ class TestWrtrCommand:
             pytest.param("noise_power", math.nan, id="noise_power-nan"),
             pytest.param("doppler_interval", [-0.05, math.nan], id="doppler_interval-nan"),
             pytest.param("doppler_interval", [-math.inf, 0.01], id="doppler_interval-neg_inf"),
+            # eps and the nominal SCRs are taken at the target's Doppler 0
+            pytest.param("doppler_interval", [0.1, 0.2], id="doppler_interval-without_0"),
             pytest.param(
                 "clutter_blocks",
                 [{"range_bins": [3], "doppler_bins": [7], "power_db": math.inf}],
@@ -339,7 +341,7 @@ class TestWrtrCommand:
         # scenario 1 on a sub-bin interval: eps = 69.0 < 2n = 128, and the
         # adversary's steering attains the closed-form coupling (n - eps/2)^2
         cfg = scenario1_config((-0.005, 0.005))
-        summary, _ = run_wrtr(cfg, tmp_path, cfg.seed)
+        summary = run_wrtr(cfg, _Outputs(tmp_path), cfg.seed)
         assert summary["epsilon"] == pytest.approx(69.0, abs=0.05)
         s = read_sequence_csv(tmp_path / "sequence_final.csv")
         st = read_sequence_csv(tmp_path / "steering_worst.csv")
@@ -360,7 +362,7 @@ class TestWrtrCommand:
         # scenario 1 as shipped: eps = 154.6 >= 2n, a steering in the ball is
         # orthogonal to any sequence
         cfg = scenario1_config((-0.1, 0.1))
-        summary, _ = run_wrtr(cfg, tmp_path, cfg.seed)
+        summary = run_wrtr(cfg, _Outputs(tmp_path), cfg.seed)
         assert summary["epsilon"] > 2 * cfg.n
         assert summary["worst_case_scr_db"] is None
         err = capsys.readouterr().err.splitlines()
@@ -686,6 +688,24 @@ class TestExports:
         out = tmp_path / "out"
         assert main(command + ["--config", str(SMALL_CONFIG), "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == read_report(out)["files"]
+
+    def test_every_report_times_its_csv_writes(self, tmp_path):
+        # a timing goes in report.json only; the CSVs stay byte-deterministic
+        design = tmp_path / "random"
+        manifest = tmp_path / "designs.json"
+        manifest.write_text(json.dumps({"designs": [{"name": "random", "sequence": "random/sequence_final.csv"}]}))
+        commands = {
+            "wrtr": ["wrtr"],
+            "random": ["baseline", "--method", "random"],
+            "montecarlo": ["montecarlo", "--designs", str(manifest)],
+            "staf": ["staf", str(design / "sequence_final.csv")],
+        }
+        for name, command in commands.items():
+            out = tmp_path / name
+            assert main(command + ["--config", str(SMALL_CONFIG), "--out", str(out)]) == 0, name
+            report = read_report(out)
+            assert 0.0 <= report["export_seconds"] <= report["elapsed_seconds"], name
+            assert not any(b"export_seconds" in body for body in csv_bytes(out).values()), name
 
 
 class TestZeroClutterScene:

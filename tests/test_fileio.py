@@ -1,6 +1,7 @@
 """Each CSV writer against the csv.writer form it replaced, byte for byte."""
 
 import csv
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,19 +39,71 @@ def oracle(tmp_path):
     return lambda rows: _csv_bytes(tmp_path / "oracle.csv", rows)
 
 
-def test_staf(tmp_path, oracle, rng):
-    n = 16
-    values = 20 * np.log10(rng.uniform(1e-16, 1.0, (n, n)))
-    values[0, : len(AWKWARD)] = AWKWARD
-    values[1, 0] = -values[1, 0]
-    fileio.write_staf_csv(tmp_path / "staf.csv", values)
-    expected = oracle(
-        [["range_bin"] + [str(h) for h in range(n)]]
+def _staf_oracle(oracle, values):
+    return oracle(
+        [["range_bin"] + [str(h) for h in range(values.shape[1])]]
         + [[r] + [_g10(v) for v in row] for r, row in enumerate(values)]
     )
-    assert (tmp_path / "staf.csv").read_bytes() == expected
 
 
+def _g10_cases(rng):
+    """Values whose '%.10g' tests the STAF printer: (every case, the ones it must hand to '%.10g')."""
+    decades = 10.0 ** np.arange(-6, 13)
+    mantissas = rng.uniform(1.0, 10.0, (len(decades), 3))
+    edges = np.concatenate([decades, np.nextafter(decades, 0.0), np.nextafter(decades, np.inf)])
+    # exact ties at the 10th digit: q 2^(X-10), q odd, is (2N + 1)/2 10^(X-9) with N of ten digits
+    ties = []
+    for x in range(-4, 10):
+        lo, hi = 2e9 / 5.0 ** (9 - x), 2e10 / 5.0 ** (9 - x)
+        q = rng.integers(np.ceil(lo / 2), hi // 2, 3) * 2 + 1
+        ties += list(q * 2.0 ** (x - 10))
+    # products rounded onto a half: y = v 10^k is m + 1/2, the exact product is not
+    for x in range(-4, 9):
+        m = rng.integers(10**9, 10**10, 40)
+        v = (m + 0.5) / 10.0 ** (9 - x)
+        onto = (v * 10.0 ** (9 - x) == m + 0.5) & [Fraction(u) * 10 ** (9 - x) != t + Fraction(1, 2)
+                                                    for u, t in zip(v.tolist(), m.tolist())]
+        ties += list(v[onto][:3])
+    ties = np.array(ties)
+    # '%.10g' prints these in exponent notation, or they round up into it
+    exponent = [1e-5, 9.99999999996e-5, 1e10, 9999999999.6, 1.234e-7, 5.5e11]
+    special = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan]
+    fallback = np.concatenate([ties, exponent, special])
+    plain = [-300.0, 9.9999999995, 9.99999999949, 0.0001, 123.456, 1e9 + 0.25, 0.1 + 0.2, 1 / 3]
+    signed = np.concatenate([(mantissas * decades[:, None]).ravel(), edges, ties, exponent, special[:4], plain])
+    return np.concatenate([signed, -signed, special[4:]]), fallback
+
+
+@pytest.mark.parametrize("n_rows, n", [(1, 1), (3, 3), (16, 16), (300, 300), (3, 4099)],
+                         ids=["n1", "n3", "n16", "n300_partial_block", "n4099_one_row_per_block"])
+def test_staf(tmp_path, oracle, rng, n_rows, n):
+    # the writer prints whatever rows it is given: 3 rows of n = 4099 stand for the n^2 surface
+    values = 20 * np.log10(rng.uniform(1e-16, 1.0, (n_rows, n)))
+    values.flat[: len(AWKWARD)] = AWKWARD[: values.size]
+    values.flat[-1] = -values.flat[-1]
+    fileio.write_staf_csv(tmp_path / "staf.csv", values)
+    assert (tmp_path / "staf.csv").read_bytes() == _staf_oracle(oracle, values)
+
+
+def test_staf_prints_every_value_as_percent_g(tmp_path, oracle, rng, monkeypatch):
+    cases, fallback = _g10_cases(rng)
+    handed_back = []
+
+    def percent_g(value):
+        handed_back.append(value)
+        return fallback_slot(value)
+
+    fallback_slot = fileio._fallback_slot
+    monkeypatch.setattr(fileio, "_fallback_slot", percent_g)
+    values = np.resize(cases, (37, 53))  # 53 values a row, rows of 77 per block, the last one partial
+    rng.shuffle(values.ravel())
+    fileio.write_staf_csv(tmp_path / "staf.csv", values)
+    assert (tmp_path / "staf.csv").read_bytes() == _staf_oracle(oracle, values)
+    # a value the printer cannot prove correctly rounded is printed by '%.10g' itself
+    back = {_g10(v) for v in handed_back}
+    assert {_g10(v) for v in fallback} <= back
+    assert {"0", "-0", "inf", "-inf", "nan", _g10(5e-324)} <= back
+    assert not {_g10(v) for v in (-300.0, 123.456, 1 / 3)} & back
 def test_cut(tmp_path, oracle, rng):
     bins = list(range(len(AWKWARD)))
     dopplers = np.array(bins, dtype=float) / len(bins)

@@ -115,6 +115,16 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             parse_scenario(base_config(doppler_interval=[0.1, -0.1]))
 
+    @pytest.mark.parametrize("interval", [[0.1, 0.2], [-0.2, -0.1], [1e-300, 0.05]])
+    def test_interval_must_contain_the_target_doppler(self, interval):
+        # eps and the nominal SCRs are taken at v = 0
+        with pytest.raises(ScenarioError, match="must contain the target's Doppler 0"):
+            parse_scenario(base_config(doppler_interval=interval))
+
+    @pytest.mark.parametrize("interval", [[0.0, 0.0], [0.0, 0.1], [-0.1, 0.0], [-0.0, 0.0]])
+    def test_interval_may_end_at_the_target_doppler(self, interval):
+        assert parse_scenario(base_config(doppler_interval=interval)).wrtr.doppler_interval == tuple(interval)
+
 
 class TestLoadScenario:
     def test_round_trip(self, tmp_path):
