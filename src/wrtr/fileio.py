@@ -31,10 +31,10 @@ followed by a nul or the point. One AND and one OR mask, picked by
 prefix that `'%.10g'` prints and place the point; the nul bytes are then
 dropped. Rows go in blocks of max(1, 2^12 // n) rows, about 2^12 values:
 the block's slots (about 128 KB, with the row index and the line end in
-slots of their own) are reused, its dozen value-sized temporaries are
-freed per block, and the tables (about 130 KB) are built per surface, so
-the surface stays the largest array and a process that prints none
-holds nothing.
+slots of their own) are reused, its value-sized temporaries (32 KB, a
+few alive at a time) are freed per block, and the tables (about 130 KB)
+are built per surface, so the surface stays the largest array and a
+process that prints none holds nothing.
 """
 
 from __future__ import annotations
@@ -95,11 +95,12 @@ _POW10 = 10.0 ** np.arange(14)  # 10^k, k = 9 - X for X = 9..-4: exact doubles
 
 
 def _layout_masks() -> tuple:
-    """The AND and OR masks, (280, 4) uint64, of the slot with sign s, k = 9 - X and last nonzero digit L.
+    """The AND and OR masks, (4, 280) uint64, of the slot with sign s, k = 9 - X and last nonzero digit L.
 
-    Row s * 140 + k * 10 + L. The OR mask writes "," and the sign, "0."
-    and -X - 1 zeros for X < 0, and the point after digit X when a nonzero
-    digit follows it; the AND mask keeps digits 0..max(X, L).
+    Column s * 140 + k * 10 + L; row w holds the slot's w-th 8-byte word.
+    The OR mask writes "," and the sign, "0." and -X - 1 zeros for X < 0,
+    and the point after digit X when a nonzero digit follows it; the AND
+    mask keeps digits 0..max(X, L).
     """
     sign, k, last = np.indices((2, 14, 10)).reshape(3, -1)
     x = 9 - k
@@ -115,7 +116,7 @@ def _layout_masks() -> tuple:
     keep[:, 12 + 2 * digit] = np.where(digit <= np.maximum(x, last)[:, None], 0xFF, 0)
     point = np.flatnonzero((x >= 0) & (last > x))
     put[point, 13 + 2 * x[point]] = ord(".")
-    return keep.view(np.uint64), put.view(np.uint64)
+    return np.ascontiguousarray(keep.view(np.uint64).T), np.ascontiguousarray(put.view(np.uint64).T)
 
 
 def _printer_tables() -> tuple:
@@ -150,10 +151,13 @@ def _decimal(values: np.ndarray) -> tuple:
     # 0, inf and NaN pass through log10 and the cast as garbage; none is
     # exact, so '%.10g' prints them
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = 9 - np.fmax(np.fmin(np.floor(np.log10(a)), 9.0), -4.0).astype(np.intp)
+        x = np.log10(a)
+        np.fmax(np.fmin(np.floor(x, out=x), 9.0, out=x), -4.0, out=x)
+        k = np.subtract(9, x.astype(np.intp))
         y = np.multiply(a, _POW10[k], out=a)
-        digits = np.rint(y)
-        exact = (y >= 1e9) & (y < 9_999_999_999.5) & (np.abs(y - digits) != 0.5)
+        digits = np.rint(y, out=x)
+        exact = (y >= 1e9) & (y < 9_999_999_999.5)
+        exact &= np.abs(np.subtract(y, digits, out=y), out=y) != 0.5
         return digits.astype(np.int64), k, exact
 
 
@@ -170,11 +174,13 @@ def _print_g10(values: np.ndarray, slots: np.ndarray, tables) -> None:
     row += np.maximum(np.maximum(np.take(last_hi, hi, mode="clip"), np.take(last_mid, mid, mode="clip")),
                       np.take(last_lo, lo, mode="clip"))
     row += 140 * (values < 0)
-    text = np.take(keep, row, axis=0, mode="clip")
-    text[..., 1] &= np.take(groups, hi, mode="clip")
-    text[..., 2] &= np.take(groups, mid, mode="clip")
-    text[..., 3] &= np.take(groups, lo, mode="clip")
-    np.bitwise_or(text, np.take(put, row, axis=0, mode="clip"), out=slots)
+    # word by word, so each temporary is one value-sized array
+    slots[..., 0] = np.take(put[0], row, mode="clip")
+    for w, group in enumerate((hi, mid, lo), start=1):
+        word = np.take(groups, group, mode="clip")
+        word &= np.take(keep[w], row, mode="clip")
+        word |= np.take(put[w], row, mode="clip")
+        slots[..., w] = word
     for i in zip(*np.nonzero(~exact)):
         slots[i] = _fallback_slot(float(values[i]))
 

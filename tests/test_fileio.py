@@ -74,15 +74,15 @@ def _g10_cases(rng):
     return np.concatenate([signed, -signed, special[4:]]), fallback
 
 
-@pytest.mark.parametrize("n_rows, n", [(1, 1), (3, 3), (16, 16), (300, 300), (3, 4099)],
-                         ids=["n1", "n3", "n16", "n300_partial_block", "n4099_one_row_per_block"])
-def test_staf(tmp_path, oracle, rng, n_rows, n):
-    # the writer prints whatever rows it is given: 3 rows of n = 4099 stand for the n^2 surface
-    values = 20 * np.log10(rng.uniform(1e-16, 1.0, (n_rows, n)))
-    values.flat[: len(AWKWARD)] = AWKWARD[: values.size]
-    values.flat[-1] = -values.flat[-1]
-    fileio.write_staf_csv(tmp_path / "staf.csv", values)
-    assert (tmp_path / "staf.csv").read_bytes() == _staf_oracle(oracle, values)
+def test_staf(tmp_path, oracle, rng):
+    # n = 300 ends on a partial block; the writer prints whatever rows it is
+    # given, so 3 rows of n = 4099 (one row a block) stand for that n^2 surface
+    for n_rows, n in [(1, 1), (3, 3), (16, 16), (300, 300), (3, 4099)]:
+        values = 20 * np.log10(rng.uniform(1e-16, 1.0, (n_rows, n)))
+        values.flat[: len(AWKWARD)] = AWKWARD[: values.size]
+        values.flat[-1] = -values.flat[-1]
+        fileio.write_staf_csv(tmp_path / "staf.csv", values)
+        assert (tmp_path / "staf.csv").read_bytes() == _staf_oracle(oracle, values), n
 
 
 def test_staf_prints_every_value_as_percent_g(tmp_path, oracle, rng, monkeypatch):
@@ -95,7 +95,7 @@ def test_staf_prints_every_value_as_percent_g(tmp_path, oracle, rng, monkeypatch
 
     fallback_slot = fileio._fallback_slot
     monkeypatch.setattr(fileio, "_fallback_slot", percent_g)
-    values = np.resize(cases, (37, 53))  # 53 values a row, rows of 77 per block, the last one partial
+    values = np.resize(cases, (90, 53))  # blocks of 2^12 // 53 = 77 rows, so the second is partial
     rng.shuffle(values.ravel())
     fileio.write_staf_csv(tmp_path / "staf.csv", values)
     assert (tmp_path / "staf.csv").read_bytes() == _staf_oracle(oracle, values)
@@ -104,6 +104,8 @@ def test_staf_prints_every_value_as_percent_g(tmp_path, oracle, rng, monkeypatch
     assert {_g10(v) for v in fallback} <= back
     assert {"0", "-0", "inf", "-inf", "nan", _g10(5e-324)} <= back
     assert not {_g10(v) for v in (-300.0, 123.456, 1 / 3)} & back
+
+
 def test_cut(tmp_path, oracle, rng):
     bins = list(range(len(AWKWARD)))
     dopplers = np.array(bins, dtype=float) / len(bins)
