@@ -65,7 +65,7 @@ def _g10_cases(rng):
                                                     for u, t in zip(v.tolist(), m.tolist())]
         ties += list(v[onto][:3])
     ties = np.array(ties)
-    # '%.10g' prints these in exponent notation, or they round up into it
+    # exponent notation, or a rounding across a decade edge into or out of it
     exponent = [1e-5, 9.99999999996e-5, 1e10, 9999999999.6, 1.234e-7, 5.5e11]
     special = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan]
     fallback = np.concatenate([ties, exponent, special])
