@@ -17,12 +17,13 @@ is accepted when rho > RHO_BAR; tCG stops once
 ||r_j|| <= ||r_0|| * min(TCG_KAPPA, ||r_0||), the rule with theta = 1,
 which keeps local convergence quadratic. The radius shrinks by 1/4 when
 rho < 1/4 and doubles (capped at delta_bar) only when rho > 3/4 with the
-step on the boundary. A run of rejections that shrinks the radius below
-machine epsilon times delta_bar ends the solve: no step that short can
-move the iterate in floating point. A rejected step that tCG ended inside
-the region is reused while the shrunk radius still exceeds its norm:
-Steihaug iterate norms grow monotonically, so tCG would retrace the same
-path to the same step.
+step on the boundary. A solve has three stops: the gradient tolerance,
+max_iters, and rounding. The last ends the solve after a rejected step
+whose actual change |f(x) - f(cand)| is at most the rounding guard
+1e4 * eps * |f(x)| that rho also uses: below it rho measures rounding
+noise, not the model, so shrinking the radius further cannot make a
+step acceptable (Conn, Gould & Toint, Trust-Region Methods, 2000;
+Absil, Baker & Gallivan, FoCM 2007).
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ class TcgStop(enum.Enum):
     BOUNDARY = "boundary"
     RESIDUAL_SMALL = "residual_small"
     MAX_INNER = "max_inner"
-
-
-_INTERIOR_STOPS = (TcgStop.RESIDUAL_SMALL, TcgStop.MAX_INNER)
 
 
 RHO_BAR = 0.1  # accept a step when rho > RHO_BAR, in (0, 1/4)
@@ -165,9 +163,10 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig, g_ref: float
 
     Terminates when the gradient norm reaches grad_tol * g_ref (g_ref is
     the gradient norm at x0 unless given: a warm restart passes the first
-    solve's), when a rejected step leaves the radius below
-    eps_machine * delta_bar (converged stays false: the tolerance was not
-    met, but no further step can change x), or after max_iters; returns
+    solve's), after max_iters, or after a rejected step whose actual
+    change |f(x) - f(cand)| is within the rounding guard
+    1e4 * eps_machine * |f(x)| (converged stays false: the tolerance was
+    not met, but no step rho can judge is left); returns
     (x_final, TrustRegionTrace). Accepted-iterate costs are strictly
     decreasing; a nonpositive model decrease rejects the step with
     rho = -inf and shrinks the radius. An overflow or invalid operation in
@@ -184,28 +183,24 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig, g_ref: float
     tol = cfg.grad_tol * (gn if g_ref is None else g_ref)
     trace = TrustRegionTrace(initial_grad_norm=gn, grad_tol_effective=tol, cost_evals=1, grad_evals=1)
     eps = float(np.finfo(float).eps)
-    interior = None  # (stop, step_norm, rho) of the last step if rejected inside the region
     for _ in range(cfg.max_iters):
         if gn <= tol:
             break
-        if interior is not None and delta > interior[1]:
-            stop, step_norm, rho = interior
+        xi, stop = tcg(problem, x, delta, cfg, g, trace=trace)
+        step_norm = norm(xi)
+        h_xi = problem.rhess(x, xi)
+        model_decrease = -(float(g @ xi) + 0.5 * float(h_xi @ xi))
+        candidate = retract(x, xi)
+        f_cand = problem.cost(candidate)
+        trace.hvps += 1
+        trace.cost_evals += 1
+        guard = 1e4 * eps * abs(fx)
+        if model_decrease <= 0.0:
+            rho = float("-inf")
+        elif model_decrease < guard:
+            rho = (fx - f_cand) / (model_decrease + guard)
         else:
-            xi, stop = tcg(problem, x, delta, cfg, g, trace=trace)
-            step_norm = norm(xi)
-            h_xi = problem.rhess(x, xi)
-            model_decrease = -(float(g @ xi) + 0.5 * float(h_xi @ xi))
-            candidate = retract(x, xi)
-            f_cand = problem.cost(candidate)
-            trace.hvps += 1
-            trace.cost_evals += 1
-            guard = 1e4 * eps * abs(fx)
-            if model_decrease <= 0.0:
-                rho = float("-inf")
-            elif model_decrease < guard:
-                rho = (fx - f_cand) / (model_decrease + guard)
-            else:
-                rho = (fx - f_cand) / model_decrease
+            rho = (fx - f_cand) / model_decrease
         accepted = rho > RHO_BAR
         trace.iterations.append(
             TrustRegionIteration(
@@ -227,11 +222,8 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig, g_ref: float
             g = problem.rgrad(x)
             gn = norm(g)
             trace.grad_evals += 1
-            interior = None
-        else:
-            interior = (stop, step_norm, rho) if stop in _INTERIOR_STOPS else None
-            if delta < eps * delta_bar:
-                break
+        elif abs(fx - f_cand) <= guard:
+            break
     trace.final_grad_norm = gn
     trace.final_cost = fx
     trace.converged = gn <= tol

@@ -6,7 +6,9 @@ blocks of range bins x Doppler bins with a power in dB (10 log10 of the
 linear power). Powers are in units of the noise power, and the target's
 power is 1 (see radar.scnr). Doppler bin h maps to normalized Doppler
 h/n. Bins are a list or a {start, stop} object spanning at most n bins;
-range bins lie in 0..n-1. Example:
+range bins lie in 0..n-1. A block's bins must be distinct, Doppler bins
+modulo n (h and h + n are one Doppler): a repeated bin would add a
+second scatterer in the same cell and double its power. Example:
 
     {"n": 64, "seed": 2024, "doppler_interval": [-0.1, 0.1],
      "clutter_blocks": [{"range_bins": {"start": 11, "stop": 30},
@@ -27,7 +29,9 @@ The top-level keys, with their defaults; any other key is an error:
 
 A solver block takes grad_tol (1e-9), max_iters (100) and tcg_max_inner
 (null: n); the radii and thresholds are fixed in rtr. A solve stops at
-gradient norm grad_tol * g_ref, g_ref a reference norm (see rtr.solve).
+gradient norm grad_tol * g_ref, g_ref a reference norm, after max_iters
+iterations, or after a rejected step that changed the cost by no more
+than rounding (see rtr.solve).
 The adversary's penalty weight, the alternation's SCNR stop and the
 Doppler grid of doppler_interval are constants: objectives.LAM,
 driver.SCNR_TOL_DB and driver.INTERVAL_GRID_POINTS.
@@ -97,6 +101,14 @@ def _bin_list(value, key: str, n: int, doppler: bool = False) -> list:
     for b in () if doppler else bins:
         _require(0 <= b <= n - 1, f"{key}: bin {b} outside 0..{n - 1}")
     return bins
+
+
+def _distinct_bins(bins: list, key: str, n: int) -> None:
+    """Reject a bin equal, modulo n, to an earlier one of the list."""
+    first = {}
+    for i, b in enumerate(bins):
+        j = first.setdefault(b % n, i)
+        _require(i == j, f"{key}: bin {b} repeats bin {bins[j]} (bins equal modulo n = {n} are one cell)")
 
 
 def _as_list(value, key: str) -> list:
@@ -181,6 +193,8 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         _require(not unknown, f"{key}: unknown keys {sorted(unknown)}")
         ranges = _bin_list(block.get("range_bins"), f"{key}.range_bins", n)
         dopplers = _bin_list(block.get("doppler_bins"), f"{key}.doppler_bins", n, doppler=True)
+        _distinct_bins(ranges, f"{key}.range_bins", n)
+        _distinct_bins(dopplers, f"{key}.doppler_bins", n)
         power_db = _as_number(block.get("power_db"), f"{key}.power_db")
         try:
             power = 10.0 ** (power_db / 10.0)

@@ -198,6 +198,18 @@ class TestWrtrCommand:
             pytest.param("scatterers", None, id="scatterers-null"),
             pytest.param("clutter_blocks", 5, id="clutter_blocks-int"),
             pytest.param("clutter_blocks", None, id="clutter_blocks-null"),
+            # a repeated bin in one block is one cell listed twice; at n = 16,
+            # Doppler bins 7 and 23 are one Doppler
+            pytest.param(
+                "clutter_blocks",
+                [{"range_bins": [4, 4], "doppler_bins": [7], "power_db": 10.0}],
+                id="range_bins-repeated",
+            ),
+            pytest.param(
+                "clutter_blocks",
+                [{"range_bins": [4], "doppler_bins": [7, 23], "power_db": 10.0}],
+                id="doppler_bins-repeated_mod_n",
+            ),
             # finite, but n^2 * power, the bound on the clutter energy, is not
             pytest.param(
                 "scatterers", [{"range_shift": 2, "doppler": 0.1, "power": 1e308}], id="scatterer_power-huge"

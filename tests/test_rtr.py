@@ -38,6 +38,31 @@ class QuadraticModelProblem:
         return self.matrix @ a
 
 
+class RisingCostProblem:
+    """Cost 1 + sum of squared phase offsets from x (test double), with a fixed
+    model gradient and the identity Hessian.
+
+    Every step from x raises the cost, so every step is rejected; it keeps
+    each cost it returns, in call order.
+    """
+
+    def __init__(self, x, grad_coords):
+        self.x = x
+        self.grad_coords = np.asarray(grad_coords, dtype=float)
+        self.costs = []
+
+    def cost(self, x):
+        offsets = np.angle(x.entries * np.conj(self.x.entries))
+        self.costs.append(1.0 + float(offsets @ offsets))
+        return self.costs[-1]
+
+    def rgrad(self, x):
+        return self.grad_coords.copy()
+
+    def rhess(self, x, a):
+        return np.array(a, dtype=float)
+
+
 class CountingProblem:
     """Forwards to a problem and counts its cost, gradient and Hessian-vector product calls."""
 
@@ -230,53 +255,53 @@ class TestSolve:
                 assert it.step_norm >= 0
                 assert isinstance(it.tcg_stop, TcgStop)
 
-    def test_collapsed_radius_ends_the_solve(self, rng):
-        # where no step lowers the cost (here a flat cost with a nonzero
-        # model gradient) every row is rejected: the radius shrinks below
-        # eps * delta_bar, and the solve stops there instead of running to
-        # max_iters
+    def test_flat_cost_ends_after_one_rejected_row(self, rng):
+        # a flat cost with a nonzero model gradient: the first step changes
+        # f by 0, which is within the rounding guard 1e4 * eps * |f| = 0, so
+        # rho has nothing to judge and the solve ends on that rejected row
         n = 16
         x = random_point(n, 14)
         problem = QuadraticModelProblem(x, spd_matrix(n, rng), rng.standard_normal(n))
-        cfg = TrustRegionConfig(grad_tol=0.0, max_iters=500)
-        _, trace = solve(problem, x, cfg)
-        assert len(trace) < 100
+        _, trace = solve(problem, x, TrustRegionConfig(grad_tol=0.0, max_iters=500))
+        assert len(trace) == 1
+        assert not trace.iterations[0].accepted
+        assert trace.cost_evals == problem.cost_calls == 2
         assert not trace.converged
-        delta_bar = math.sqrt(16)
-        last = trace.iterations[-1]
-        assert not last.accepted
-        assert 0.25 * last.delta < np.finfo(float).eps * delta_bar
 
-
-    def test_rejected_interior_step_is_reused(self, rng):
-        # tCG stops inside the region at the Newton step; the cost never
-        # decreases, so each row is rejected and the radius shrinks by 4x.
-        # While it still exceeds the step's norm, tCG would retrace the same
-        # path: the row repeats with no new tCG, HVP or cost evaluation. The
-        # small gradient puts the Newton step inside the first radius.
-        n = 8
+    def test_rejections_end_at_the_rounding_guard(self):
+        # the cost rises along every step, so each row is rejected and the
+        # radius shrinks 4x per row; the solve ends on the first row whose
+        # change |f(x) - f(cand)| is within 1e4 * eps * |f(x)|, and on no
+        # earlier one
+        n = 16
         x = random_point(n, 15)
-        problem = QuadraticModelProblem(x, spd_matrix(n, rng), 1e-2 * rng.standard_normal(n))
-        cfg = TrustRegionConfig(grad_tol=0.0, max_iters=12)
-        _, trace = solve(problem, x, cfg)
+        problem = RisingCostProblem(x, np.random.default_rng(15).standard_normal(n))
+        _, trace = solve(problem, x, TrustRegionConfig(grad_tol=0.0, max_iters=500))
         rows = trace.iterations
-        assert len(rows) == 12 and not any(it.accepted for it in rows)
-        assert rows[0].tcg_stop is TcgStop.RESIDUAL_SMALL
-        reused = [
-            prev.tcg_stop in (TcgStop.RESIDUAL_SMALL, TcgStop.MAX_INNER) and cur.delta > prev.step_norm
-            for prev, cur in zip(rows, rows[1:])
-        ]
-        assert 3 <= sum(reused) < len(rows) - 1
-        for prev, cur, again in zip(rows, rows[1:], reused):
-            if again:
-                assert (cur.step_norm, cur.rho, cur.tcg_stop) == (prev.step_norm, prev.rho, prev.tcg_stop)
-        fresh = len(rows) - sum(reused)
-        assert problem.cost_calls == 1 + fresh
-        first_hvps = n + 1  # at most n inner iterations plus the model-decrease product
-        assert problem.hvp_calls <= fresh * first_hvps
+        assert not any(it.accepted for it in rows)
+        assert all(b.delta == 0.25 * a.delta for a, b in zip(rows, rows[1:]))
+        f0, changes = problem.costs[0], [abs(f - problem.costs[0]) for f in problem.costs[1:]]
+        assert len(changes) == len(rows) > 5
+        guard = 1e4 * np.finfo(float).eps * abs(f0)
+        assert all(change > guard for change in changes[:-1])
+        assert changes[-1] <= guard
+        assert not trace.converged
 
+    def test_sequence_solve_ends_on_a_rejected_row(self, rng):
+        # grad_tol 0 is never met; the solve stops once a rejected step's
+        # change is within rounding, well before max_iters, and returns the
+        # last accepted iterate
+        n = 8
+        problem = SequenceObjective(random_scene(n, 3, rng))
+        _, trace = solve(problem, random_point(n, 18), TrustRegionConfig(grad_tol=0.0, max_iters=500))
+        last = trace.iterations[-1]
+        assert len(trace) < 500
+        assert not last.accepted
+        assert trace.accepted_costs()
+        assert trace.final_cost == last.cost < trace.accepted_costs()[-1]
+        assert not trace.converged
 
-    @pytest.mark.parametrize("case", ["sequence", "rejected_interior"])
+    @pytest.mark.parametrize("case", ["sequence", "rejected"])
     def test_trace_counts_match_a_counting_wrapper(self, rng, case):
         if case == "sequence":
             n = 16
@@ -284,11 +309,11 @@ class TestSolve:
             x = random_point(n, 16)
             cfg = TrustRegionConfig(max_iters=25, grad_tol=0.0, tcg_max_inner=6)
         else:
-            # every step rejected, interior steps reused without a new tCG
+            # every step rejected until the change is within rounding
             n = 8
             x = random_point(n, 15)
-            problem = QuadraticModelProblem(x, spd_matrix(n, rng), 1e-2 * rng.standard_normal(n))
-            cfg = TrustRegionConfig(grad_tol=0.0, max_iters=12)
+            problem = RisingCostProblem(x, 1e-2 * rng.standard_normal(n))
+            cfg = TrustRegionConfig(grad_tol=0.0, max_iters=500)
         problem = CountingProblem(problem)
         _, trace = solve(problem, x, cfg)
         assert trace.hvps == problem.hvp_calls > len(trace)

@@ -67,6 +67,32 @@ class TestBlockExpansion:
             )
 
 
+    # n = 16: Doppler bins h and h + 16 are one Doppler
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ({"range_bins": [4, 4], "doppler_bins": [7]}, "clutter_blocks[0].range_bins: bin 4 repeats bin 4"),
+            ({"range_bins": [4, 5, 4], "doppler_bins": [7]}, "clutter_blocks[0].range_bins: bin 4 repeats bin 4"),
+            ({"range_bins": [4], "doppler_bins": [7, 7]}, "clutter_blocks[0].doppler_bins: bin 7 repeats bin 7"),
+            ({"range_bins": [4], "doppler_bins": [7, 23]}, "clutter_blocks[0].doppler_bins: bin 23 repeats bin 7"),
+            ({"range_bins": [4], "doppler_bins": [-9, 7]}, "clutter_blocks[0].doppler_bins: bin 7 repeats bin -9"),
+        ],
+        ids=["range", "range-later", "doppler", "doppler-plus_n", "doppler-minus_n"],
+    )
+    def test_repeated_block_bin_rejected(self, block, message):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(base_config(clutter_blocks=[{**block, "power_db": 10.0}]))
+        assert str(info.value).startswith(message)
+
+    def test_bins_repeated_across_blocks_or_scatterers_are_kept(self):
+        # only bins within one block are one cell listed twice; a second
+        # block or an explicit scatterer in the same cell adds its power
+        block = {"range_bins": [4], "doppler_bins": [7], "power_db": 10.0}
+        scatterer = {"range_shift": 4, "doppler": 7 / 16, "power": 10.0}
+        cfg = parse_scenario(base_config(clutter_blocks=[block, block], scatterers=[scatterer, scatterer]))
+        assert len(cfg.scatterers) == 4
+
+
 class TestValidation:
     def test_missing_n(self):
         cfg = base_config()
