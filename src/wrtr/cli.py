@@ -61,7 +61,9 @@ class _Outputs:
 def _export_staf_products(out: _Outputs, cfg: ScenarioConfig, named_sequences) -> None:
     """Write STAF grids, and Doppler cuts of the last sequence's.
 
-    A sequence that is the same object as the one before it (the random
+    Each surface is printed from radar.staf_blocks as its row blocks come,
+    keeping only the rows of the cuts, so no surface is held whole. A
+    sequence that is the same object as the one before it (the random
     baseline's final is its initial) is not computed again: its file is a
     byte copy of the previous one.
     """
@@ -73,11 +75,23 @@ def _export_staf_products(out: _Outputs, cfg: ScenarioConfig, named_sequences) -
             source = out.dir / out.files[-1]
             out.write(name, lambda path: shutil.copyfile(source, path))
         else:
-            full = radar.staf(seq)
-            out.write(name, fileio.write_staf_csv, full)
+            cuts = {}
+            blocks = _keep_rows(radar.staf_blocks(seq), cuts, cfg.doppler_cut_range_bins)
+            out.write(name, fileio.write_staf_blocks, cfg.n, blocks)
         previous = seq
     for b in cfg.doppler_cut_range_bins:
-        out.write(f"doppler_cut_r{b}.csv", fileio.write_cut_csv, bins, grid, full[b])
+        out.write(f"doppler_cut_r{b}.csv", fileio.write_cut_csv, bins, grid, cuts[b])
+
+
+def _keep_rows(blocks, kept: dict, wanted):
+    """Pass row blocks through, copying row r into kept[r] for each r in wanted."""
+    first = 0
+    for block in blocks:
+        for r in wanted:
+            if first <= r < first + len(block):
+                kept[r] = block[r - first].copy()
+        first += len(block)
+        yield block
 
 
 def _write_report(out: _Outputs, command: str, config_path, seed: int, elapsed: float, summary: dict) -> None:
@@ -89,7 +103,9 @@ def _write_report(out: _Outputs, command: str, config_path, seed: int, elapsed: 
             "config": str(config_path),
             "seed": seed,
             "elapsed_seconds": elapsed,
-            # the part of elapsed_seconds spent writing the CSV files
+            # the part of elapsed_seconds spent writing the CSV files; a STAF
+            # surface is computed row block by row block as it is written, so
+            # its file's time includes the transform
             "export_seconds": out.export_seconds,
             "summary": summary,
             "files": files,
@@ -129,11 +145,13 @@ def _export_design(out: _Outputs, cfg: ScenarioConfig, scene, initial, final, se
         out.write("traces.csv", fileio.write_trace_csv, sections)
     _export_staf_products(out, cfg, [("initial", initial), ("final", final)])
     # after the STAF surfaces: for the random design this builds the scene's clutter
-    # bank, and holding it while they are computed raised the peak RSS of the
-    # analysis-n1024 benchmark's random baseline from 44.9 to 52.7 MB
+    # bank (3.8 MB of weights in the analysis-n1024 benchmark), which is then not
+    # held while they are printed; the random design's final is its initial, so
+    # its one SCR is computed once
+    initial_db = _nominal_scr_db(initial, scene)
     summary = {
-        "nominal_scr_initial_db": _nominal_scr_db(initial, scene),
-        "nominal_scr_final_db": _nominal_scr_db(final, scene),
+        "nominal_scr_initial_db": initial_db,
+        "nominal_scr_final_db": initial_db if final is initial else _nominal_scr_db(final, scene),
     }
     if sections and sections[-1][1] == "seq":
         # wrtr and rtr_nonrobust both minimised SequenceObjective(scene); a fresh

@@ -179,8 +179,10 @@ class _PhasorRowSums:
     The table (1 MB) is built per instance, not at import. The work arrays
     hold one block of up to `rows` rows of n and are reused for every block:
     fresh temporaries page-fault on each block, which cost more than the
-    arithmetic. With monte_carlo_scr's 2^16 / n rows each of the five
-    work arrays is 512 kB.
+    arithmetic. There are three: the table index and the two remainders;
+    the table values go into u, whose phases are spent by then, first the
+    cosines for the two sums that read them, then the sines. With
+    monte_carlo_scr's 2^16 / n rows each is 512 kB.
     """
 
     K = 2**16
@@ -189,13 +191,13 @@ class _PhasorRowSums:
         angles = np.arange(self.K) * (2.0 * np.pi / self.K)
         self._cos, self._sin = np.cos(angles), np.sin(angles)
         self._index = np.empty((rows, n), dtype=np.intp)
-        self._work = np.empty((4, rows, n))
+        self._work = np.empty((2, rows, n))
 
     def __call__(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sum_j cos 2 pi u_ij, sum_j sin 2 pi u_ij) per row i of u; u is overwritten."""
         m = u.shape[0]
         index = self._index[:m]
-        cos_t, sin_t, cos_b, sin_b = self._work[:, :m]
+        cos_b, sin_b = self._work[:, :m]
         u *= self.K
         np.copyto(index, u, casting="unsafe")  # truncation is floor: u >= 0
         u -= index
@@ -207,11 +209,11 @@ class _PhasorRowSums:
         cos_b *= -0.5
         cos_b += 1.0
         # index < K always; with out=, the default mode="raise" copies through a buffer
-        np.take(self._cos, index, out=cos_t, mode="clip")
-        np.take(self._sin, index, out=sin_t, mode="clip")
-        re = np.einsum("ij,ij->i", cos_t, cos_b) - np.einsum("ij,ij->i", sin_t, sin_b)
-        im = np.einsum("ij,ij->i", sin_t, cos_b) + np.einsum("ij,ij->i", cos_t, sin_b)
-        return re, im
+        table = np.take(self._cos, index, out=u, mode="clip")
+        cc, cs = np.einsum("ij,ij->i", table, cos_b), np.einsum("ij,ij->i", table, sin_b)
+        np.take(self._sin, index, out=table, mode="clip")
+        ss, sc = np.einsum("ij,ij->i", table, sin_b), np.einsum("ij,ij->i", table, cos_b)
+        return cc - ss, sc + cs
 
 
 def monte_carlo_scr(

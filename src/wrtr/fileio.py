@@ -29,12 +29,14 @@ then the ten digits from a table of 4-digit ASCII groups, each digit
 followed by a nul or the point. One AND and one OR mask, picked by
 (sign, X, index of the last nonzero digit), keep the digits and the
 prefix that `'%.10g'` prints and place the point; the nul bytes are then
-dropped. Rows go in blocks of max(1, 2^12 // n) rows, about 2^12 values:
-the block's slots (about 128 KB, with the row index and the line end in
-slots of their own) are reused, its value-sized temporaries (32 KB, a
-few alive at a time) are freed per block, and the tables (about 130 KB)
-are built per surface, so the surface stays the largest array and a
-process that prints none holds nothing.
+dropped. The printer takes the surface as row blocks of any height, in
+order, as radar.staf_blocks yields them, so a command never holds the
+surface itself. It prints them in blocks of max(1, 2^12 // n) rows,
+about 2^12 values: the block's slots (about 128 KB, with the row index
+and the line end in slots of their own) are reused, its value-sized
+temporaries (32 KB, a few alive at a time) are freed per block, and the
+tables (about 130 KB) are built per surface, so a process that prints
+none holds nothing.
 """
 
 from __future__ import annotations
@@ -185,26 +187,32 @@ def _print_g10(values: np.ndarray, slots: np.ndarray, tables) -> None:
         slots[i] = _fallback_slot(float(values[i]))
 
 
-def _staf_blocks(values_db: np.ndarray):
-    """The surface's rows as CSV bytes, in blocks of max(1, 2^12 // n) rows."""
-    n_rows, n = values_db.shape
+def _staf_lines(n: int, blocks):
+    """The rows of row blocks (rows, n), numbered from 0, as CSV bytes in blocks of max(1, 2^12 // n) rows."""
     rows = max(1, _BLOCK_VALUES // n)
     # per row: the index, n values, the line end
     slots = np.zeros((rows, n + 2, _SLOT // 8), dtype=np.uint64)
     slots[:, -1] = _text_slot(b"\r\n")
     tables = _printer_tables()
-    for start in range(0, n_rows, rows):
-        block = slots[: min(rows, n_rows - start)]
-        _print_g10(values_db[start : start + len(block)], block[:, 1:-1], tables)
-        for i, r in enumerate(range(start, start + len(block))):
-            block[i, 0] = _text_slot(b"%d" % r)
-        yield block.tobytes().translate(None, b"\0")
+    first = 0  # the row index of values[0]
+    for values in blocks:
+        for start in range(0, len(values), rows):
+            block = slots[: min(rows, len(values) - start)]
+            _print_g10(values[start : start + len(block)], block[:, 1:-1], tables)
+            for i in range(len(block)):
+                block[i, 0] = _text_slot(b"%d" % (first + start + i))
+            yield block.tobytes().translate(None, b"\0")
+        first += len(values)
+
+
+def write_staf_blocks(path, n: int, blocks) -> None:
+    """A STAF surface of n Doppler bins from its row blocks, as radar.staf_blocks yields them, in order."""
+    _write_csv(path, ["range_bin"] + [str(k) for k in range(n)], _staf_lines(n, blocks))
 
 
 def write_staf_csv(path, values_db: np.ndarray) -> None:
     """The (n, n) surface of radar.staf: row r is range bin r, column k Doppler bin k."""
-    n = values_db.shape[1]
-    _write_csv(path, ["range_bin"] + [str(k) for k in range(n)], _staf_blocks(values_db))
+    write_staf_blocks(path, values_db.shape[1], [values_db])
 
 
 def write_cut_csv(path, doppler_bins, dopplers, values_db) -> None:

@@ -96,8 +96,13 @@ class ClutterBank:
     forms, diagonals and hessian_factor are the only operations that read
     the (N_t, n) scatterer weights; everything else is O(B n). The width
     is the mean number of scatterers per distinct shift, rounded up, so B
-    is at most twice the number of distinct shifts. Read-only after
-    construction; scene.bank is the one instance a scene uses.
+    is at most twice the number of distinct shifts. The weights are the
+    bank's one large array: shifted gathers its rows from a window view
+    of the padded vector, lags works in that one (B, n) gather, and the
+    (B, n) index arrays of down_shift_sum and hessian_factor, which only
+    the solvers call, are built on their first call and kept. Read-only
+    after construction, but for those indices; scene.bank is the one
+    instance a scene uses.
     """
 
     def __init__(self, scene: ClutterScene):
@@ -119,31 +124,46 @@ class ClutterBank:
         m = np.arange(n)
         dopplers = np.array([sc.doppler for sc in scs], dtype=float)
         amplitude = np.sqrt(np.array([sc.power for sc in scs], dtype=float))
-        # Row k is amp_k e^{j 2 pi v_k m}, built in place in one (N_t, n)
-        # buffer that is freed before the index arrays below are made.
-        # Entries m >= n - r_k are zero: J^{r_k} drops them, so the shifts
-        # below may wrap around instead of padding.
-        rows = np.empty((self.size, n), dtype=np.complex128)
-        np.multiply(2j * np.pi * dopplers[:, None], m, out=rows)
-        np.exp(rows, out=rows)
-        np.multiply(amplitude[:, None], rows, out=rows)
-        rows *= m < n - shifts[:, None]
+        # Row k is amp_k e^{j 2 pi v_k m}, built in place in chunks of
+        # 2^12 / n rows and copied into its (block, slot). Entries
+        # m >= n - r_k are zero: J^{r_k} drops them, so the shifts below may
+        # wrap around instead of padding.
         weights = np.zeros((self.shifts.size, self.width, n), dtype=np.complex128)
-        weights[self._block, self._slot] = rows
-        del rows
+        rows = np.empty((max(1, min(2**12 // n, self.size)), n), dtype=np.complex128)
+        for start in range(0, self.size, len(rows)):
+            k = slice(start, start + len(rows))
+            chunk = rows[: len(shifts[k])]
+            np.multiply(2j * np.pi * dopplers[k, None], m, out=chunk)
+            np.exp(chunk, out=chunk)
+            np.multiply(amplitude[k, None], chunk, out=chunk)
+            chunk *= m < n - shifts[k, None]
+            weights[self._block[k], self._slot[k]] = chunk
         self._weights = weights
-        self._up = m + self.shifts[:, None]
-        # flat index of entry (b, m - R_b) of a (B, n) array, wrapping for m < R_b
-        self._down = np.arange(self.shifts.size)[:, None] * n + (m - self.shifts[:, None]) % n
+
+    @cached_property
+    def _down(self) -> np.ndarray:
+        """Flat index of entry (b, m - R_b) of a (B, n) array, wrapping for m < R_b (the gradient's)."""
+        n = self.n
+        return np.arange(self.shifts.size)[:, None] * n + (np.arange(n) - self.shifts[:, None]) % n
+
+    @cached_property
+    def _below(self) -> np.ndarray:
+        """Flat index of entry (m + R_b, m) of an n x n array, m + R_b clipped to n - 1 (the factor's)."""
+        n = self.n
+        return (np.minimum(np.arange(n) + self.shifts[:, None], n - 1) * n + np.arange(n)).ravel()
 
     def shifted(self, v: np.ndarray) -> np.ndarray:
         """(B, n) rows v[m + R_b], zero past the end: J^{R_b T} v per block."""
         padded = np.zeros(2 * self.n, dtype=np.complex128)
         padded[: self.n] = v
-        return padded[self._up]
+        # row b is the length-n window of padded that starts at R_b
+        return np.lib.stride_tricks.sliding_window_view(padded, self.n)[self.shifts]
 
     def lags(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return u * np.conj(self.shifted(v))
+        """(B, n) products u[m] conj(v[m + R_b]), formed in place in the gather of v."""
+        lags = self.shifted(v)
+        np.conj(lags, out=lags)
+        return np.multiply(u, lags, out=lags)
 
     def forms(self, lags: np.ndarray) -> np.ndarray:
         return np.matmul(self._weights, lags[:, :, None])[self._block, self._slot, 0]
@@ -181,7 +201,7 @@ class ClutterBank:
         # lags are exactly 0 for m + r >= n, so clipping those indices to row
         # n - 1 adds nothing there
         t = np.bincount(
-            (np.minimum(self._up, n - 1) * n + np.arange(n)).ravel(),
+            self._below,
             weights=np.real(p).ravel(),
             minlength=n * n,
         ).reshape(n, n)
@@ -241,35 +261,58 @@ def scr(s: UnitModulusSequence, s_tilde: UnitModulusSequence, scene: ClutterScen
     return _coupling_db(s, s_tilde, energy)
 
 
-def staf(s: UnitModulusSequence) -> np.ndarray:
-    """Slow-time ambiguity surface in dB on the DFT grid, peak-normalized to 0 dB.
+def staf_blocks(s: UnitModulusSequence):
+    """The rows of staf(s), yielded in blocks of 2^16 / n rows (the last may be shorter).
 
-    Entry (r, k) is 20*log10 |s^H J^r (s (.) p(k/n))| for r, k = 0..n-1;
-    per row that magnitude is the DFT's of the lag products
-    s[m + r] conj(s[m]) (zero for m >= n - r). Normalizing to the peak
-    makes null depths comparable across sequences.
-
-    The lag products are transformed in blocks of 2^16 / n rows through
-    one reused complex buffer (1 MB), and the magnitudes go straight into
-    the float result, which is then scaled in place: the peak is the
-    result plus that buffer, where a complex (n, n) array would add
-    twice the result. An FFT row does not depend on the rows beside it,
-    so the block size changes no value.
+    Each block is a (rows, n) float view of one reused buffer, valid until
+    the next block is requested; a consumer that keeps rows copies them.
+    Per row the magnitudes are the DFT's of the lag products
+    s[m + r] conj(s[m]) (zero for m >= n - r), transformed in one reused
+    complex buffer (1 MB). Every block is normalized by the first block's
+    peak, which is the surface's: row 0 holds sum |s_m|^2 = n at Doppler 0,
+    and row r >= 1 is at most n - r, far below n even with the FFT's
+    rounding. An FFT row does not depend on the rows beside it and every
+    later step is elementwise, so the block size changes no value: the
+    surface of the blocks is bit for bit that of one transform of all n
+    rows normalized by its np.max. Alive at once are the two buffers,
+    24 bytes per value of a block (1.5 MB for n <= 2^16), where the
+    surface is 8 n^2 bytes.
     """
     n = s.n
     x = s.entries
-    amp = np.empty((n, n))
     rows = max(1, min(2**16 // n, n))
     buffer = np.empty((rows, n), dtype=np.complex128)
+    amp = np.empty((rows, n))
+    peak = None
     for start in range(0, n, rows):
         lags = buffer[: min(rows, n - start)]
         for i, r in enumerate(range(start, start + len(lags))):
             np.multiply(x[r:], np.conj(x[: n - r]), out=lags[i, : n - r])
             lags[i, n - r :] = 0.0
         np.fft.fft(lags, axis=1, out=lags)
-        np.abs(lags, out=amp[start : start + len(lags)])
-    amp /= np.max(amp)  # at least amp[0, 0] = sum |s_m|^2 = n
-    np.maximum(amp, STAF_DB_FLOOR, out=amp)
-    np.log10(amp, out=amp)
-    amp *= 20.0
+        block = amp[: len(lags)]
+        np.abs(lags, out=block)
+        if peak is None:
+            peak = np.max(block)
+        block /= peak
+        np.maximum(block, STAF_DB_FLOOR, out=block)
+        np.log10(block, out=block)
+        block *= 20.0
+        yield block
+
+
+def staf(s: UnitModulusSequence) -> np.ndarray:
+    """Slow-time ambiguity surface in dB on the DFT grid, peak-normalized to 0 dB.
+
+    Entry (r, k) is 20*log10 |s^H J^r (s (.) p(k/n))| for r, k = 0..n-1.
+    Normalizing to the peak makes null depths comparable across
+    sequences. The (n, n) result is filled from staf_blocks, so the peak
+    memory is the result plus that generator's two buffers; the commands
+    print the blocks as they come and never hold the surface.
+    """
+    amp = np.empty((s.n, s.n))
+    start = 0
+    for block in staf_blocks(s):
+        amp[start : start + len(block)] = block
+        start += len(block)
     return amp

@@ -8,7 +8,8 @@ power is 1 (see radar.scnr). Doppler bin h maps to normalized Doppler
 h/n. Bins are a list or a {start, stop} object spanning at most n bins;
 range bins lie in 0..n-1. A block's bins must be distinct, Doppler bins
 modulo n (h and h + n are one Doppler): a repeated bin would add a
-second scatterer in the same cell and double its power. Example:
+second scatterer in the same cell and double its power. So must the
+doppler_cut_range_bins, each of which names one output file. Example:
 
     {"n": 64, "seed": 2024, "doppler_interval": [-0.1, 0.1],
      "clutter_blocks": [{"range_bins": {"start": 11, "stop": 30},
@@ -229,7 +230,9 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    cut_bins = tuple(_bin_list(raw.get("doppler_cut_range_bins", []), "doppler_cut_range_bins", n))
+    cut_bins = _bin_list(raw.get("doppler_cut_range_bins", []), "doppler_cut_range_bins", n)
+    # each cut is one file, doppler_cut_r<bin>.csv, so a repeat would write it again
+    _distinct_bins(cut_bins, "doppler_cut_range_bins", n)
 
     trials = _as_int(raw.get("monte_carlo_trials", 100), "monte_carlo_trials")
     _require(trials >= 1, "monte_carlo_trials must be >= 1")
@@ -241,7 +244,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         scatterers=tuple(scatterers),
         wrtr=wrtr,
         seed=seed,
-        doppler_cut_range_bins=cut_bins,
+        doppler_cut_range_bins=tuple(cut_bins),
         monte_carlo_trials=trials,
     )
 

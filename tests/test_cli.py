@@ -10,16 +10,16 @@ import numpy as np
 import pytest
 
 from wrtr import fileio, radar, rtr
-from wrtr.cli import _Outputs, main, run_wrtr
+from wrtr.cli import _export_staf_products, _Outputs, main, run_wrtr
 from wrtr.driver import WrtrConfig, hessian_spectrum, optimize
 from wrtr.fileio import read_sequence_csv, write_sequence_csv
 from wrtr.manifold import random_point
 from wrtr.objectives import SequenceObjective
 from wrtr.rcg import solve_rcg
 from wrtr.rtr import TrustRegionConfig
-from wrtr.scenario import ScenarioConfig, load_scenario
+from wrtr.scenario import ScenarioConfig, load_scenario, parse_scenario
 
-from conftest import scenario1_scene
+from conftest import scenario1_scene, traced_peak
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SMALL_CONFIG = CONFIGS / "small.json"
@@ -210,6 +210,9 @@ class TestWrtrCommand:
                 [{"range_bins": [4], "doppler_bins": [7, 23], "power_db": 10.0}],
                 id="doppler_bins-repeated_mod_n",
             ),
+            # each cut bin names one file, which a repeat would write again
+            pytest.param("doppler_cut_range_bins", [4, 4, 4], id="doppler_cut_range_bins-repeated"),
+            pytest.param("doppler_cut_range_bins", [3, 4, 3], id="doppler_cut_range_bins-repeated_later"),
             # finite, but n^2 * power, the bound on the clutter energy, is not
             pytest.param(
                 "scatterers", [{"range_shift": 2, "doppler": 0.1, "power": 1e308}], id="scatterer_power-huge"
@@ -410,6 +413,23 @@ class TestBaselineCommand:
         assert report["summary"]["method"] == method
         for name in report["files"]:
             assert (out / name).is_file()
+
+    def test_random_baseline_computes_its_one_scr_once(self, tmp_path, monkeypatch):
+        # the random design's final sequence is its initial one, so both
+        # nominal SCRs are the one clutter energy's
+        energies = []
+        clutter_energy = radar.clutter_energy
+
+        def recorded(seq, scene):
+            energies.append(clutter_energy(seq, scene))
+            return energies[-1]
+
+        monkeypatch.setattr(radar, "clutter_energy", recorded)
+        out = tmp_path / "random"
+        assert main(["baseline", "--config", str(SMALL_CONFIG), "--out", str(out), "--method", "random"]) == 0
+        summary = read_report(out)["summary"]
+        assert len(energies) == 1
+        assert summary["nominal_scr_final_db"] == summary["nominal_scr_initial_db"] == 10 * np.log10(16**2 / energies[0])
 
     def test_rtr_summary_carries_solver_counters(self, tmp_path):
         out = tmp_path / "rtr"
@@ -651,6 +671,25 @@ class TestStafCommand:
         code = main(["staf", "--config", str(SMALL_CONFIG), "--out", str(out), str(seq_path)])
         assert code == 2
         assert not out.exists()
+
+
+    def test_export_memory_is_rows_not_the_surface(self, tmp_path):
+        # at n = 1024 the dB surface alone is 8 MB; the export holds the
+        # transform's two row buffers (1.5 MB), the printer's block and the
+        # two cut rows, and its Doppler cuts equal the whole surface's rows
+        n = 1024
+        cfg = parse_scenario({"n": n, "doppler_interval": [0.0, 0.0], "doppler_cut_range_bins": [0, 700],
+                              "scatterers": [{"range_shift": 1, "doppler": 0.1, "power": 1.0}]})
+        seq = random_point(n, 49)
+        out = _Outputs(tmp_path)
+        _, peak = traced_peak(lambda: _export_staf_products(out, cfg, [("recomputed", seq)]))
+        assert peak <= 3 * 2**20
+        assert out.files == ["staf_recomputed.csv", "doppler_cut_r0.csv", "doppler_cut_r700.csv"]
+        surface = radar.staf(seq)
+        for b in (0, 700):
+            expected = tmp_path / f"expected_r{b}.csv"
+            fileio.write_cut_csv(expected, range(n), np.arange(n) / n, surface[b])
+            assert (tmp_path / f"doppler_cut_r{b}.csv").read_bytes() == expected.read_bytes()
 
 
 class TestOneClutterBankPerCommand:

@@ -68,3 +68,18 @@ def test_report_timings_are_ignored_and_other_keys_are_named(small_runs, tmp_pat
     report["summary"]["outer_history"][0]["seq_hvps"] += 1
     path.write_text(json.dumps(report))
     assert unequal(parent, change) == [("DIFF", "small/report.json", "keys summary.outer_history[0].seq_hvps")]
+
+
+def test_each_command_reports_its_exit_and_peak_memory(tmp_path):
+    # run_command reads the child's peak RSS with wait4; the rss lines only inform
+    env = dict(compare.os.environ, PYTHONPATH=str(ROOT / "src"))
+    ok = ["baseline", "--method", "random", "--config", str(SMALL_CONFIG), "--out", str(tmp_path / "random")]
+    code, _, peak = compare.run_command(ok, tmp_path, env)
+    assert code == 0 and (tmp_path / "random" / "report.json").is_file()
+    # a Python interpreter with numpy imported holds more than 10 MB
+    assert 10.0 < peak < 1000.0
+    bad = ["staf", "missing.csv", "--config", str(SMALL_CONFIG), "--out", str(tmp_path / "staf")]
+    code, last, _ = compare.run_command(bad, tmp_path, env)
+    assert code == 2 and last.startswith("wrtr: config error: sequence: cannot load missing.csv")
+    lines = compare.rss_lines({"parent": {"a b": 45.44, "c": 3.0}, "change": {"a b": 42.96}})
+    assert lines == ["rss   a b: parent 45.4 MB, change 43.0 MB", "rss   c: parent 3.0 MB, change -"]

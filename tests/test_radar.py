@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wrtr import fileio
 from wrtr.manifold import UnitModulusSequence, random_point
 from wrtr.objectives import SequenceObjective
 from wrtr.radar import (
@@ -15,6 +16,7 @@ from wrtr.radar import (
     scnr,
     scr,
     staf,
+    staf_blocks,
 )
 from wrtr.scenario import load_scenario
 
@@ -199,6 +201,31 @@ class TestClutterBank:
         assert clutter_energy(random_point(n, 3), ClutterScene((), n)) == 0.0
 
 
+    def test_chunked_build_matches_the_elementwise_expression(self, rng):
+        # at n = 1024 the weight rows are built 4 at a time; each must equal
+        # amp_k e^{j 2 pi v_k m}, cut at n - r_k, as one expression gives it
+        n = 1024
+        scene = random_scene(n, 37, rng)
+        bank = ClutterBank(scene)
+        m = np.arange(n)
+        for k, sc in enumerate(scene.scatterers):
+            expected = np.sqrt(sc.power) * np.exp(2j * np.pi * sc.doppler * m) * (m < n - sc.range_shift)
+            assert np.array_equal(bank._weights[bank._block[k], bank._slot[k]], expected), k
+
+    def test_memory_at_n1024(self, rng):
+        # the analysis-n1024 benchmark's scene size: 128 scatterers at random
+        # shifts, so about 120 blocks of width 2 and 3.8 MB of weights; the
+        # build holds one 4-row chunk beside them, and a clutter energy one
+        # (B, n) array of lag products
+        n = 1024
+        scene = random_scene(n, 128, rng)
+        bank, peak = traced_peak(lambda: scene.bank)
+        assert peak <= bank._weights.nbytes + 2**19
+        s = random_point(n, 48)
+        _, peak = traced_peak(lambda: clutter_energy(s, scene))
+        assert peak <= 2.5 * 2**20
+
+
 class TestSceneBank:
     def test_one_bank_per_scene(self, rng):
         scene = random_scene(8, 4, rng)
@@ -356,3 +383,49 @@ class TestSceneValidation:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             ClutterScatterer(0, 0.0, -1.0)
+
+
+def staf_case(n: int, kind: str) -> UnitModulusSequence:
+    if kind == "random":
+        return random_point(n, 19 + n)
+    if kind == "ones":
+        # every lag row is real with exact zeros off Doppler 0: many entries at the floor
+        return UnitModulusSequence(np.ones(n))
+    return UnitModulusSequence(np.exp(1j * np.pi * np.arange(n) ** 2 / n))
+
+
+def one_transform_magnitudes(s: UnitModulusSequence) -> np.ndarray:
+    """|DFT| of every lag row s[m + r] conj(s[m]) in one np.fft.fft call: the surface before its peak."""
+    n, x = s.n, s.entries
+    lags = np.zeros((n, n), dtype=np.complex128)
+    for r in range(n):
+        lags[r, : n - r] = x[r:] * np.conj(x[: n - r])
+    return np.abs(np.fft.fft(lags, axis=1))
+
+
+# n = 1 and 3 are one short block; 2^16 // n rows make 64 and 65 one block,
+# 300 a full block and a partial one, 1024 sixteen blocks
+STAF_CASES = [pytest.param(n, kind, id=f"n{n}-{kind}") for n in (1, 3, 64, 65, 300, 1024)
+              for kind in ("random", "ones", "chirp")]
+
+
+class TestStafBlocks:
+    @pytest.mark.parametrize("n, kind", STAF_CASES)
+    def test_streamed_csv_matches_the_whole_surface_printer(self, tmp_path, n, kind):
+        s = staf_case(n, kind)
+        amp = one_transform_magnitudes(s)
+        amp /= np.max(amp)
+        whole = 20.0 * np.log10(np.maximum(amp, STAF_DB_FLOOR))
+        fileio.write_staf_csv(tmp_path / "whole.csv", whole)
+        fileio.write_staf_blocks(tmp_path / "streamed.csv", n, staf_blocks(s))
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    @pytest.mark.parametrize("n, kind", STAF_CASES)
+    def test_first_block_holds_the_peak(self, n, kind):
+        # staf_blocks normalizes every block by the first block's peak, which
+        # must be np.max of the whole magnitude surface, bit for bit
+        s = staf_case(n, kind)
+        rows = len(next(staf_blocks(s)))
+        amp = one_transform_magnitudes(s)
+        assert np.max(amp[:rows]).tobytes() == np.max(amp).tobytes()
+        assert np.max(amp[0]).tobytes() == np.max(amp).tobytes()  # row 0, Doppler 0: sum |s_m|^2

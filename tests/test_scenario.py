@@ -84,6 +84,13 @@ class TestBlockExpansion:
             parse_scenario(base_config(clutter_blocks=[{**block, "power_db": 10.0}]))
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize("bins, repeat", [([4, 4], 4), ([3, 4, 3], 3)], ids=["adjacent", "later"])
+    def test_repeated_cut_bin_rejected(self, bins, repeat):
+        # each cut is written to doppler_cut_r<bin>.csv, so a repeat would write one file twice
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(base_config(doppler_cut_range_bins=bins))
+        assert str(info.value).startswith(f"doppler_cut_range_bins: bin {repeat} repeats bin {repeat}")
+
     def test_bins_repeated_across_blocks_or_scatterers_are_kept(self):
         # only bins within one block are one cell listed twice; a second
         # block or an explicit scatterer in the same cell adds its power

@@ -19,9 +19,12 @@ paths recorded in `report.json` are the same on both sides. Every CSV and
 every other file is compared byte for byte, and every `report.json` as JSON
 without `elapsed_seconds` and `export_seconds`. One line per file says
 `same`, `DIFF` (with the first differing line and the line counts, or the
-differing report keys) or `ONLY` (present in one tree); a failed command
-prints `FAIL`. The exit status is 0 only when every command succeeded and
-every file is equal.
+differing report keys) or `ONLY` (present in one tree). Then one `rss`
+line per command gives each tree's peak resident memory in MB, read with
+`os.wait4` (the benchmark reports only a workload's largest, and these
+lines show which command sets it); they are for reading only. A failed
+command prints `FAIL`. The exit status is 0 only when every command
+succeeded and every file is equal.
 """
 
 from __future__ import annotations
@@ -103,18 +106,36 @@ def _commands(tree: Path, run: Path) -> list:
     return commands
 
 
-def run_tree(tree: Path, run: Path) -> list:
-    """Run every command with tree's CLI under run; returns the failures as lines."""
+def run_command(argv: list, cwd: Path, env: dict) -> tuple:
+    """Run one CLI command to completion; (exit code, last stderr line, peak RSS in MB, read with wait4)."""
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-m", "wrtr", *argv], cwd=cwd, env=env,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        last = (err.read().decode("utf-8", "replace").strip().splitlines() or [""])[-1]
+    return proc.returncode, last, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
+def run_tree(tree: Path, run: Path) -> tuple:
+    """Run every command with tree's CLI under run; (failures as lines, {command: peak RSS MB})."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    failures = []
+    failures, peaks = [], {}
     for argv in _commands(tree, run):
-        proc = subprocess.run([sys.executable, "-m", "wrtr", *argv], cwd=run, env=env,
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            last = (proc.stderr.strip().splitlines() or [""])[-1]
-            failures.append(f"FAIL  {' '.join(argv)}: exit {proc.returncode}: {last}")
-    return failures
+        code, last, peaks[" ".join(argv)] = run_command(argv, run, env)
+        if code != 0:
+            failures.append(f"FAIL  {' '.join(argv)}: exit {code}: {last}")
+    return failures, peaks
+
+
+def rss_lines(peaks: dict) -> list:
+    """One line per command with each tree's peak RSS, from {label: {command: MB}}."""
+    commands = list(dict.fromkeys(c for by_command in peaks.values() for c in by_command))
+    return [f"rss   {command}: " + ", ".join(f"{label} {by_command[command]:.1f} MB" if command in by_command
+                                              else f"{label} -" for label, by_command in peaks.items())
+            for command in commands]
 
 
 def _json_diffs(a, b, path: str = "") -> list:
@@ -174,14 +195,17 @@ def main(argv=None) -> int:
             "parent": export(args.parent, tmp / "tree-parent"),
             "change": ROOT if args.change is None else export(args.change, tmp / "tree-change"),
         }
-        failures = []
+        failures, peaks = [], {}
         for label, tree in trees.items():
             run = tmp / "run"
-            failures += [f"{line} [{label}]" for line in run_tree(tree, run)]
+            tree_failures, peaks[label] = run_tree(tree, run)
+            failures += [f"{line} [{label}]" for line in tree_failures]
             run.rename(tmp / label)
         rows = compare_dirs(tmp / "parent", tmp / "change")
     for status, rel, detail in rows:
         print(f"{status:4}  {rel}" + (f": {detail}" if detail else ""))
+    for line in rss_lines(peaks):
+        print(line)
     for line in failures:
         print(line)
     unequal = sum(status != "same" for status, _, _ in rows)
