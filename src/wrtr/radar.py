@@ -262,25 +262,25 @@ def scr(s: UnitModulusSequence, s_tilde: UnitModulusSequence, scene: ClutterScen
 
 
 def staf_blocks(s: UnitModulusSequence):
-    """The rows of staf(s), yielded in blocks of 2^16 / n rows (the last may be shorter).
+    """The rows of staf(s), yielded in blocks of 2^14 / n rows (the last may be shorter).
 
     Each block is a (rows, n) float view of one reused buffer, valid until
     the next block is requested; a consumer that keeps rows copies them.
     Per row the magnitudes are the DFT's of the lag products
     s[m + r] conj(s[m]) (zero for m >= n - r), transformed in one reused
-    complex buffer (1 MB). Every block is normalized by the first block's
+    complex buffer (256 kB). Every block is normalized by the first block's
     peak, which is the surface's: row 0 holds sum |s_m|^2 = n at Doppler 0,
     and row r >= 1 is at most n - r, far below n even with the FFT's
     rounding. An FFT row does not depend on the rows beside it and every
     later step is elementwise, so the block size changes no value: the
     surface of the blocks is bit for bit that of one transform of all n
     rows normalized by its np.max. Alive at once are the two buffers,
-    24 bytes per value of a block (1.5 MB for n <= 2^16), where the
+    24 bytes per value of a block (384 kB for n <= 2^14), where the
     surface is 8 n^2 bytes.
     """
     n = s.n
     x = s.entries
-    rows = max(1, min(2**16 // n, n))
+    rows = max(1, min(2**14 // n, n))
     buffer = np.empty((rows, n), dtype=np.complex128)
     amp = np.empty((rows, n))
     peak = None

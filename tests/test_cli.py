@@ -675,7 +675,7 @@ class TestStafCommand:
 
     def test_export_memory_is_rows_not_the_surface(self, tmp_path):
         # at n = 1024 the dB surface alone is 8 MB; the export holds the
-        # transform's two row buffers (1.5 MB), the printer's block and the
+        # transform's two row buffers (384 kB), the printer's block and the
         # two cut rows, and its Doppler cuts equal the whole surface's rows
         n = 1024
         cfg = parse_scenario({"n": n, "doppler_interval": [0.0, 0.0], "doppler_cut_range_bins": [0, 700],

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -71,15 +72,28 @@ def test_report_timings_are_ignored_and_other_keys_are_named(small_runs, tmp_pat
 
 
 def test_each_command_reports_its_exit_and_peak_memory(tmp_path):
-    # run_command reads the child's peak RSS with wait4; the rss lines only inform
+    # run_command reads the child's peak RSS and CPU time with wait4; the rss lines only inform
     env = dict(compare.os.environ, PYTHONPATH=str(ROOT / "src"))
     ok = ["baseline", "--method", "random", "--config", str(SMALL_CONFIG), "--out", str(tmp_path / "random")]
-    code, _, peak = compare.run_command(ok, tmp_path, env)
+    code, _, peak, _ = compare.run_command(ok, tmp_path, env)
     assert code == 0 and (tmp_path / "random" / "report.json").is_file()
     # a Python interpreter with numpy imported holds more than 10 MB
     assert 10.0 < peak < 1000.0
     bad = ["staf", "missing.csv", "--config", str(SMALL_CONFIG), "--out", str(tmp_path / "staf")]
-    code, last, _ = compare.run_command(bad, tmp_path, env)
+    code, last, _, _ = compare.run_command(bad, tmp_path, env)
     assert code == 2 and last.startswith("wrtr: config error: sequence: cannot load missing.csv")
-    lines = compare.rss_lines({"parent": {"a b": 45.44, "c": 3.0}, "change": {"a b": 42.96}})
-    assert lines == ["rss   a b: parent 45.4 MB, change 43.0 MB", "rss   c: parent 3.0 MB, change -"]
+    lines = compare.rss_lines({"parent": {"a b": (45.44, 0.257), "c": (3.0, 1.0)}, "change": {"a b": (42.96, 0.1549)}})
+    assert lines == ["rss   a b: parent 45.4 MB 0.26 s, change 43.0 MB 0.15 s", "rss   c: parent 3.0 MB 1.00 s, change -"]
+
+
+def test_cpu_seconds_are_the_childs_own(tmp_path):
+    # user + sys of the child alone, single-threaded: more than importing
+    # numpy takes, no more than the wall time around the call
+    env = dict(compare.os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    argv = ["baseline", "--method", "random", "--config", str(SMALL_CONFIG), "--out", str(tmp_path / "random")]
+    started = time.perf_counter()
+    code, _, _, cpu = compare.run_command(argv, tmp_path, env)
+    wall = time.perf_counter() - started
+    assert code == 0
+    assert 0.02 < cpu <= wall

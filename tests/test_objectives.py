@@ -12,7 +12,7 @@ from wrtr.objectives import (
 )
 from wrtr.radar import ClutterScatterer, ClutterScene, clutter_energy
 
-from conftest import dense_psi, loglog_slope, make_tangent, pullback, random_scene, scenario2_scene
+from conftest import dense_psi, loglog_slope, make_tangent, pullback, random_scene, scenario2_scene, traced_peak
 
 
 def central_difference(obj, x, a, t):
@@ -59,6 +59,26 @@ class TestEpsilonFromDoppler:
         delta = 0.013
         expected = 4.0 * np.sum(np.sin(np.pi * np.arange(n) * delta) ** 2)
         assert epsilon_from_doppler([delta], 0.0, n) == pytest.approx(expected, abs=1e-10)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 128, 1024, 3000])
+    @pytest.mark.parametrize("interval, target", [
+        ((-0.1, 0.1), 0.0), ((-0.001, 0.002), 0.0), ((-0.0064, 0.0064), 0.0),
+        ((0.1, 0.4), 0.25), ((-0.5, 0.5), 0.013),
+    ])
+    def test_blocks_match_the_one_shot_formula_bitwise(self, n, interval, target):
+        # the whole (Dopplers, n) grid at once, as one outer product; 2001
+        # Dopplers end in a partial block at every n in 2..1024
+        grid = np.linspace(*interval, 2001 if n <= 1024 else 257)
+        angles = np.outer(grid - target, np.pi * np.arange(n))
+        one_shot = float(4.0 * np.max(np.sum(np.sin(angles) ** 2, axis=1)))
+        assert epsilon_from_doppler(grid, target, n).hex() == one_shot.hex()
+
+    def test_memory_is_one_block(self):
+        # the one-shot grid held two (2001, 1024) float arrays, 16 MB each
+        grid = np.linspace(-0.1, 0.1, 2001)
+        _, peak = traced_peak(lambda: epsilon_from_doppler(grid, 0.0, 1024))
+        assert peak <= 0.5 * 2**20
 
 
 class TestWorstCaseCost:

@@ -348,9 +348,9 @@ class TestStaf:
     @pytest.mark.parametrize(
         "n",
         [
-            # 2^16 // 300 = 218 rows per block: the second block is partial
+            # 2^14 // 300 = 54 rows per block: the sixth block is partial
             pytest.param(300, id="n300-all"),
-            # 16 full blocks of 64 rows
+            # 64 full blocks of 16 rows
             pytest.param(1024, id="n1024-all"),
         ],
     )
@@ -403,8 +403,8 @@ def one_transform_magnitudes(s: UnitModulusSequence) -> np.ndarray:
     return np.abs(np.fft.fft(lags, axis=1))
 
 
-# n = 1 and 3 are one short block; 2^16 // n rows make 64 and 65 one block,
-# 300 a full block and a partial one, 1024 sixteen blocks
+# n = 1 and 3 are one short block; 2^14 // n rows make 64 and 65 one block,
+# 300 five full blocks and a partial one, 1024 sixty-four blocks
 STAF_CASES = [pytest.param(n, kind, id=f"n{n}-{kind}") for n in (1, 3, 64, 65, 300, 1024)
               for kind in ("random", "ones", "chirp")]
 

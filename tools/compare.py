@@ -20,10 +20,11 @@ every other file is compared byte for byte, and every `report.json` as JSON
 without `elapsed_seconds` and `export_seconds`. One line per file says
 `same`, `DIFF` (with the first differing line and the line counts, or the
 differing report keys) or `ONLY` (present in one tree). Then one `rss`
-line per command gives each tree's peak resident memory in MB, read with
-`os.wait4` (the benchmark reports only a workload's largest, and these
-lines show which command sets it); they are for reading only. A failed
-command prints `FAIL`. The exit status is 0 only when every command
+line per command gives each tree's peak resident memory in MB and its CPU
+seconds (user + sys), both read with `os.wait4` (the benchmark reports only
+a workload's largest peak and its total time, and these lines show which
+command sets the one and where the other goes); they are for reading only.
+A failed command prints `FAIL`. The exit status is 0 only when every command
 succeeded and every file is equal.
 """
 
@@ -107,7 +108,7 @@ def _commands(tree: Path, run: Path) -> list:
 
 
 def run_command(argv: list, cwd: Path, env: dict) -> tuple:
-    """Run one CLI command to completion; (exit code, last stderr line, peak RSS in MB, read with wait4)."""
+    """Run one CLI command to completion; (exit code, last stderr line, peak RSS in MB, CPU s), read with wait4."""
     with tempfile.TemporaryFile() as err:
         proc = subprocess.Popen([sys.executable, "-m", "wrtr", *argv], cwd=cwd, env=env,
                                 stdout=subprocess.DEVNULL, stderr=err)
@@ -115,26 +116,29 @@ def run_command(argv: list, cwd: Path, env: dict) -> tuple:
         proc.returncode = os.waitstatus_to_exitcode(status)
         err.seek(0)
         last = (err.read().decode("utf-8", "replace").strip().splitlines() or [""])[-1]
-    return proc.returncode, last, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+    # ru_maxrss is in KiB on Linux
+    return proc.returncode, last, usage.ru_maxrss / 1024, usage.ru_utime + usage.ru_stime
 
 
 def run_tree(tree: Path, run: Path) -> tuple:
-    """Run every command with tree's CLI under run; (failures as lines, {command: peak RSS MB})."""
+    """Run every command with tree's CLI under run; (failures as lines, {command: (peak RSS MB, CPU s)})."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    failures, peaks = [], {}
+    failures, usage = [], {}
     for argv in _commands(tree, run):
-        code, last, peaks[" ".join(argv)] = run_command(argv, run, env)
+        code, last, peak, cpu = run_command(argv, run, env)
+        usage[" ".join(argv)] = peak, cpu
         if code != 0:
             failures.append(f"FAIL  {' '.join(argv)}: exit {code}: {last}")
-    return failures, peaks
+    return failures, usage
 
 
-def rss_lines(peaks: dict) -> list:
-    """One line per command with each tree's peak RSS, from {label: {command: MB}}."""
-    commands = list(dict.fromkeys(c for by_command in peaks.values() for c in by_command))
-    return [f"rss   {command}: " + ", ".join(f"{label} {by_command[command]:.1f} MB" if command in by_command
-                                              else f"{label} -" for label, by_command in peaks.items())
+def rss_lines(usage: dict) -> list:
+    """One line per command with each tree's peak RSS and CPU time, from {label: {command: (MB, s)}}."""
+    commands = list(dict.fromkeys(c for by_command in usage.values() for c in by_command))
+    return [f"rss   {command}: " + ", ".join("{} {:.1f} MB {:.2f} s".format(label, *by_command[command])
+                                              if command in by_command else f"{label} -"
+                                              for label, by_command in usage.items())
             for command in commands]
 
 
@@ -195,16 +199,16 @@ def main(argv=None) -> int:
             "parent": export(args.parent, tmp / "tree-parent"),
             "change": ROOT if args.change is None else export(args.change, tmp / "tree-change"),
         }
-        failures, peaks = [], {}
+        failures, usage = [], {}
         for label, tree in trees.items():
             run = tmp / "run"
-            tree_failures, peaks[label] = run_tree(tree, run)
+            tree_failures, usage[label] = run_tree(tree, run)
             failures += [f"{line} [{label}]" for line in tree_failures]
             run.rename(tmp / label)
         rows = compare_dirs(tmp / "parent", tmp / "change")
     for status, rel, detail in rows:
         print(f"{status:4}  {rel}" + (f": {detail}" if detail else ""))
-    for line in rss_lines(peaks):
+    for line in rss_lines(usage):
         print(line)
     for line in failures:
         print(line)
