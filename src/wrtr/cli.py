@@ -344,8 +344,12 @@ def main(argv=None) -> int:
         out = _Outputs(_make_out_dir(args.out))
         started = time.perf_counter()
         if 8 * cfg.n**2 > np.iinfo(np.intp).max:
-            # numpy reports an array past its size limit as a ValueError
-            raise MemoryError(f"the n x n STAF of n = {cfg.n} exceeds the largest possible array")
+            # the largest arrays of any command are n x n: the sequence solver's
+            # curvature S and dense Hessian, whose matrix also gives the Hessian
+            # spectrum. numpy reports an array past its size limit as a
+            # ValueError, so such an n is refused here
+            raise MemoryError(f"an n x n matrix of n = {cfg.n} (the solver's S and dense Hessian) "
+                              "exceeds the largest possible array")
         if args.command == "wrtr":
             summary = run_wrtr(cfg, out, seed)
         elif args.command == "baseline":

@@ -101,11 +101,29 @@ class WorstCaseObjective:
         a, b = self._correlation(st), np.conj(self.s.entries) * st.entries
         return 2.0 * a.imag * b.real - 2.0 * LAM * (a.real - self._target) * b.imag
 
-    def rhess(self, st: UnitModulusSequence, v: np.ndarray) -> np.ndarray:
+    def _hessian_parts(self, st: UnitModulusSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Re b, Im b, radial), the pieces of the Hessian at st."""
         a, b = self._correlation(st), np.conj(self.s.entries) * st.entries
         re, im = b.real, b.imag
-        radial = 2.0 * a.imag * im + 2.0 * LAM * (a.real - self._target) * re
+        return re, im, 2.0 * a.imag * im + 2.0 * LAM * (a.real - self._target) * re
+
+    def rhess(self, st: UnitModulusSequence, v: np.ndarray) -> np.ndarray:
+        re, im, radial = self._hessian_parts(st)
         return 2.0 * float(re @ v) * re + 2.0 * LAM * float(im @ v) * im - radial * v
+
+    def hessian_matrix(self, st: UnitModulusSequence) -> np.ndarray:
+        """The n x n matrix of rhess(st, .): 2 re re^T + 2 LAM im im^T - diag(radial).
+
+        It serves the Hessian spectrum only; rtr's tCG keeps calling rhess
+        (no dense_tcg). rhess is O(n): an uncapped adversary solve took
+        0.94-1.03 ms on rhess and 1.06-1.24 ms on this matrix at n = 64,
+        1.2-1.4 and 21-25 ms at n = 512, 1.6-1.9 and 87-96 ms at n = 1024
+        (one vCPU; 21-22 products over 9 points).
+        """
+        re, im, radial = self._hessian_parts(st)
+        h = 2.0 * np.outer(re, re) + (2.0 * LAM) * np.outer(im, im)
+        h[np.diag_indices(self.s.n)] -= radial
+        return h
 
     def boundary_residuals(self, st: UnitModulusSequence) -> tuple[float, float]:
         """(|‖st-s‖²-eps|, |Re(s^H st)-(n-eps/2)|) for the Theorem-1 boundary check."""
@@ -123,7 +141,14 @@ class SequenceObjective:
     Hessian factor of ClutterBank.hessian_factor with the radial part
     folded into its curvature matrix. A Hessian-vector product is then
     three matrix-vector products; the factor holds 2 N_t n + n^2 floats.
+    From the first hessian_matrix there the state also holds the dense
+    Hessian, n^2 more floats. dense_tcg lets rtr's tCG multiply by that
+    matrix, one matrix-vector product per step, rather than call rhess,
+    once its budget is at least ceil(n / 4). rhess keeps using the factor,
+    so its values do not depend on whether the matrix was built.
     """
+
+    dense_tcg = True  # see the rtr module docstring for when it is used
 
     def __init__(self, scene: ClutterScene):
         self.n = scene.n
@@ -166,13 +191,33 @@ class SequenceObjective:
     def rgrad(self, s: UnitModulusSequence) -> np.ndarray:
         return self._derivative_state(s)["grad"]
 
-    def rhess(self, x: UnitModulusSequence, a: np.ndarray) -> np.ndarray:
-        """(2 / n^2) (G^T G + S) a - radial (.) a, with (G, S) from ClutterBank.hessian_factor."""
-        st = self._derivative_state(x)
+    def _factor_state(self, point: UnitModulusSequence) -> dict:
+        """_derivative_state plus G and the curvature matrix (2 / n^2) S - diag(radial)."""
+        st = self._derivative_state(point)
         if "gauss_newton" not in st:
             g, s = self._bank.hessian_factor(st["lags"], st["p"])
             curvature = (2.0 / self._n2) * s
             curvature[np.diag_indices(self.n)] -= st["radial"]
             st.update(gauss_newton=g, curvature=curvature)
+        return st
+
+    def rhess(self, x: UnitModulusSequence, a: np.ndarray) -> np.ndarray:
+        """(2 / n^2) (G^T G + S) a - radial (.) a, with (G, S) from ClutterBank.hessian_factor."""
+        st = self._factor_state(x)
         g = st["gauss_newton"]
         return (2.0 / self._n2) * (g.T @ (g @ a)) + st["curvature"] @ a
+
+    def hessian_matrix(self, x: UnitModulusSequence) -> np.ndarray:
+        """The n x n matrix (2 / n^2) G^T G + curvature of rhess(x, .), read-only.
+
+        Built once per point, in one buffer, and kept in the point's state.
+        """
+        st = self._factor_state(x)
+        if "hessian" not in st:
+            g = st["gauss_newton"]
+            h = np.matmul(g.T, g, out=np.empty((self.n, self.n)))
+            h *= 2.0 / self._n2
+            h += st["curvature"]
+            h.setflags(write=False)
+            st["hessian"] = h
+        return st["hessian"]

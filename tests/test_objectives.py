@@ -481,3 +481,85 @@ class TestClosedFormWorstCase:
                 st, _ = rtr.solve(obj, start, rtr.TrustRegionConfig())
                 gain = abs(np.vdot(s.entries, st.entries)) ** 2
                 assert gain == pytest.approx(worst_case_gain(n, eps), rel=1e-6), (eps, seed)
+
+
+def identity_column_hessian(obj, x):
+    """Oracle of hessian_matrix: rhess applied to each identity column."""
+    return np.column_stack([obj.rhess(x, e) for e in np.eye(x.n)])
+
+
+def scenario2_epsilon():
+    from pathlib import Path
+
+    from wrtr.scenario import load_scenario
+
+    lo, hi = load_scenario(Path(__file__).resolve().parents[1] / "configs" / "scenario2.json").wrtr.doppler_interval
+    return epsilon_from_doppler(np.linspace(lo, hi, 2001), 0.0, 64)
+
+
+HESSIAN_CASES = [("generated", 16), ("generated", 64), ("generated", 128), ("scenario2", 64)]
+
+
+class TestHessianMatrix:
+    @pytest.mark.parametrize("scene_kind,n", HESSIAN_CASES)
+    def test_sequence_matrix_is_rhess_of_the_identity(self, rng, scene_kind, n):
+        scene = scenario2_scene() if scene_kind == "scenario2" else random_scene(n, 3 * n // 2, rng)
+        x = random_point(n, 70 + n)
+        expected = identity_column_hessian(SequenceObjective(scene), x)
+        h = SequenceObjective(scene).hessian_matrix(x)
+        assert h.shape == (n, n)
+        assert np.max(np.abs(h - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("scene_kind,n", HESSIAN_CASES)
+    def test_worst_case_matrix_is_rhess_of_the_identity(self, rng, scene_kind, n):
+        eps = scenario2_epsilon() if scene_kind == "scenario2" else float(rng.uniform(0.0, 4.0 * n))
+        s = random_point(n, 80 + n)
+        obj = WorstCaseObjective(s, epsilon=eps)
+        st = retract(s, make_tangent(s, rng, scale=float(np.sqrt(eps))))
+        expected = identity_column_hessian(obj, st)
+        h = obj.hessian_matrix(st)
+        assert np.max(np.abs(h - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.array_equal(h, h.T)
+
+    def test_criterion_02_points_are_self_adjoint(self):
+        # criterion 2 reads the symmetry of hessian_matrix; rhess's own
+        # self-adjointness at its n and points is checked here on the oracle
+        n = 16
+        rng = np.random.default_rng(99)
+        worst_obj = WorstCaseObjective(random_point(n, 3), epsilon=2.0)
+        seq_obj = SequenceObjective(random_scene(n, 5, rng))
+        x = random_point(n, 60)
+        for obj in (worst_obj, seq_obj):
+            expected = identity_column_hessian(obj, x)
+            assert np.max(np.abs(expected - expected.T)) < 1e-8 * np.max(np.abs(expected))
+            assert np.max(np.abs(obj.hessian_matrix(x) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_sequence_matrix_is_kept_read_only_in_the_point_state(self, rng):
+        n = 16
+        obj = SequenceObjective(random_scene(n, 6, rng))
+        x = random_point(n, 90)
+        h = obj.hessian_matrix(x)
+        assert obj.hessian_matrix(x) is h
+        assert not h.flags.writeable
+        assert np.array_equal(h, h.T)
+        obj.hessian_matrix(random_point(n, 91))
+        assert obj.hessian_matrix(x) is not h
+        assert np.array_equal(obj.hessian_matrix(x), h)
+
+    def test_building_the_matrix_leaves_rhess_unchanged(self, rng):
+        # rhess keeps the factor's products once the matrix exists, so its
+        # bits depend on (x, a) alone
+        n = 32
+        scene = random_scene(n, 8, rng)
+        x = random_point(n, 92)
+        a = make_tangent(x, rng, scale=1.0)
+        expected = SequenceObjective(scene).rhess(x, a)
+        obj = SequenceObjective(scene)
+        obj.hessian_matrix(x)
+        assert np.array_equal(obj.rhess(x, a), expected)
+
+    def test_driver_matrix_is_the_objectives(self, rng):
+        n = 16
+        obj = SequenceObjective(random_scene(n, 6, rng))
+        x = random_point(n, 93)
+        assert hessian_matrix(obj, x) is obj.hessian_matrix(x)

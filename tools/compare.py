@@ -5,7 +5,9 @@
 PARENT and CHANGE are git revisions of this repository; CHANGE defaults to
 the working tree. A revision is exported with `git archive` into a
 temporary directory (no worktree, no network). Each tree's CLI runs from
-that tree's `src/`, one command at a time with one BLAS thread:
+that tree's `src/`, one command at a time with one BLAS thread, on one
+vCPU: like `bench/run.py`, the tool pins itself to its lowest allowed CPU
+and every command inherits that:
 
 - for every `configs/*.json`: `wrtr`, the three baselines, `montecarlo` on
   the `wrtr` design (a manifest path relative to the manifest) and the
@@ -24,6 +26,8 @@ line per command gives each tree's peak resident memory in MB and its CPU
 seconds (user + sys), both read with `os.wait4` (the benchmark reports only
 a workload's largest peak and its total time, and these lines show which
 command sets the one and where the other goes); they are for reading only.
+Each figure is one pinned sample per tree, not a median: on a shared
+2-vCPU host the same code read up to 0.15 s apart per command.
 A failed command prints `FAIL`. The exit status is 0 only when every command
 succeeded and every file is equal.
 """
@@ -193,6 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.dont_write_bytecode = True  # importing bench.workloads writes nothing into bench/
     sys.path.insert(0, str(ROOT))
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     with tempfile.TemporaryDirectory(prefix="wrtr-compare-") as tmp:
         tmp = Path(tmp)
         trees = {
