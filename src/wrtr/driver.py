@@ -148,10 +148,11 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
 def hessian_matrix(problem, x: UnitModulusSequence) -> np.ndarray:
     """Matrix of the Riemannian Hessian in tangent coordinates, problem.hessian_matrix(x).
 
-    For the sequence cost that is one BLAS-3 product of its Hessian factor
-    rather than n Hessian-vector products; the tests keep rhess of the
-    identity columns as its oracle. The result may be the point's cached,
-    read-only matrix.
+    For the sequence cost that is the matrix its rhess multiplies by, the
+    point's cached, read-only one; the tests check it against a Hessian
+    built from dense clutter operators. For the adversary it is built from
+    the same parts as its O(n) rhess, and the tests keep rhess of the
+    identity columns as its oracle.
     """
     return problem.hessian_matrix(x)
 

@@ -114,8 +114,8 @@ class WorstCaseObjective:
     def hessian_matrix(self, st: UnitModulusSequence) -> np.ndarray:
         """The n x n matrix of rhess(st, .): 2 re re^T + 2 LAM im im^T - diag(radial).
 
-        It serves the Hessian spectrum only; rtr's tCG keeps calling rhess
-        (no dense_tcg). rhess is O(n): an uncapped adversary solve took
+        It serves the Hessian spectrum only; rtr's tCG calls rhess, which
+        is O(n) here, never this matrix: an uncapped adversary solve took
         0.94-1.03 ms on rhess and 1.06-1.24 ms on this matrix at n = 64,
         1.2-1.4 and 21-25 ms at n = 512, 1.6-1.9 and 87-96 ms at n = 1024
         (one vCPU; 21-22 products over 9 points).
@@ -137,18 +137,18 @@ class SequenceObjective:
 
     Per point it keeps the lag products of s, q_k = s^H Psi_k s, the
     products p = d (.) lags with the diagonals d of sum_k conj(q_k) Psi_k,
-    the gradient and its radial part and, from the first rhess there, the
-    Hessian factor of ClutterBank.hessian_factor with the radial part
-    folded into its curvature matrix. A Hessian-vector product is then
-    three matrix-vector products; the factor holds 2 N_t n + n^2 floats.
-    From the first hessian_matrix there the state also holds the dense
-    Hessian, n^2 more floats. dense_tcg lets rtr's tCG multiply by that
-    matrix, one matrix-vector product per step, rather than call rhess,
-    once its budget is at least ceil(n / 4). rhess keeps using the factor,
-    so its values do not depend on whether the matrix was built.
+    the gradient and its radial part and, from the first rhess or
+    hessian_matrix there, the point's one Hessian: the read-only n x n
+    matrix (2 / n^2) (G^T G + S) - diag(radial) of ClutterBank.hessian_gram.
+    rhess(x, a) is that matrix times a, one matrix-vector product. The
+    state holds no factor G (2 N_t x n), which the bank builds and
+    multiplies out. The Gram product is the price: on the
+    nonrobust-n128 scene (2 N_t = 1,024) it took 0.41 ms against 38 us
+    for one product through G and 3 us through the matrix, about 11
+    factor products; at n = 512 with 2 N_t = 8,224, 36 ms against 2.5 ms
+    and 45 us, about 14 (one vCPU, one BLAS thread, min of 7). A point
+    that takes fewer products pays more than G would have cost.
     """
-
-    dense_tcg = True  # see the rtr module docstring for when it is used
 
     def __init__(self, scene: ClutterScene):
         self.n = scene.n
@@ -191,33 +191,23 @@ class SequenceObjective:
     def rgrad(self, s: UnitModulusSequence) -> np.ndarray:
         return self._derivative_state(s)["grad"]
 
-    def _factor_state(self, point: UnitModulusSequence) -> dict:
-        """_derivative_state plus G and the curvature matrix (2 / n^2) S - diag(radial)."""
-        st = self._derivative_state(point)
-        if "gauss_newton" not in st:
-            g, s = self._bank.hessian_factor(st["lags"], st["p"])
-            curvature = (2.0 / self._n2) * s
-            curvature[np.diag_indices(self.n)] -= st["radial"]
-            st.update(gauss_newton=g, curvature=curvature)
-        return st
-
     def rhess(self, x: UnitModulusSequence, a: np.ndarray) -> np.ndarray:
-        """(2 / n^2) (G^T G + S) a - radial (.) a, with (G, S) from ClutterBank.hessian_factor."""
-        st = self._factor_state(x)
-        g = st["gauss_newton"]
-        return (2.0 / self._n2) * (g.T @ (g @ a)) + st["curvature"] @ a
+        return self.hessian_matrix(x) @ a
 
     def hessian_matrix(self, x: UnitModulusSequence) -> np.ndarray:
-        """The n x n matrix (2 / n^2) G^T G + curvature of rhess(x, .), read-only.
+        """The n x n matrix (2 / n^2) (G^T G + S) - diag(radial) of rhess(x, .), read-only.
 
-        Built once per point, in one buffer, and kept in the point's state.
+        Built once per point from ClutterBank.hessian_gram: the Gram matrix
+        and S are scaled in place, the radial part leaves S's diagonal,
+        and S is added to the Gram matrix, which the point's state keeps.
         """
-        st = self._factor_state(x)
+        st = self._derivative_state(x)
         if "hessian" not in st:
-            g = st["gauss_newton"]
-            h = np.matmul(g.T, g, out=np.empty((self.n, self.n)))
+            h, curvature = self._bank.hessian_gram(st["lags"], st["p"])
             h *= 2.0 / self._n2
-            h += st["curvature"]
+            curvature *= 2.0 / self._n2
+            curvature[np.diag_indices(self.n)] -= st["radial"]
+            h += curvature
             h.setflags(write=False)
             st["hessian"] = h
         return st["hessian"]

@@ -89,20 +89,21 @@ class ClutterBank:
       returned as the (B, n) array of the d_b;
     - down_shift_sum(rows): sum_b J^{R_b} rows_b, so that sum applied
       to v is down_shift_sum(d * v);
-    - hessian_factor(lags, p): the two matrices that make the Hessian of
-      sum_k |s^H Psi_k s|^2 in phase coordinates a few matrix-vector
-      products.
+    - hessian_gram(lags, p): the two n x n matrices whose sum, scaled, is
+      the Hessian of sum_k |s^H Psi_k s|^2 in phase coordinates.
 
-    forms, diagonals and hessian_factor are the only operations that read
+    forms, diagonals and hessian_gram are the only operations that read
     the (N_t, n) scatterer weights; everything else is O(B n). The width
     is the mean number of scatterers per distinct shift, rounded up, so B
     is at most twice the number of distinct shifts. The weights are the
     bank's one large array: shifted gathers its rows from a window view
     of the padded vector, lags works in that one (B, n) gather, and the
-    (B, n) index arrays of down_shift_sum and hessian_factor, which only
-    the solvers call, are built on their first call and kept. Read-only
-    after construction, but for those indices; scene.bank is the one
-    instance a scene uses.
+    (B, n) index arrays of down_shift_sum and hessian_gram, which only
+    the solvers call, are built on their first call and kept. The
+    (2 N_t, n) factor G is scratch: hessian_gram builds it, multiplies it
+    out and drops it, so G never leaves the bank. Read-only after
+    construction, but for those indices; scene.bank is the one instance a
+    scene uses.
     """
 
     def __init__(self, scene: ClutterScene):
@@ -180,8 +181,8 @@ class ClutterBank:
         """sum_b J^{R_b} rows_b for (B, n) rows that are 0 at m >= n - R_b, as lags and d are."""
         return rows.ravel()[self._down].sum(axis=0)
 
-    def hessian_factor(self, lags: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(G, S) of u(a) = sum_k |q_k|^2 at the phases s (.) e^{j a}, a = 0.
+    def hessian_gram(self, lags: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(G^T G, S) of u(a) = sum_k |q_k|^2 at the phases s (.) e^{j a}, a = 0.
 
         lags = lags(s, s), p = d (.) lags with d = diagonals(conj(q)), q = forms(lags).
         The terms that forms sums to q_k are V_k[m] = amp_k e^{j 2 pi v_k m}
@@ -191,11 +192,19 @@ class ClutterBank:
         S = T + T^T is symmetric n x n, T[m + r, m] = Re sum_{k: r_k = r}
         conj(q_k) V_k[m]; each block adds Re p_b to the subdiagonal of its
         shift. The Hessian of u is 2 (G^T G + S - diag(rho)), with the
-        radial part rho = Re(sum_b J^{R_b} p_b + conj(sum_b p_b)).
+        radial part rho = Re(sum_b J^{R_b} p_b + conj(sum_b p_b)). Both
+        matrices are fresh float arrays the caller may overwrite.
 
         G is written in chunks of 2^12 / n scatterer rows: with complex
         temporaries near 64 kB the build reuses memory instead of paging in
-        fresh memory, which cost more than its arithmetic at 2^14 / n.
+        fresh memory, which cost more than its arithmetic at 2^14 / n. G
+        itself is allocated per call, not kept in a bank buffer: on the
+        nonrobust-n128 scene (60 iterations, tCG cap 10, one vCPU, one BLAS
+        thread) a kept buffer raised a solve's minor page faults from about
+        540 to 9,200 and its time from 142 to 162 ms. glibc's malloc raises
+        its mmap threshold when it frees a large mapped block, so the 1 MB G
+        freed at each point keeps the point's other 100-400 kB arrays in the
+        reused heap.
         """
         n, width = self.n, self.width
         # lags are exactly 0 for m + r >= n, so clipping those indices to row
@@ -224,7 +233,9 @@ class ClutterBank:
             np.subtract(v, diff, out=diff)
             g[0, start:stop] = diff.real
             g[1, start:stop] = diff.imag
-        return g.reshape(2 * self.size, n), t + t.T
+        g = g.reshape(2 * self.size, n)
+        # bincount of no weights counts in int64: S stays float on an empty scene
+        return np.matmul(g.T, g, out=np.empty((n, n))), np.add(t, t.T, dtype=float)
 
 
 def clutter_energy(s: UnitModulusSequence, scene: ClutterScene) -> float:
@@ -267,28 +278,32 @@ def staf_blocks(s: UnitModulusSequence):
     Each block is a (rows, n) float view of one reused buffer, valid until
     the next block is requested; a consumer that keeps rows copies them.
     Per row the magnitudes are the DFT's of the lag products
-    s[m + r] conj(s[m]) (zero for m >= n - r), transformed in one reused
-    complex buffer (256 kB). Every block is normalized by the first block's
-    peak, which is the surface's: row 0 holds sum |s_m|^2 = n at Doppler 0,
-    and row r >= 1 is at most n - r, far below n even with the FFT's
-    rounding. An FFT row does not depend on the rows beside it and every
-    later step is elementwise, so the block size changes no value: the
-    surface of the blocks is bit for bit that of one transform of all n
-    rows normalized by its np.max. Alive at once are the two buffers,
-    24 bytes per value of a block (384 kB for n <= 2^14), where the
-    surface is 8 n^2 bytes.
+    s[m + r] conj(s[m]) (zero for m >= n - r), formed for a whole block by
+    one product of a zero-padded window view of s with conj(s) and
+    transformed in one reused complex buffer (256 kB). Every block is
+    normalized by the first block's peak, which is the surface's: row 0
+    holds sum |s_m|^2 = n at Doppler 0, and row r >= 1 is at most n - r,
+    far below n even with the FFT's rounding. An FFT row does not depend
+    on the rows beside it and every later step is elementwise, so the
+    block size changes no value: the surface of the blocks is bit for bit
+    that of one transform of all n rows normalized by its np.max. Alive at
+    once are the two buffers, 24 bytes per value of a block (384 kB for
+    n <= 2^14), where the surface is 8 n^2 bytes.
     """
     n = s.n
     x = s.entries
     rows = max(1, min(2**14 // n, n))
+    # row r of the window view is x[m + r], zero past the end, as in ClutterBank.shifted
+    padded = np.zeros(2 * n, dtype=np.complex128)
+    padded[:n] = x
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, n)
+    conj_x = np.conj(x)
     buffer = np.empty((rows, n), dtype=np.complex128)
     amp = np.empty((rows, n))
     peak = None
     for start in range(0, n, rows):
         lags = buffer[: min(rows, n - start)]
-        for i, r in enumerate(range(start, start + len(lags))):
-            np.multiply(x[r:], np.conj(x[: n - r]), out=lags[i, : n - r])
-            lags[i, n - r :] = 0.0
+        np.multiply(shifted[start : start + len(lags)], conj_x, out=lags)
         np.fft.fft(lags, axis=1, out=lags)
         block = amp[: len(lags)]
         np.abs(lags, out=block)

@@ -3,27 +3,10 @@
 One engine serves both subproblems: a problem object only has to expose
 cost(x), rgrad(x) and rhess(x, a), the gradient and Hessian in phase
 coordinates (real n-vectors, see objectives), so the inner loop is
-plain float64 vector algebra. A problem whose class sets dense_tcg
-also exposes hessian_matrix(x), the n x n matrix of rhess(x, .). When
-the tCG budget (tcg_max_inner, or n when uncapped) is at least
-ceil(n / 4), tCG and the model decrease multiply by that matrix, asked
-for once per tCG call and once for the decrease; otherwise they call
-rhess. The rule reads only n and the config, so rhess(x, a) stays a
-function of (x, a) alone. The problem opts in because the trade depends
-on what its rhess costs. For the sequence cost, whose rhess runs through
-a factor of 2 N_t rows, whole fixed-length solves (one vCPU, dense
-against rhess, paired) gave:
-- n = 64, 2 N_t = 90 (scenario 2): -18 % to +16 % at caps 1-4, and
-  9-21 % faster at caps 6, 8, 16 and uncapped;
-- n = 128, 2 N_t = 1,024 (nonrobust-n128's scene): 24-83 % slower at
-  caps 4-10, -4 % to +40 % at caps 12-20, and 16-18 % faster at cap 32
-  and 29-34 % uncapped. End to end, nonrobust-n128 (cap 10) took
-  0.559 -> 0.582 s on the dense path.
-ceil(n / 4) (16 and 32 there) is the smallest n / k among the measured
-caps at which the dense path won at both sizes in both sweeps. The
-adversary's rhess is O(n) and beat a dense product at n = 64, 512 and
-1024, so WorstCaseObjective does not set dense_tcg. Each outer
-iteration minimizes the quadratic model
+plain float64 vector algebra. How rhess works is the problem's own
+affair: the sequence cost multiplies by its point's n x n matrix, the
+adversary runs an O(n) formula. Each outer iteration minimizes the
+quadratic model
 
     m(a) = f(x) + grad.a + 1/2 a.(Hess a),   ||a|| <= Delta
 
@@ -48,7 +31,6 @@ Absil, Baker & Gallivan, FoCM 2007).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -138,18 +120,6 @@ def _boundary_step(eta: np.ndarray, d: np.ndarray, delta: float) -> np.ndarray:
     return eta + tau * d
 
 
-def _hessian_product(problem, x: UnitModulusSequence, cfg: TrustRegionConfig):
-    """The map a -> Hess a at x that tCG and the model decrease use (see the module docstring).
-
-    hessian_matrix(x) @ a when the problem sets dense_tcg and tCG's budget
-    is at least ceil(n / 4), else rhess(x, a).
-    """
-    budget = cfg.tcg_max_inner if cfg.tcg_max_inner is not None else x.n
-    if getattr(problem, "dense_tcg", False) and budget >= -(-x.n // 4):
-        return problem.hessian_matrix(x).__matmul__
-    return functools.partial(problem.rhess, x)
-
-
 def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig, grad: np.ndarray,
         trace: TrustRegionTrace | None = None):
     """Steihaug-Toint truncated CG on the model at x, whose gradient is grad.
@@ -157,10 +127,8 @@ def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig, g
     Returns (step, TcgStop). The step never exceeds the radius (boundary
     and negative-curvature exits land exactly on it) and the model
     decrease is nonnegative by the Cauchy-point property. trace, if given,
-    has its hvps counter raised by each Hessian-vector product, which is
-    hessian_matrix(x) @ d or rhess(x, d) (see _hessian_product).
+    has its hvps counter raised by each Hessian-vector product rhess(x, d).
     """
-    hess = _hessian_product(problem, x, cfg)
     max_inner = cfg.tcg_max_inner if cfg.tcg_max_inner is not None else x.n
     eta = np.zeros(x.n)
     r0 = norm(grad)
@@ -171,7 +139,7 @@ def tcg(problem, x: UnitModulusSequence, delta: float, cfg: TrustRegionConfig, g
     d = -grad
     rr = float(r @ r)
     for _ in range(max_inner):
-        hd = hess(d)
+        hd = problem.rhess(x, d)
         if trace is not None:
             trace.hvps += 1
         d_hd = float(d @ hd)
@@ -222,7 +190,7 @@ def solve(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig, g_ref: float
             break
         xi, stop = tcg(problem, x, delta, cfg, g, trace=trace)
         step_norm = norm(xi)
-        h_xi = _hessian_product(problem, x, cfg)(xi)  # the sequence cost keeps x's matrix in its state
+        h_xi = problem.rhess(x, xi)
         model_decrease = -(float(g @ xi) + 0.5 * float(h_xi @ xi))
         candidate = retract(x, xi)
         f_cand = problem.cost(candidate)

@@ -56,6 +56,23 @@ def test_a_file_in_one_tree_is_reported(small_runs, tmp_path):
     assert unequal(parent, change) == [("ONLY", "small/traces.csv", f"in {parent.name}")]
 
 
+def test_a_flipped_byte_in_the_n300_staf_pair_is_reported(tmp_path):
+    initial = tmp_path / "n300" / "random" / "staf_initial.csv"
+    recomputed = tmp_path / "n300" / "staf" / "staf_recomputed.csv"
+    for path in (initial, recomputed):
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"0,-12.5\n-3.25,0\n")
+    assert compare.staf_mismatch(tmp_path) == []
+    recomputed.write_bytes(b"0,-12.5\n-3.24,0\n")
+    assert compare.staf_mismatch(tmp_path) == [
+        "FAIL  n300/random/staf_initial.csv != n300/staf/staf_recomputed.csv: line 2; 2 vs 2 lines"
+    ]
+    initial.unlink()
+    assert compare.staf_mismatch(tmp_path) == [
+        "FAIL  n300/random/staf_initial.csv != n300/staf/staf_recomputed.csv: missing n300/random/staf_initial.csv"
+    ]
+
+
 def test_report_timings_are_ignored_and_other_keys_are_named(small_runs, tmp_path):
     parent, _ = small_runs
     change = tmp_path / "change"

@@ -317,9 +317,9 @@ class TestSequenceHessian:
         from wrtr.rtr import TrustRegionConfig
 
         def refuse(*args):
-            raise AssertionError("first-order solver built a Hessian factor")
+            raise AssertionError("first-order solver built a Hessian")
 
-        monkeypatch.setattr(ClutterBank, "hessian_factor", refuse)
+        monkeypatch.setattr(ClutterBank, "hessian_gram", refuse)
         n = 16
         obj = SequenceObjective(random_scene(n, 6, rng))
         _, trace = solve_rcg(obj, random_point(n, 39), TrustRegionConfig(max_iters=10))
@@ -502,13 +502,15 @@ HESSIAN_CASES = [("generated", 16), ("generated", 64), ("generated", 128), ("sce
 
 class TestHessianMatrix:
     @pytest.mark.parametrize("scene_kind,n", HESSIAN_CASES)
-    def test_sequence_matrix_is_rhess_of_the_identity(self, rng, scene_kind, n):
+    def test_sequence_matrix_is_the_dense_hessian(self, rng, scene_kind, n):
+        # rhess multiplies by this matrix, so its oracle is the Hessian built
+        # from dense Psi_k
         scene = scenario2_scene() if scene_kind == "scenario2" else random_scene(n, 3 * n // 2, rng)
         x = random_point(n, 70 + n)
-        expected = identity_column_hessian(SequenceObjective(scene), x)
+        _, expected = dense_phase_derivatives(scene, x)
         h = SequenceObjective(scene).hessian_matrix(x)
         assert h.shape == (n, n)
-        assert np.max(np.abs(h - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(h - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("scene_kind,n", HESSIAN_CASES)
     def test_worst_case_matrix_is_rhess_of_the_identity(self, rng, scene_kind, n):
@@ -547,8 +549,8 @@ class TestHessianMatrix:
         assert np.array_equal(obj.hessian_matrix(x), h)
 
     def test_building_the_matrix_leaves_rhess_unchanged(self, rng):
-        # rhess keeps the factor's products once the matrix exists, so its
-        # bits depend on (x, a) alone
+        # rhess multiplies by the point's one matrix, whichever call built
+        # it, so its bits depend on (x, a) alone
         n = 32
         scene = random_scene(n, 8, rng)
         x = random_point(n, 92)
@@ -557,6 +559,48 @@ class TestHessianMatrix:
         obj = SequenceObjective(scene)
         obj.hessian_matrix(x)
         assert np.array_equal(obj.rhess(x, a), expected)
+
+    @pytest.mark.parametrize("n,n_scatterers", [(64, 256), (128, 512), (256, 1024)])
+    def test_the_point_state_keeps_no_factor(self, n, n_scatterers):
+        # G (2 N_t x n, 1 MB at n = 128) never leaves the bank, so a point
+        # keeps its Hessian (n^2 floats) beside its O(B n) arrays: the lags
+        # and p (B x n complex), q (N_t complex), gradient and radial part
+        import tracemalloc
+
+        scene = random_scene(n, n_scatterers, np.random.default_rng(94))
+        SequenceObjective(scene).hessian_matrix(random_point(n, 95))  # the bank's index arrays
+        x = random_point(n, 96)
+        tracemalloc.start()
+        try:
+            obj = SequenceObjective(scene)
+            obj.hessian_matrix(x)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bank = scene.bank
+        per_point = 2 * 16 * bank.shifts.size * n + 16 * bank.size + 2 * 8 * n
+        # 16 kB for the Python objects around the arrays; G alone is 256 kB to 4 MB
+        assert retained <= per_point + 8 * n * n + 2**14
+
+    @pytest.mark.parametrize("n_scatterers", [0, 24])
+    def test_gram_matrices_are_fresh_float_arrays(self, rng, n_scatterers):
+        # the objective scales both in place, so neither may be the bank's
+        # scratch or another point's; with no scatterers bincount counts in int64
+        n = 16
+        bank = random_scene(n, n_scatterers, rng).bank
+
+        def gram_at(seed):
+            s = random_point(n, seed).entries
+            lags = bank.lags(s, s)
+            return bank.hessian_gram(lags, bank.diagonals(np.conj(bank.forms(lags))) * lags)
+
+        gram, s = gram_at(97)
+        kept = gram.copy(), s.copy()
+        gram_at(98)
+        for a, b in zip((gram, s), kept):
+            assert a.dtype == np.float64 and a.flags.writeable and a.shape == (n, n)
+            assert np.array_equal(a, b) and np.array_equal(a, a.T)
+        assert np.any(gram != 0.0) == (n_scatterers > 0)
 
     def test_driver_matrix_is_the_objectives(self, rng):
         n = 16

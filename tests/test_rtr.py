@@ -388,11 +388,10 @@ class TestConfigValidation:
 
 
 class MatrixCountingProblem(CountingProblem):
-    """CountingProblem that also forwards dense_tcg and counts hessian_matrix."""
+    """CountingProblem that also counts hessian_matrix."""
 
     def __init__(self, problem):
         super().__init__(problem)
-        self.dense_tcg = getattr(problem, "dense_tcg", False)
         self.matrix_calls = 0
 
     def hessian_matrix(self, x):
@@ -400,41 +399,9 @@ class MatrixCountingProblem(CountingProblem):
         return self.problem.hessian_matrix(x)
 
 
-def sequence_problem(n, rng):
-    return MatrixCountingProblem(SequenceObjective(random_scene(n, 6, rng))), random_point(n, 100 + n)
-
-
 class TestDenseHessianProducts:
-    """tCG and the model decrease multiply by hessian_matrix when the
-    problem sets dense_tcg (the sequence cost) and the tCG budget
-    (tcg_max_inner, or n uncapped) is at least ceil(n / 4)."""
-
-    @pytest.mark.parametrize("n,cap", [(16, None), (16, 4), (64, None), (64, 16), (128, 32)])
-    def test_budget_of_a_quarter_calls_no_rhess(self, rng, n, cap):
-        problem, x = sequence_problem(n, rng)
-        _, trace = solve(problem, x, TrustRegionConfig(grad_tol=0.0, max_iters=12, tcg_max_inner=cap))
-        assert len(trace) == 12
-        # one matrix for tCG and one, from the point's state, for the model decrease
-        assert problem.matrix_calls == 2 * len(trace)
-        assert problem.hvp_calls == 0
-        assert trace.hvps > len(trace)
-
-    @pytest.mark.parametrize("n,cap", [(16, 3), (64, 15), (128, 10), (128, 31)])
-    def test_budget_below_a_quarter_calls_rhess_only(self, rng, n, cap):
-        problem, x = sequence_problem(n, rng)
-        _, trace = solve(problem, x, TrustRegionConfig(grad_tol=0.0, max_iters=6, tcg_max_inner=cap))
-        assert problem.matrix_calls == 0
-        assert problem.hvp_calls == trace.hvps > len(trace)
-
-    @pytest.mark.parametrize("cap", [None, 15, 16])
-    def test_one_tcg_call_asks_for_at_most_one_matrix(self, rng, cap):
-        problem, x = sequence_problem(64, rng)
-        trace = rtr.TrustRegionTrace()
-        tcg(problem, x, 1.0, TrustRegionConfig(tcg_max_inner=cap), problem.rgrad(x), trace=trace)
-        dense = cap != 15
-        assert problem.matrix_calls == int(dense)
-        assert problem.hvp_calls == (0 if dense else trace.hvps)
-        assert trace.hvps > 0
+    """The solver multiplies only through rhess; the sequence cost's rhess
+    reads its point's matrix, built once per point from the bank's G."""
 
     def test_worst_case_adversary_keeps_rhess(self):
         obj, start = worst_case_instance(32, 101)
@@ -443,34 +410,38 @@ class TestDenseHessianProducts:
         assert problem.matrix_calls == 0
         assert problem.hvp_calls == trace.hvps > 0
 
-    def test_a_problem_without_dense_tcg_keeps_rhess(self, rng):
-        n = 16
-        problem = CountingProblem(SequenceObjective(random_scene(n, 6, rng)))
-        _, trace = solve(problem, random_point(n, 102), TrustRegionConfig(grad_tol=0.0, max_iters=5))
-        assert problem.hvp_calls == trace.hvps > 0
+    @pytest.mark.parametrize("n,cap", [(16, None), (64, 4), (128, 10), (128, None)])
+    def test_the_bank_builds_g_once_per_iteration(self, rng, monkeypatch, n, cap):
+        # each iteration's tCG runs at a point whose state the previous
+        # candidate's cost evicted, and the model decrease reuses its matrix
+        from wrtr.radar import ClutterBank
 
-    def test_dense_and_vector_products_give_the_same_solve(self, rng, monkeypatch):
-        # a model whose matrix and rhess agree bit for bit: the two paths run
-        # the same tCG and the same trust-region iterations
-        monkeypatch.setattr(rtr, "TCG_KAPPA", 1e-12)
-        n = 16
-        x = random_point(n, 103)
-        a, g = spd_matrix(n, rng), rng.standard_normal(n)
+        counts = {"gram": 0, "tcg": 0}
+        gram, inner = ClutterBank.hessian_gram, rtr.tcg
 
-        class DenseModelProblem(QuadraticModelProblem):
-            dense_tcg = True
+        def counting_gram(*args):
+            counts["gram"] += 1
+            return gram(*args)
 
-            def hessian_matrix(self, x):
-                return self.matrix
+        def counting_tcg(*args, **kwargs):
+            counts["tcg"] += 1
+            return inner(*args, **kwargs)
 
-        cfg = TrustRegionConfig(tcg_max_inner=4 * n, max_iters=6)
-        dense, vector = DenseModelProblem(x, a, g), QuadraticModelProblem(x, a, g)
-        dense_step, dense_stop = tcg(dense, x, 1e6, cfg, g)
-        vector_step, vector_stop = tcg(vector, x, 1e6, cfg, g)
-        assert dense_stop is vector_stop is TcgStop.RESIDUAL_SMALL
-        assert np.array_equal(dense_step, vector_step)
-        assert dense.hvp_calls == 0 < vector.hvp_calls
-        (_, dense_trace), (_, vector_trace) = solve(dense, x, cfg), solve(vector, x, cfg)
-        assert dense_trace.iterations == vector_trace.iterations
-        assert dense_trace.hvps == vector_trace.hvps > 0
-        assert dense.hvp_calls == 0
+        monkeypatch.setattr(ClutterBank, "hessian_gram", counting_gram)
+        monkeypatch.setattr(rtr, "tcg", counting_tcg)
+        problem = CountingProblem(SequenceObjective(random_scene(n, 4 * n, rng)))
+        _, trace = solve(problem, random_point(n, 104), TrustRegionConfig(grad_tol=0.0, max_iters=8, tcg_max_inner=cap))
+        assert len(trace) == 8
+        assert counts == {"gram": 8, "tcg": 8}
+        assert problem.hvp_calls == trace.hvps > 2 * len(trace)
+
+    @pytest.mark.parametrize("n,cap", [(16, None), (16, 4), (64, None), (64, 10)])
+    def test_the_solver_reads_only_cost_rgrad_and_rhess(self, rng, n, cap):
+        # CountingProblem exposes only those three: the bare objective, which
+        # also has hessian_matrix, takes bit for bit the same path
+        scene = random_scene(n, 2 * n, rng)
+        x0, cfg = random_point(n, 105), TrustRegionConfig(grad_tol=0.0, max_iters=15, tcg_max_inner=cap)
+        x, trace = solve(SequenceObjective(scene), x0, cfg)
+        wrapped_x, wrapped = solve(CountingProblem(SequenceObjective(scene)), x0, cfg)
+        assert np.array_equal(x.entries, wrapped_x.entries)
+        assert trace.iterations == wrapped.iterations and trace.hvps == wrapped.hvps

@@ -12,7 +12,11 @@ and every command inherits that:
 - for every `configs/*.json`: `wrtr`, the three baselines, `montecarlo` on
   the `wrtr` design (a manifest path relative to the manifest) and the
   `random` design (an absolute path), and `staf` on the `wrtr` design;
-- the n = 300 design that CI checks: `baseline --method random` and `staf`;
+- the n = 300 design: `baseline --method random` and `staf`. No shipped
+  config has n > 64, so this is the one STAF surface printed in more than
+  one block, with a partial last one; the sequence CSV re-ingests
+  bit-exactly, so within each tree `staf_initial.csv` of the design and
+  `staf_recomputed.csv` of `staf` must be equal byte for byte;
 - every benchmark workload's commands at bench seed 1, repetition 0, with
   inputs written by `bench.workloads.prepare` (imported, never edited).
 
@@ -28,8 +32,9 @@ a workload's largest peak and its total time, and these lines show which
 command sets the one and where the other goes); they are for reading only.
 Each figure is one pinned sample per tree, not a median: on a shared
 2-vCPU host the same code read up to 0.15 s apart per command.
-A failed command prints `FAIL`. The exit status is 0 only when every command
-succeeded and every file is equal.
+A failed command, or an n = 300 STAF pair that differs within a tree, prints
+`FAIL`. The exit status is 0 only when every command succeeded, both STAF
+pairs are equal and every file is equal.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BASELINES = ("rtr_nonrobust", "rcg_nonrobust", "random")
 REPORT_TIMINGS = ("elapsed_seconds", "export_seconds")
-# the n = 300 config of CI's end-to-end step: its STAF surface prints in
-# more than one block, with a partial last block
+# the n = 300 config: its STAF surface prints in more than one block, with
+# a partial last block
 N300 = {
     "n": 300,
     "doppler_interval": [-0.001, 0.002],
@@ -134,7 +139,17 @@ def run_tree(tree: Path, run: Path) -> tuple:
         usage[" ".join(argv)] = peak, cpu
         if code != 0:
             failures.append(f"FAIL  {' '.join(argv)}: exit {code}: {last}")
-    return failures, usage
+    return failures + staf_mismatch(run), usage
+
+
+def staf_mismatch(run: Path) -> list:
+    """A FAIL line unless the n = 300 design's STAF surface equals the staf command's, byte for byte."""
+    pair = [run / "n300" / "random" / "staf_initial.csv", run / "n300" / "staf" / "staf_recomputed.csv"]
+    missing = [str(p.relative_to(run)) for p in pair if not p.is_file()]
+    detail = f"missing {', '.join(missing)}" if missing else _file_diff(*pair)
+    if detail is None:
+        return []
+    return [f"FAIL  {pair[0].relative_to(run)} != {pair[1].relative_to(run)}: {detail}"]
 
 
 def rss_lines(usage: dict) -> list:
@@ -218,7 +233,7 @@ def main(argv=None) -> int:
     for line in failures:
         print(line)
     unequal = sum(status != "same" for status, _, _ in rows)
-    print(f"{len(rows)} files: {len(rows) - unequal} same, {unequal} unequal; {len(failures)} failed commands")
+    print(f"{len(rows)} files: {len(rows) - unequal} same, {unequal} unequal; {len(failures)} failed commands or checks")
     return 0 if unequal == 0 and not failures else 1
 
 
