@@ -144,10 +144,9 @@ def _export_design(out: _Outputs, cfg: ScenarioConfig, scene, initial, final, se
     if sections:
         out.write("traces.csv", fileio.write_trace_csv, sections)
     _export_staf_products(out, cfg, [("initial", initial), ("final", final)])
-    # after the STAF surfaces: for the random design this builds the scene's clutter
-    # bank (3.8 MB of weights in the analysis-n1024 benchmark), which is then not
-    # held while they are printed; the random design's final is its initial, so
-    # its one SCR is computed once
+    # the SCRs stream the clutter weights (radar.ClutterBank.quadratic_forms), so
+    # the random design builds none; its final is its initial, so its one SCR is
+    # computed once
     initial_db = _nominal_scr_db(initial, scene)
     summary = {
         "nominal_scr_initial_db": initial_db,
@@ -155,8 +154,8 @@ def _export_design(out: _Outputs, cfg: ScenarioConfig, scene, initial, final, se
     }
     if sections and sections[-1][1] == "seq":
         # wrtr and rtr_nonrobust both minimised SequenceObjective(scene); a fresh
-        # one, as the solve's would hold its last point's Hessian factor through
-        # the STAF export above
+        # one, as the solve's would hold its last point's state (lags, q, p and
+        # the n x n Hessian) through the STAF export above
         spectrum = driver.hessian_spectrum(SequenceObjective(scene), final)
         out.write("hessian_spectrum_seq.csv", fileio.write_spectrum_csv, spectrum)
         last = sections[-1][2]

@@ -196,7 +196,11 @@ def monte_carlo_scr(
     doubles u from random(), whose phases are 2 pi floor(u K) / K (u K is
     exact, K being a power of two). The u are drawn in blocks of 2^16 / n
     rows (512 kB); a generator fills them in C order, and each row is
-    summed on its own, so the block size does not change any value.
+    summed on its own, so the block size does not change any value. The
+    model's arrays are the two 512 kB tables below (the sine table is
+    computed into the phase grid), one block of draws and its indices,
+    2 MB at any n; the designs' clutter energies are streamed (see
+    radar.ClutterBank.quadratic_forms), so no clutter weights are built.
     Statistics are over per-trial dB values.
 
     For a unit-modulus design the numerator |s^H (s (.) d)|^2 = |sum d|^2
@@ -235,7 +239,8 @@ def monte_carlo_scr(
         num = np.empty(n_trials)
         rows = max(1, min(n_trials, 2**16 // n))
         angles = np.arange(PHASE_GRID) * (2.0 * np.pi / PHASE_GRID)
-        cos, sin = np.cos(angles), np.sin(angles)
+        cos = np.cos(angles)
+        sin = np.sin(angles, out=angles)  # the angles are not needed again
         u = np.empty((rows, n))
         index = np.empty((rows, n), dtype=np.intp)
         for start in range(0, n_trials, rows):

@@ -183,6 +183,8 @@ def _print_g10(values: np.ndarray, slots: np.ndarray, tables) -> None:
         word &= np.take(keep[w], row, mode="clip")
         word |= np.take(put[w], row, mode="clip")
         slots[..., w] = word
+    if exact.all():
+        return
     for i in zip(*np.nonzero(~exact)):
         slots[i] = _fallback_slot(float(values[i]))
 

@@ -13,7 +13,13 @@ groups the scatterers by range shift: the lag products of a shift are
 formed once for all its scatterers, and a weighted sum of operators is
 held as a few diagonals per shift. A scene has one ClutterBank,
 scene.bank, built on first use and shared by the sequence objective and
-every figure of merit. Dense matrices exist only in the test oracles.
+every figure of merit. Building the bank lays out its blocks only; the
+(N_t, n) scatterer weights are built on the first call of a solver's
+operation (forms, diagonals, hessian_gram) and kept, since a solve
+reuses them hundreds of times. The figures of merit (clutter_energy,
+scr, scnr) stream the weights a few blocks at a time instead, so the
+commands that run no solver never build them. Dense matrices exist only
+in the test oracles.
 """
 
 from __future__ import annotations
@@ -85,6 +91,8 @@ class ClutterBank:
       m >= n - R_b;
     - forms(lags): amp_k sum_m p_k[m] lags[b(k), m] for every scatterer,
       in scene order, so s^H Psi_k s = forms(lags(s, s))[k];
+    - quadratic_forms(s): that same forms(lags(s, s)), bit for bit, with
+      the weights and lags streamed a few blocks at a time;
     - diagonals(c): sum_k c_k Psi_k written as sum_b J^{R_b} diag(d_b),
       returned as the (B, n) array of the d_b;
     - down_shift_sum(rows): sum_b J^{R_b} rows_b, so that sum applied
@@ -93,17 +101,22 @@ class ClutterBank:
       the Hessian of sum_k |s^H Psi_k s|^2 in phase coordinates.
 
     forms, diagonals and hessian_gram are the only operations that read
-    the (N_t, n) scatterer weights; everything else is O(B n). The width
-    is the mean number of scatterers per distinct shift, rounded up, so B
-    is at most twice the number of distinct shifts. The weights are the
-    bank's one large array: shifted gathers its rows from a window view
-    of the padded vector, lags works in that one (B, n) gather, and the
-    (B, n) index arrays of down_shift_sum and hessian_gram, which only
-    the solvers call, are built on their first call and kept. The
-    (2 N_t, n) factor G is scratch: hessian_gram builds it, multiplies it
-    out and drops it, so G never leaves the bank. Read-only after
-    construction, but for those indices; scene.bank is the one instance a
-    scene uses.
+    the kept (B, width, n) scatterer weights, zero in a block's empty
+    slots; everything else is O(B n). The width is the mean number of
+    scatterers per distinct shift, rounded up, so B is at most twice the
+    number of distinct shifts. The weights are the bank's one large
+    array, and it does not exist until a solver needs it: construction
+    keeps only the block layout (shifts, each scatterer's block and slot,
+    each slot's Doppler and amplitude), and the first forms, diagonals or
+    hessian_gram call fills the weights, about 2^12 at a time, and keeps
+    them. quadratic_forms never builds them. shifted gathers its
+    rows from a window view of the padded vector, lags works in that one
+    (B, n) gather, and the (B, n) index arrays of down_shift_sum and
+    hessian_gram, which only the solvers call, are built on their first
+    call and kept too. The (2 N_t, n) factor G is scratch: hessian_gram
+    builds it, multiplies it out and drops it, so G never leaves the
+    bank. Read-only after construction, but for the weights and those
+    indices; scene.bank is the one instance a scene uses.
     """
 
     def __init__(self, scene: ClutterScene):
@@ -122,24 +135,51 @@ class ClutterBank:
         self._block[order] = np.repeat(np.cumsum(per_shift) - per_shift, counts) + rank // self.width
         self._slot[order] = rank % self.width
         self.shifts = np.repeat(distinct, per_shift)
+        # (B, width) Doppler and amplitude of each slot; an empty slot has
+        # amplitude 0, so its weight row is 0
+        self._doppler = np.zeros((self.shifts.size, self.width))
+        self._amplitude = np.zeros((self.shifts.size, self.width))
+        self._doppler[self._block, self._slot] = [sc.doppler for sc in scs]
+        self._amplitude[self._block, self._slot] = np.sqrt([sc.power for sc in scs])
+
+    def _filled(self, values: int):
+        """Yield (b, the weights of blocks b, b + 1, ...), about `values` weights at a time (at least a block).
+
+        Each chunk is a (blocks, width, n) view of one reused buffer, valid
+        until the next is requested. Row k is amp_k e^{j 2 pi v_k m}, built
+        in place; entries m >= n - r_k are zero: J^{r_k} drops them, so
+        shifts may wrap around instead of padding. Every step is
+        elementwise, so a row does not depend on the chunk size.
+        """
+        n, blocks = self.n, self.shifts.size
         m = np.arange(n)
-        dopplers = np.array([sc.doppler for sc in scs], dtype=float)
-        amplitude = np.sqrt(np.array([sc.power for sc in scs], dtype=float))
-        # Row k is amp_k e^{j 2 pi v_k m}, built in place in chunks of
-        # 2^12 / n rows and copied into its (block, slot). Entries
-        # m >= n - r_k are zero: J^{r_k} drops them, so the shifts below may
-        # wrap around instead of padding.
-        weights = np.zeros((self.shifts.size, self.width, n), dtype=np.complex128)
-        rows = np.empty((max(1, min(2**12 // n, self.size)), n), dtype=np.complex128)
-        for start in range(0, self.size, len(rows)):
-            k = slice(start, start + len(rows))
-            chunk = rows[: len(shifts[k])]
-            np.multiply(2j * np.pi * dopplers[k, None], m, out=chunk)
-            np.exp(chunk, out=chunk)
-            np.multiply(amplitude[k, None], chunk, out=chunk)
-            chunk *= m < n - shifts[k, None]
-            weights[self._block[k], self._slot[k]] = chunk
-        self._weights = weights
+        buffer = np.empty((max(1, min(values // (self.width * n), blocks)), self.width, n), dtype=np.complex128)
+        for start in range(0, blocks, len(buffer)):
+            chunk = buffer[: blocks - start]
+            stop = start + len(chunk)
+            rows = chunk.reshape(-1, n)
+            np.multiply(2j * np.pi * self._doppler[start:stop].reshape(-1, 1), m, out=rows)
+            np.exp(rows, out=rows)
+            np.multiply(self._amplitude[start:stop].reshape(-1, 1), rows, out=rows)
+            chunk *= m < n - self.shifts[start:stop, None, None]
+            yield start, chunk
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """The (B, width, n) weights, built on the first forms, diagonals or hessian_gram call.
+
+        Blocks are filled about 2^12 weights at a time, and only their
+        occupied slots are copied out: the zeroed result leaves the rows
+        of empty slots untouched, so their pages are never written (on
+        the nonrobust-n128 scene, 248 of 760 rows).
+        """
+        weights = np.zeros((self.shifts.size, self.width, self.n), dtype=np.complex128)
+        used = np.zeros(weights.shape[:2], dtype=bool)
+        used[self._block, self._slot] = True
+        for start, chunk in self._filled(2**12):
+            occupied = used[start : start + len(chunk)]
+            weights[start : start + len(chunk)][occupied] = chunk[occupied]
+        return weights
 
     @cached_property
     def _down(self) -> np.ndarray:
@@ -153,12 +193,15 @@ class ClutterBank:
         n = self.n
         return (np.minimum(np.arange(n) + self.shifts[:, None], n - 1) * n + np.arange(n)).ravel()
 
-    def shifted(self, v: np.ndarray) -> np.ndarray:
-        """(B, n) rows v[m + R_b], zero past the end: J^{R_b T} v per block."""
+    def _windows(self, v: np.ndarray) -> np.ndarray:
+        """(n + 1, n) view whose row r is v[m + r], zero past the end."""
         padded = np.zeros(2 * self.n, dtype=np.complex128)
         padded[: self.n] = v
-        # row b is the length-n window of padded that starts at R_b
-        return np.lib.stride_tricks.sliding_window_view(padded, self.n)[self.shifts]
+        return np.lib.stride_tricks.sliding_window_view(padded, self.n)
+
+    def shifted(self, v: np.ndarray) -> np.ndarray:
+        """(B, n) rows v[m + R_b], zero past the end: J^{R_b T} v per block."""
+        return self._windows(v)[self.shifts]
 
     def lags(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(B, n) products u[m] conj(v[m + R_b]), formed in place in the gather of v."""
@@ -170,7 +213,24 @@ class ClutterBank:
         return np.matmul(self._weights, lags[:, :, None])[self._block, self._slot, 0]
 
     def quadratic_forms(self, s: np.ndarray) -> np.ndarray:
-        return self.forms(self.lags(s, s))
+        """forms(lags(s, s)) bit for bit, streamed: s^H Psi_k s for every scatterer, in scene order.
+
+        Blocks are taken about 2^14 weights at a time (one block if it is
+        larger): their weights are filled into one reused buffer, their lag
+        products gathered from the window view of s, and the same
+        per-block matmul as forms applied, so each q_k is computed as forms
+        computes it. Neither the (B, width, n) weights nor the (B, n) lags
+        are formed, and the kept weights are neither built nor read.
+        """
+        windows = self._windows(s)
+        forms = np.empty((self.shifts.size, self.width), dtype=np.complex128)
+        for start, chunk in self._filled(2**14):
+            stop = start + len(chunk)
+            lags = windows[self.shifts[start:stop]]
+            np.conj(lags, out=lags)
+            np.multiply(s, lags, out=lags)
+            forms[start:stop] = np.matmul(chunk, lags[:, :, None])[:, :, 0]
+        return forms[self._block, self._slot]
 
     def diagonals(self, c: np.ndarray) -> np.ndarray:
         coeffs = np.zeros((self.shifts.size, 1, self.width), dtype=np.complex128)

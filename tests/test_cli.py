@@ -694,30 +694,31 @@ class TestStafCommand:
 
 class TestOneClutterBankPerCommand:
     @pytest.fixture
-    def builds(self, monkeypatch):
-        count = [0]
+    def banks(self, monkeypatch):
+        built = []
         init = radar.ClutterBank.__init__
 
-        def counted(self, scene):
-            count[0] += 1
+        def recorded(self, scene):
+            built.append(self)
             init(self, scene)
 
-        monkeypatch.setattr(radar.ClutterBank, "__init__", counted)
-        return count
+        monkeypatch.setattr(radar.ClutterBank, "__init__", recorded)
+        return built
 
+    # only the solvers build the bank's weights; the figures of merit stream them
     @pytest.mark.parametrize(
-        "command",
+        "command, weight_builds",
         [
-            ["wrtr"],
-            ["baseline", "--method", "rtr_nonrobust"],
-            ["baseline", "--method", "rcg_nonrobust"],
-            ["baseline", "--method", "random"],
-            ["montecarlo", "--designs", "{designs}"],
-            ["staf", "{sequence}"],
+            (["wrtr"], 1),
+            (["baseline", "--method", "rtr_nonrobust"], 1),
+            (["baseline", "--method", "rcg_nonrobust"], 1),
+            (["baseline", "--method", "random"], 0),
+            (["montecarlo", "--designs", "{designs}"], 0),
+            (["staf", "{sequence}"], 0),
         ],
         ids=["wrtr", "rtr_nonrobust", "rcg_nonrobust", "random", "montecarlo", "staf"],
     )
-    def test_each_command_builds_one_bank(self, tmp_path, builds, command):
+    def test_each_command_builds_one_bank(self, tmp_path, banks, command, weight_builds):
         write_sequence_csv(tmp_path / "seq.csv", random_point(16, 1))
         (tmp_path / "designs.json").write_text(json.dumps({"designs": [
             {"name": "one", "sequence": "seq.csv"},
@@ -725,7 +726,9 @@ class TestOneClutterBankPerCommand:
         ]}))
         args = [a.format(designs=tmp_path / "designs.json", sequence=tmp_path / "seq.csv") for a in command]
         assert main(args + ["--config", str(SMALL_CONFIG), "--out", str(tmp_path / "out")]) == 0
-        assert builds[0] == 1
+        assert len(banks) == 1
+        # the weights are a cached property: built at most once per bank
+        assert sum("_weights" in vars(bank) for bank in banks) == weight_builds
 
 
 class TestExports:

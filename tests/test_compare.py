@@ -103,6 +103,14 @@ def test_each_command_reports_its_exit_and_peak_memory(tmp_path):
     assert lines == ["rss   a b: parent 45.4 MB 0.26 s, change 43.0 MB 0.15 s", "rss   c: parent 3.0 MB 1.00 s, change -"]
 
 
+def test_each_workload_reports_its_largest_command_peak():
+    # a workload's peak_rss_mb is the largest wait4 peak among its commands
+    usage = {"parent": {"a": (41.84, 0.5), "b": (39.0, 2.0), "c": (20.0, 0.1)},
+             "change": {"a": (37.8, 0.5), "b": (38.93, 2.0)}}
+    lines = compare.peak_lines(usage, {"two": ["a", "b"], "one": ["c"]})
+    assert lines == ["peak  two: parent 41.84 MB, change 38.93 MB", "peak  one: parent 20.00 MB, change -"]
+
+
 def test_cpu_seconds_are_the_childs_own(tmp_path):
     # user + sys of the child alone, single-threaded: more than importing
     # numpy takes, no more than the wall time around the call

@@ -337,15 +337,17 @@ class TestMonteCarlo:
             assert abs(st.max_db - top) <= 1e-3
 
     def test_uniform_phase_memory_is_one_block(self, rng):
-        # at n = 1024 the cos and sin tables (1 MB), one 64-row block of
-        # draws and its table indices (512 kB each) take 2 MB; with the bank
-        # built beforehand nothing else is large
+        # at n = 1024 the cos and sin tables (1 MB, the sine table written
+        # into the phase grid), one 64-row block of draws and its table
+        # indices (512 kB each) take 2 MB; the clutter energies stream the
+        # bank's weights through a buffer of at most 256 kB, freed before
+        # the draws, and a third 512 kB table would not fit
         n = 1024
         scene = random_scene(n, 16, rng)
-        clutter_energy(random_point(n, 46), scene)  # builds the bank before the measurement
+        clutter_energy(random_point(n, 46), scene)  # lays out the bank before the measurement
         designs = {"a": random_point(n, 46), "b": random_point(n, 47)}
         _, peak = traced_peak(lambda: monte_carlo_scr(designs, scene, 2000, "uniform_random_phase", seed=12))
-        assert peak <= 2.75 * 2**20
+        assert peak <= 2.25 * 2**20
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_uniform_phase_follows_the_exponential_law(self, seed):

@@ -202,28 +202,77 @@ class TestClutterBank:
 
 
     def test_chunked_build_matches_the_elementwise_expression(self, rng):
-        # at n = 1024 the weight rows are built 4 at a time; each must equal
-        # amp_k e^{j 2 pi v_k m}, cut at n - r_k, as one expression gives it
+        # at n = 1024 the weights are filled 2^12 // (width n) blocks at a
+        # time; each row must equal amp_k e^{j 2 pi v_k m}, cut at n - r_k, as
+        # one expression gives it, and a block's empty slots must be zero
         n = 1024
         scene = random_scene(n, 37, rng)
         bank = ClutterBank(scene)
         m = np.arange(n)
+        empty = np.ones(bank._weights.shape[:2], dtype=bool)
         for k, sc in enumerate(scene.scatterers):
             expected = np.sqrt(sc.power) * np.exp(2j * np.pi * sc.doppler * m) * (m < n - sc.range_shift)
             assert np.array_equal(bank._weights[bank._block[k], bank._slot[k]], expected), k
+            empty[bank._block[k], bank._slot[k]] = False
+        assert empty.any() and not bank._weights[empty].any()
 
     def test_memory_at_n1024(self, rng):
         # the analysis-n1024 benchmark's scene size: 128 scatterers at random
-        # shifts, so about 120 blocks of width 2 and 3.8 MB of weights; the
-        # build holds one 4-row chunk beside them, and a clutter energy one
-        # (B, n) array of lag products
+        # shifts, so about 120 blocks of width 2 and 3.8 MB of weights. A
+        # clutter energy streams them through a 256 kB buffer and builds
+        # none; the first forms call fills them, with one 2-block chunk of
+        # temporaries beside them
         n = 1024
         scene = random_scene(n, 128, rng)
-        bank, peak = traced_peak(lambda: scene.bank)
-        assert peak <= bank._weights.nbytes + 2**19
         s = random_point(n, 48)
         _, peak = traced_peak(lambda: clutter_energy(s, scene))
-        assert peak <= 2.5 * 2**20
+        assert peak <= 2**20
+        bank = scene.bank
+        assert "_weights" not in vars(bank)
+        lags = bank.lags(s.entries, s.entries)
+        _, peak = traced_peak(lambda: bank.forms(lags))
+        assert peak <= bank._weights.nbytes + 2**19
+        _, peak = traced_peak(lambda: clutter_energy(s, scene))
+        assert peak <= 2**20
+
+
+def streamed_case(kind: str, rng) -> ClutterScene:
+    if kind == "partly-empty-blocks":
+        # width 3: shift 2's five scatterers fill one block and two slots of
+        # another, and shift 7's one scatterer one slot of a third
+        return ClutterScene([ClutterScatterer(r, 0.1 * k, 1.0 + k) for k, r in enumerate([2, 7, 2, 2, 2, 2])], 16)
+    if kind == "one-scatterer":
+        return ClutterScene([ClutterScatterer(3, 0.37, 2.0)], 8)
+    if kind == "n1":
+        return ClutterScene([ClutterScatterer(0, 0.1 * k, 1.0 + k) for k in range(3)], 1)
+    if kind == "none":
+        return ClutterScene((), 5)
+    if kind == "n300":
+        return random_scene(300, 200, rng)
+    return random_scene(1024, 128, rng)
+
+
+class TestStreamedForms:
+    @pytest.mark.parametrize("kind", ["partly-empty-blocks", "one-scatterer", "none", "n1", "n300", "n1024"])
+    def test_quadratic_forms_equal_forms_bitwise(self, rng, kind):
+        scene = streamed_case(kind, rng)
+        bank = ClutterBank(scene)
+        step = max(1, 2**14 // (bank.width * bank.n))
+        if kind == "n300":
+            # several chunks of blocks, the last of them partial
+            assert bank.shifts.size > step and bank.shifts.size % step
+        if kind == "partly-empty-blocks":
+            assert bank.width == 3 and bank.shifts.size == 3
+        s = random_point(scene.n, 52).entries
+        before = bank.quadratic_forms(s)
+        assert "_weights" not in vars(bank)
+        expected = bank.forms(bank.lags(s, s))
+        assert "_weights" in vars(bank)
+        assert before.shape == (len(scene.scatterers),)
+        assert before.tobytes() == expected.tobytes()
+        assert bank.quadratic_forms(s).tobytes() == expected.tobytes()
+        # 0 without scatterers
+        assert clutter_energy(UnitModulusSequence(s), scene) == np.sum(np.abs(expected) ** 2)
 
 
 class TestSceneBank:

@@ -29,7 +29,9 @@ differing report keys) or `ONLY` (present in one tree). Then one `rss`
 line per command gives each tree's peak resident memory in MB and its CPU
 seconds (user + sys), both read with `os.wait4` (the benchmark reports only
 a workload's largest peak and its total time, and these lines show which
-command sets the one and where the other goes); they are for reading only.
+command sets the one and where the other goes), and one `peak` line per
+benchmark workload gives each tree's largest peak among that workload's
+commands, the figure its `peak_rss_mb` reports; they are for reading only.
 Each figure is one pinned sample per tree, not a median: on a shared
 2-vCPU host the same code read up to 0.15 s apart per command.
 A failed command, or an n = 300 STAF pair that differs within a tree, prints
@@ -74,11 +76,14 @@ def export(rev: str, dest: Path) -> Path:
     return dest
 
 
-def _commands(tree: Path, run: Path) -> list:
-    """The argv of every CLI command run on tree from the directory run; writes their inputs under run."""
+def _commands(tree: Path, run: Path) -> tuple:
+    """(the argv of every CLI command run on tree from the directory run, {workload: its commands' labels}).
+
+    Writes the commands' inputs under run; a label is an argv joined by spaces.
+    """
     from bench import workloads  # main puts ROOT on sys.path
 
-    commands = []
+    commands, groups = [], {}
     configs = run / "configs"
     configs.mkdir(parents=True)
     for src in sorted((tree / "configs").glob("*.json")):
@@ -113,7 +118,8 @@ def _commands(tree: Path, run: Path) -> list:
     for name in workloads.NAMES:
         plan = workloads.prepare(name, tree, run / "workloads" / name, BENCH_SEED, BENCH_REP)
         commands.extend(list(c.argv) for c in plan.commands)
-    return commands
+        groups[name] = [" ".join(c.argv) for c in plan.commands]
+    return commands, groups
 
 
 def run_command(argv: list, cwd: Path, env: dict) -> tuple:
@@ -130,16 +136,20 @@ def run_command(argv: list, cwd: Path, env: dict) -> tuple:
 
 
 def run_tree(tree: Path, run: Path) -> tuple:
-    """Run every command with tree's CLI under run; (failures as lines, {command: (peak RSS MB, CPU s)})."""
+    """Run every command with tree's CLI under run.
+
+    Returns (failures as lines, {command: (peak RSS MB, CPU s)}, {workload: its commands' labels}).
+    """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     failures, usage = [], {}
-    for argv in _commands(tree, run):
+    commands, groups = _commands(tree, run)
+    for argv in commands:
         code, last, peak, cpu = run_command(argv, run, env)
         usage[" ".join(argv)] = peak, cpu
         if code != 0:
             failures.append(f"FAIL  {' '.join(argv)}: exit {code}: {last}")
-    return failures + staf_mismatch(run), usage
+    return failures + staf_mismatch(run), usage, groups
 
 
 def staf_mismatch(run: Path) -> list:
@@ -159,6 +169,21 @@ def rss_lines(usage: dict) -> list:
                                               if command in by_command else f"{label} -"
                                               for label, by_command in usage.items())
             for command in commands]
+
+
+def peak_lines(usage: dict, groups: dict) -> list:
+    """One line per workload with each tree's largest peak RSS among its commands, from rss_lines' usage.
+
+    groups maps a workload to its commands; a tree that ran none of them reads `-`.
+    """
+    lines = []
+    for workload, commands in groups.items():
+        peaks = []
+        for label, by_command in usage.items():
+            ran = [by_command[c][0] for c in commands if c in by_command]
+            peaks.append(f"{label} {max(ran):.2f} MB" if ran else f"{label} -")
+        lines.append(f"peak  {workload}: " + ", ".join(peaks))
+    return lines
 
 
 def _json_diffs(a, b, path: str = "") -> list:
@@ -222,13 +247,14 @@ def main(argv=None) -> int:
         failures, usage = [], {}
         for label, tree in trees.items():
             run = tmp / "run"
-            tree_failures, usage[label] = run_tree(tree, run)
+            # both trees run the workloads of this checkout's bench in the same directory, so with the same argv
+            tree_failures, usage[label], groups = run_tree(tree, run)
             failures += [f"{line} [{label}]" for line in tree_failures]
             run.rename(tmp / label)
         rows = compare_dirs(tmp / "parent", tmp / "change")
     for status, rel, detail in rows:
         print(f"{status:4}  {rel}" + (f": {detail}" if detail else ""))
-    for line in rss_lines(usage):
+    for line in rss_lines(usage) + peak_lines(usage, groups):
         print(line)
     for line in failures:
         print(line)
