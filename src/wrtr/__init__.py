@@ -6,7 +6,7 @@ defines it. The modules, from the geometry up:
 
     manifold    the product of unit circles: UnitModulusSequence, tangent
                 coordinates, retraction, transport, random points
-    radar       the clutter scene and bank, clutter energy, SCR, SCNR, STAF
+    radar       the clutter scene and bank, each design's figures of merit, STAF
     objectives  the worst-case steering cost and the sequence cost
     rtr         the Riemannian trust-region solver and its trace
     rcg         the Riemannian conjugate-gradient baseline

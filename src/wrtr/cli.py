@@ -11,6 +11,12 @@ including a config, designs manifest or sequence file that cannot be
 read, decoded or parsed and an --out that cannot be made a directory,
 3 solver failure, which includes a design that sees zero clutter
 energy, or an array too large to allocate (a huge n).
+
+A design's figures of merit come from its one radar.figures record. A
+figure that would be -inf is null (the worst-case SCR from eps >= 2n on,
+an SCR or SCNR at zero steering coupling), so report.json is strict
+JSON. `python -m wrtr` and the `wrtr` script call main through
+wrtr.__main__.main, which first freezes the imports' objects.
 """
 
 from __future__ import annotations
@@ -33,13 +39,6 @@ from .scenario import ScenarioConfig, ScenarioError, load_scenario, read_json
 BASELINE_METHODS = ("rtr_nonrobust", "rcg_nonrobust", "random")
 # rtr.solve and rcg.solve_rcg raise FloatingPointError on an overflow or NaN (a huge clutter power)
 _SOLVER_ERRORS = (DegenerateSceneError, FloatingPointError)
-
-
-def _nominal_scr_db(seq, scene) -> float:
-    energy = radar.clutter_energy(seq, scene)
-    if energy == 0.0:
-        raise DegenerateSceneError("the sequence sees zero clutter energy, so its nominal SCR is infinite")
-    return 10.0 * np.log10(seq.n**2 / energy)
 
 
 class _Outputs:
@@ -129,7 +128,8 @@ def _certificate(result: driver.WrtrResult) -> dict:
     }
 
 
-def _export_design(out: _Outputs, cfg: ScenarioConfig, scene, initial, final, sections) -> dict:
+def _export_design(out: _Outputs, cfg: ScenarioConfig, scene, initial, final, sections,
+                   final_figures: radar.Figures | None = None) -> dict:
     """Write what every design command exports; returns the summary fields.
 
     These are the initial and final sequences, traces.csv when a solver
@@ -137,21 +137,19 @@ def _export_design(out: _Outputs, cfg: ScenarioConfig, scene, initial, final, se
     solve, the Hessian spectrum at the final sequence of the cost it
     minimised. The summary holds the nominal SCRs and, with the spectrum,
     the second-order line: the spectrum's ends and the gradient test of
-    that last solve.
+    that last solve. final_figures is the final sequence's record, when
+    the caller has one (wrtr's last pass).
     """
     out.write("sequence_initial.csv", fileio.write_sequence_csv, initial)
     out.write("sequence_final.csv", fileio.write_sequence_csv, final)
     if sections:
         out.write("traces.csv", fileio.write_trace_csv, sections)
     _export_staf_products(out, cfg, [("initial", initial), ("final", final)])
-    # the SCRs stream the clutter weights (radar.ClutterBank.quadratic_forms), so
-    # the random design builds none; its final is its initial, so its one SCR is
-    # computed once
-    initial_db = _nominal_scr_db(initial, scene)
-    summary = {
-        "nominal_scr_initial_db": initial_db,
-        "nominal_scr_final_db": initial_db if final is initial else _nominal_scr_db(final, scene),
-    }
+    # a record takes one streamed clutter energy, so the random design builds
+    # no clutter weights; its final is its initial, and one record serves both
+    start = radar.figures(initial, scene)
+    end = start if final is initial else final_figures or radar.figures(final, scene)
+    summary = {"nominal_scr_initial_db": start.nominal_scr_db, "nominal_scr_final_db": end.nominal_scr_db}
     if sections and sections[-1][1] == "seq":
         # wrtr and rtr_nonrobust both minimised SequenceObjective(scene); a fresh
         # one, as the solve's would hold its last point's state (lags, q, p and
@@ -169,14 +167,14 @@ def run_wrtr(cfg: ScenarioConfig, out: _Outputs, seed: int) -> dict:
     result = driver.optimize(scene, cfg.wrtr, seed)
     sections = [(0, "worst", result.worst_trace)]
     sections += [(k, "seq", it.seq_trace) for k, it in enumerate(result.history)]
-    design = _export_design(out, cfg, scene, result.initial_sequence, result.sequence, sections)
+    last, worst = result.history[-1], result.worst_trace
+    design = _export_design(out, cfg, scene, result.initial_sequence, result.sequence, sections, last.figures)
     out.write("steering_worst.csv", fileio.write_sequence_csv, result.worst_steering)
     if result.epsilon > 0:
         worst_obj = WorstCaseObjective(result.sequence, epsilon=result.epsilon)
         out.write("hessian_spectrum_worst.csv", fileio.write_spectrum_csv,
                   driver.hessian_spectrum(worst_obj, result.worst_steering))
 
-    last, worst = result.history[-1], result.worst_trace
     n, eps = cfg.n, result.epsilon
     if eps >= 2 * n:
         print(f"wrtr: warning: eps = {eps:.6g} >= 2n = {2 * n}: a steering in the ball is orthogonal to "
@@ -185,12 +183,10 @@ def run_wrtr(cfg: ScenarioConfig, out: _Outputs, seed: int) -> dict:
         "epsilon": eps,
         "outer_iterations": len(result.history),
         "outer_converged": result.converged,
-        "scr_db": last.scr_db,
-        "scnr_db": last.scnr_db,
+        "scr_db": last.figures.scr_db,
+        "scnr_db": last.figures.scnr_db,
         **design,
-        # the worst coupling over the ball is (n - eps/2)^2 for every design
-        "worst_case_scr_db": (design["nominal_scr_final_db"] + 20.0 * np.log10(1.0 - eps / (2 * n))
-                              if eps < 2 * n else None),
+        "worst_case_scr_db": last.figures.worst_case_scr_db,
         "certificate": _certificate(result),
         # the one adversary solve; none at eps = 0
         "worst_cost": worst.final_cost if worst is not None else 0.0,
@@ -198,8 +194,8 @@ def run_wrtr(cfg: ScenarioConfig, out: _Outputs, seed: int) -> dict:
         "worst_cost_evals": worst.cost_evals if worst is not None else 0,
         "outer_history": [
             {
-                "scr_db": h.scr_db,
-                "scnr_db": h.scnr_db,
+                "scr_db": h.figures.scr_db,
+                "scnr_db": h.figures.scnr_db,
                 "seq_cost": h.seq_trace.final_cost,
                 "seq_hvps": h.seq_trace.hvps,
                 "seq_cost_evals": h.seq_trace.cost_evals,
@@ -267,11 +263,13 @@ def _load_designs(manifest_path: Path, n: int) -> dict:
 
 def run_monte_carlo(cfg: ScenarioConfig, out: _Outputs, seed: int, designs: dict) -> dict:
     scene = cfg.to_scene()
+    # one record per design: both error models read its one clutter energy
+    records = {name: radar.figures(seq, scene) for name, seq in designs.items()}
     rows = []
     summary = {"n_trials": cfg.monte_carlo_trials, "designs": {}}
     for model in driver.ERROR_MODELS:
         stats = driver.monte_carlo_scr(
-            designs,
+            records,
             scene,
             n_trials=cfg.monte_carlo_trials,
             error_model=model,
@@ -292,7 +290,7 @@ def run_monte_carlo(cfg: ScenarioConfig, out: _Outputs, seed: int, designs: dict
 
 def run_staf(cfg: ScenarioConfig, out: _Outputs, sequence_path: Path, seq) -> dict:
     _export_staf_products(out, cfg, [("recomputed", seq)])
-    return {"sequence": str(sequence_path), "nominal_scr_db": _nominal_scr_db(seq, cfg.to_scene())}
+    return {"sequence": str(sequence_path), "nominal_scr_db": radar.figures(seq, cfg.to_scene()).nominal_scr_db}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,12 +12,13 @@ and w is fixed from that solve. With w fixed, the worst-case cost
 clutter / |sum w|^2 is the nominal cost clutter / n^2 times a constant,
 so the sequence passes minimize SequenceObjective(scene), the
 inverse nominal SCR, and w only reports: the worst steering s (.) w and
-each pass's worst-case SCR and SCNR. Each pass restarts the
-sequence solve where the previous one stopped; a restart begins close to
-stationary, where a tolerance scaled by its own start gradient cannot be
-met, so every pass stops at grad_tol * g_ref with g_ref the first pass's
-initial gradient norm (see rtr.solve). The loop stops once the
-output SCNR (see radar.scnr) moves by less than SCNR_TOL_DB = 0.01 dB
+each pass's figures, one radar.figures record from one clutter energy:
+the worst-case SCR and SCNR against s (.) w and the eps-ball worst case.
+Each pass restarts the sequence solve where the previous one stopped; a
+restart begins close to stationary, where a tolerance scaled by its own
+start gradient cannot be met, so every pass stops at grad_tol * g_ref
+with g_ref the first pass's initial gradient norm (see rtr.solve). The
+loop stops once the output SCNR moves by less than SCNR_TOL_DB = 0.01 dB
 across consecutive passes, or at max_outer; the alternation is
 monitored, not proven, so hitting the cap is a warning outcome rather
 than an error. eps comes from the config's doppler_interval, the
@@ -40,7 +41,7 @@ import numpy as np
 from . import radar, rtr
 from .manifold import UnitModulusSequence, random_point, random_tangent, retract
 from .objectives import SequenceObjective, WorstCaseObjective, epsilon_from_doppler
-from .radar import ClutterScene, clutter_energy
+from .radar import ClutterScene
 
 ERROR_MODELS = ("doppler_interval", "uniform_random_phase")
 SCNR_TOL_DB = 0.01  # outer stop: the SCNR change between passes, in dB
@@ -62,8 +63,7 @@ class WrtrConfig:
 
 @dataclass(frozen=True)
 class OuterIteration:
-    scr_db: float
-    scnr_db: float
+    figures: radar.Figures
     seq_trace: rtr.TrustRegionTrace
 
 
@@ -127,10 +127,11 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
         g_ref = history[0].seq_trace.initial_grad_norm if history else None
         s, seq_trace = rtr.solve(seq_obj, s, cfg.seq_solver, g_ref=g_ref)
         st = UnitModulusSequence(s.entries * w)
-        scr_db = radar.scr(s, st, scene)
-        scnr_db = radar.scnr(s, st, scene)
-        history.append(OuterIteration(scr_db=scr_db, scnr_db=scnr_db, seq_trace=seq_trace))
-        if prev_scnr is not None and abs(scnr_db - prev_scnr) < SCNR_TOL_DB:
+        figures = radar.figures(s, scene, steering=st, epsilon=eps)
+        history.append(OuterIteration(figures=figures, seq_trace=seq_trace))
+        # an SCNR is None where the coupling |sum w|^2 is 0, in every pass alike: no stop
+        scnr_db = figures.scnr_db
+        if None not in (prev_scnr, scnr_db) and abs(scnr_db - prev_scnr) < SCNR_TOL_DB:
             converged = True
             break
         prev_scnr = scnr_db
@@ -186,8 +187,11 @@ def monte_carlo_scr(
 ) -> dict:
     """Realized-SCR statistics per design under a steering error model.
 
-    designs maps name -> UnitModulusSequence. Per trial the distortion d
-    is drawn once and applied to every design:
+    designs maps name -> UnitModulusSequence, or its radar.figures record
+    on this scene, whose clutter energy is read instead of taken again:
+    the montecarlo command builds one record per design and passes the
+    records to both error models. Per trial the distortion d is drawn
+    once and applied to every design:
     doppler_interval draws v ~ U(lo, hi) and distorts by p(v);
     uniform_random_phase draws n i.i.d. phases, uniform on the grid of
     K = PHASE_GRID = 2^16 phases 2 pi k / K per turn. Each error model
@@ -201,7 +205,8 @@ def monte_carlo_scr(
     computed into the phase grid), one block of draws and its indices,
     2 MB at any n; the designs' clutter energies are streamed (see
     radar.ClutterBank.quadratic_forms), so no clutter weights are built.
-    Statistics are over per-trial dB values.
+    Statistics are over per-trial dB values, each radar.ratio_db of the
+    trial's numerator and the design's energy.
 
     For a unit-modulus design the numerator |s^H (s (.) d)|^2 = |sum d|^2
     does not depend on the design, so it is computed once per trial:
@@ -226,10 +231,9 @@ def monte_carlo_scr(
     if error_model == "doppler_interval" and doppler_interval is None:
         raise ValueError("doppler_interval error model needs the interval")
     n = scene.n
-    energies = {name: clutter_energy(seq, scene) for name, seq in designs.items()}
-    for name in designs:
-        if energies[name] == 0.0:
-            raise radar.DegenerateSceneError(f"design {name!r} sees zero clutter energy")
+    # radar.figures raises DegenerateSceneError for a design that sees zero clutter energy
+    energies = {name: (d if isinstance(d, radar.Figures) else radar.figures(d, scene)).energy
+                for name, d in designs.items()}
     rng = np.random.default_rng([seed, ERROR_MODELS.index(error_model)])
     if error_model == "doppler_interval":
         v = rng.uniform(*doppler_interval, size=n_trials)
@@ -252,7 +256,7 @@ def monte_carlo_scr(
             re = np.take(cos, k, out=block, mode="clip").sum(axis=1)
             im = np.take(sin, k, out=block, mode="clip").sum(axis=1)
             num[start : start + len(block)] = re**2 + im**2
-    samples = {name: 10.0 * np.log10(num / energies[name]) for name in designs}
+    samples = {name: radar.ratio_db(num, energies[name]) for name in designs}
     return {
         name: ScrStats(
             mean_db=float(np.mean(vals)),

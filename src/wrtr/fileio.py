@@ -252,8 +252,9 @@ def write_mc_csv(path, rows) -> None:
 
 
 def write_report(path, report: dict) -> None:
+    """Write report as strict JSON: a NaN or infinity raises ValueError instead of being written."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

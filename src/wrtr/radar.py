@@ -16,10 +16,10 @@ scene.bank, built on first use and shared by the sequence objective and
 every figure of merit. Building the bank lays out its blocks only; the
 (N_t, n) scatterer weights are built on the first call of a solver's
 operation (forms, diagonals, hessian_gram) and kept, since a solve
-reuses them hundreds of times. The figures of merit (clutter_energy,
-scr, scnr) stream the weights a few blocks at a time instead, so the
-commands that run no solver never build them. Dense matrices exist only
-in the test oracles.
+reuses them hundreds of times. A design's figures of merit are one
+record, figures(s, scene), read from one clutter energy that streams the
+weights a few blocks at a time, so the commands that run no solver never
+build them. Dense matrices exist only in the test oracles.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ STAF_DB_FLOOR = 1e-15
 
 
 class DegenerateSceneError(ValueError):
-    """Raised when an SCNR/SCR denominator is exactly zero."""
+    """Raised when a design sees zero clutter energy, so that its SCR is infinite."""
 
 
 @dataclass(frozen=True)
@@ -306,30 +306,54 @@ def clutter_energy(s: UnitModulusSequence, scene: ClutterScene) -> float:
     return float(np.sum(np.abs(q) ** 2))
 
 
-def _coupling_db(s: UnitModulusSequence, s_tilde: UnitModulusSequence, den: float) -> float:
-    num = abs(np.vdot(s.entries, s_tilde.entries)) ** 2
-    if num == 0.0:
-        return float("-inf")
-    return float(10.0 * np.log10(num / den))
+def ratio_db(num, den):
+    """10 log10(num / den) for num, den > 0, elementwise over an array num.
 
-
-def scnr(s: UnitModulusSequence, s_tilde: UnitModulusSequence, scene: ClutterScene) -> float:
-    """Output SCNR in dB with a (possibly distorted) target steering s_tilde.
-
-    Powers are in units of the noise power and the target's power is 1, so
-    the numerator is |s^H s_tilde|^2 and the denominator n + clutter
-    energy; the noise term n = ||s||^2 is constant on the manifold. Returns
-    -inf for an orthogonal steering.
+    Where the quotient overflows (n^2 / u for a clutter energy u of
+    subnormal powers) it is 10 log10 num - 10 log10 den, which is finite.
     """
-    return _coupling_db(s, s_tilde, s.n + clutter_energy(s, scene))
+    with np.errstate(over="ignore"):
+        ratio = np.divide(num, den)
+    db = 10.0 * np.log10(ratio)
+    over = np.isinf(ratio)
+    return np.where(over, 10.0 * np.log10(num) - 10.0 * np.log10(den), db) if over.any() else db
 
 
-def scr(s: UnitModulusSequence, s_tilde: UnitModulusSequence, scene: ClutterScene) -> float:
-    """Signal-to-clutter ratio in dB (noise-free SCNR); raises DegenerateSceneError at zero clutter."""
+@dataclass(frozen=True)
+class Figures:
+    """A design's figures of merit in dB, all read from its one clutter energy u.
+
+    Powers are in noise units and the target's is 1. nominal_scr_db is
+    n^2 / u. A steering st with coupling c = |s^H st|^2 gives scr_db, c / u,
+    and scnr_db, c / (n + u) with noise term n = ||s||^2; both are None at
+    c = 0. eps gives worst_case_scr_db, the SCR under the worst steering of
+    the ball ||st - s||^2 <= eps, whose coupling is (n - eps/2)^2 for every
+    design; it is None from eps >= 2n on.
+    """
+
+    energy: float
+    nominal_scr_db: float
+    scr_db: float | None = None
+    scnr_db: float | None = None
+    worst_case_scr_db: float | None = None
+
+
+def figures(s: UnitModulusSequence, scene: ClutterScene, steering: UnitModulusSequence | None = None,
+            epsilon: float | None = None) -> Figures:
+    """The figures of merit of design s on scene; raises DegenerateSceneError at zero clutter energy."""
     energy = clutter_energy(s, scene)
     if energy == 0.0:
         raise DegenerateSceneError("the sequence sees zero clutter energy, so its SCR is infinite")
-    return _coupling_db(s, s_tilde, energy)
+    n = s.n
+    nominal = float(ratio_db(n**2, energy))
+    scr = scnr = worst = None
+    if steering is not None:
+        coupling = abs(np.vdot(s.entries, steering.entries)) ** 2
+        if coupling != 0.0:
+            scr, scnr = float(ratio_db(coupling, energy)), float(ratio_db(coupling, n + energy))
+    if epsilon is not None and epsilon < 2 * n:
+        worst = float(nominal + 20.0 * np.log10(1.0 - epsilon / (2 * n)))
+    return Figures(energy, nominal, scr, scnr, worst)
 
 
 def staf_blocks(s: UnitModulusSequence):

@@ -25,7 +25,9 @@ from conftest import random_scene
 SMALL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "small.json"
 
 DELETED = ("TangentVector", "zero_tangent", "DegenerateRetractionError", "tangent_basis",
-           "NearOrthogonalSteeringError", "steering_vector")
+           "NearOrthogonalSteeringError", "steering_vector",
+           # every SCR, SCNR and worst case is read from a radar.figures record
+           "scr", "scnr", "_coupling_db", "_nominal_scr_db")
 # the ambient (Wirtinger) derivative convention; derivatives are phase coordinates only
 DELETED_METHODS = (
     (ClutterBank, "apply"),
@@ -54,7 +56,7 @@ def test_every_exported_name_resolves():
 
 def test_deleted_names_are_not_exported():
     for name in DELETED:
-        assert not any(hasattr(module, name) for module in (manifold, driver, objectives, radar))
+        assert not any(hasattr(module, name) for module in (manifold, driver, objectives, radar, cli))
 
 
 def test_deleted_methods_are_gone():
@@ -116,7 +118,7 @@ def test_one_valued_settings_are_constants():
     fields = {f.name for f in dataclasses.fields(WrtrConfig)}
     assert fields == {"doppler_interval", "max_outer", "worst_solver", "seq_solver"}
     assert "lam" not in inspect.signature(WorstCaseObjective).parameters
-    assert not {"noise_power", "target_power"} & set(inspect.signature(radar.scnr).parameters)
+    assert not {"noise_power", "target_power"} & set(inspect.signature(radar.figures).parameters)
     # STAF surfaces always hold every range bin
     assert list(inspect.signature(radar.staf).parameters) == ["s"]
     assert list(inspect.signature(fileio.write_staf_csv).parameters) == ["path", "values_db"]

@@ -360,7 +360,8 @@ class TestWrtrCommand:
         assert summary["epsilon"] == pytest.approx(69.0, abs=0.05)
         s = read_sequence_csv(tmp_path / "sequence_final.csv")
         st = read_sequence_csv(tmp_path / "steering_worst.csv")
-        assert summary["worst_case_scr_db"] == pytest.approx(radar.scr(s, st, cfg.to_scene()), abs=1e-9)
+        assert summary["worst_case_scr_db"] == pytest.approx(radar.figures(s, cfg.to_scene(), steering=st).scr_db,
+                                                              abs=1e-9)
         assert capsys.readouterr().err == ""
 
     def test_shipped_subbin_config_closes_the_certificate(self, tmp_path, capsys):
@@ -705,20 +706,36 @@ class TestOneClutterBankPerCommand:
         monkeypatch.setattr(radar.ClutterBank, "__init__", recorded)
         return built
 
-    # only the solvers build the bank's weights; the figures of merit stream them
+    @pytest.fixture
+    def energies(self, monkeypatch):
+        taken = []
+        quadratic_forms = radar.ClutterBank.quadratic_forms
+
+        def recorded(self, s):
+            taken.append(s)
+            return quadratic_forms(self, s)
+
+        monkeypatch.setattr(radar.ClutterBank, "quadratic_forms", recorded)
+        return taken
+
+    # only the solvers build the bank's weights; the figures of merit stream
+    # them, one clutter energy per design record: wrtr's two passes and its
+    # start, a baseline's start and final (the random design's are one) and
+    # each montecarlo design once for both error models
     @pytest.mark.parametrize(
-        "command, weight_builds",
+        "command, weight_builds, streamed_energies",
         [
-            (["wrtr"], 1),
-            (["baseline", "--method", "rtr_nonrobust"], 1),
-            (["baseline", "--method", "rcg_nonrobust"], 1),
-            (["baseline", "--method", "random"], 0),
-            (["montecarlo", "--designs", "{designs}"], 0),
-            (["staf", "{sequence}"], 0),
+            (["wrtr"], 1, 3),
+            (["baseline", "--method", "rtr_nonrobust"], 1, 2),
+            (["baseline", "--method", "rcg_nonrobust"], 1, 2),
+            (["baseline", "--method", "random"], 0, 1),
+            (["montecarlo", "--designs", "{designs}"], 0, 2),
+            (["staf", "{sequence}"], 0, 1),
         ],
         ids=["wrtr", "rtr_nonrobust", "rcg_nonrobust", "random", "montecarlo", "staf"],
     )
-    def test_each_command_builds_one_bank(self, tmp_path, banks, command, weight_builds):
+    def test_each_command_builds_one_bank(self, tmp_path, banks, energies, command, weight_builds,
+                                          streamed_energies):
         write_sequence_csv(tmp_path / "seq.csv", random_point(16, 1))
         (tmp_path / "designs.json").write_text(json.dumps({"designs": [
             {"name": "one", "sequence": "seq.csv"},
@@ -729,6 +746,9 @@ class TestOneClutterBankPerCommand:
         assert len(banks) == 1
         # the weights are a cached property: built at most once per bank
         assert sum("_weights" in vars(bank) for bank in banks) == weight_builds
+        assert len(energies) == streamed_energies
+        if command == ["wrtr"]:
+            assert len(read_report(tmp_path / "out")["summary"]["outer_history"]) + 1 == streamed_energies
 
 
 class TestExports:
@@ -815,16 +835,62 @@ class TestHugeClutterPower:
             assert len(err) == 1 and err[0].startswith(f"wrtr: solver failure [{command[0]}]: ")
 
 
+def _strict_json_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+class TestSubnormalClutterPower:
+    @pytest.mark.parametrize("power", [5e-324, 1e-310])
+    def test_every_command_writes_finite_figures(self, tmp_path, power):
+        # one identity scatterer: every design sees the energy power * n^2,
+        # subnormal or nearly so, and n^2 over it overflows a double. Every
+        # figure is finite (the suite turns an overflow warning into an
+        # error), and every report.json is strict JSON
+        raw = {"n": 9, "doppler_interval": [-0.01, 0.01], "seed": 3, "max_outer": 3,
+               "scatterers": [{"range_shift": 0, "doppler": 0.0, "power": power}]}
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(raw))
+        (tmp_path / "designs.json").write_text(json.dumps({"designs": [
+            {"name": "random", "sequence": "random/sequence_final.csv"},
+            {"name": "rtr", "sequence": "rtr_nonrobust/sequence_final.csv"},
+        ]}))
+        commands = {
+            "wrtr": ["wrtr"],
+            "rtr_nonrobust": ["baseline", "--method", "rtr_nonrobust"],
+            "rcg_nonrobust": ["baseline", "--method", "rcg_nonrobust"],
+            "random": ["baseline", "--method", "random"],
+            "montecarlo": ["montecarlo", "--designs", str(tmp_path / "designs.json")],
+            "staf": ["staf", str(tmp_path / "random" / "sequence_final.csv")],
+        }
+        for name, command in commands.items():
+            out = tmp_path / name
+            assert main([*command, "--config", str(config), "--out", str(out)]) == 0, name
+            report = json.loads((out / "report.json").read_text(), parse_constant=_strict_json_constant)
+            summary = report["summary"]
+            figures = [v for k, v in summary.items() if k.endswith("_db")]
+            figures += [st[k] for d in summary.get("designs", {}).values() for st in d.values()
+                        for k in ("mean_db", "min_db", "max_db")]
+            assert figures and all(math.isfinite(v) for v in figures), name
+
+    def test_an_infinite_figure_is_not_written(self, tmp_path):
+        with pytest.raises(ValueError):
+            fileio.write_report(tmp_path / "report.json", {"summary": {"scr_db": float("inf")}})
+
+
 def test_module_entry_point(tmp_path):
-    # python -m wrtr in a fresh interpreter, under the warning filters pyproject.toml gives pytest
+    # python -m wrtr in a fresh interpreter, under the warning filters pyproject.toml gives pytest;
+    # its entry freezes the imports' objects first, and writes what main writes in-process
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
            "PYTHONWARNINGS": "error::RuntimeWarning,error::DeprecationWarning,error::PendingDeprecationWarning"}
+    args = ["baseline", "--method", "random", "--config", str(SMALL_CONFIG)]
     out = tmp_path / "random"
-    done = subprocess.run(
-        [sys.executable, "-m", "wrtr", "baseline", "--method", "random", "--config", str(SMALL_CONFIG),
-         "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = subprocess.run([sys.executable, "-m", "wrtr", *args, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    # stdout is flushed at exit, frozen objects or not
+    assert done.stdout == f"wrtr: baseline finished; outputs in {out}\n"
     assert read_report(out)["command"] == "baseline"
+    assert main([*args, "--out", str(tmp_path / "in_process")]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in (tmp_path / "in_process").iterdir())
+    assert csv_bytes(out) == csv_bytes(tmp_path / "in_process")

@@ -122,3 +122,20 @@ def test_cpu_seconds_are_the_childs_own(tmp_path):
     wall = time.perf_counter() - started
     assert code == 0
     assert 0.02 < cpu <= wall
+
+
+def test_a_non_finite_report_value_fails(small_runs, tmp_path):
+    # report.json must be strict JSON: a NaN or an infinity is a FAIL line naming the file and key
+    parent, _ = small_runs
+    assert compare.nonfinite_reports(parent) == []
+    run = tmp_path / "run"
+    shutil.copytree(parent, run)
+    path = run / "small" / "report.json"
+    report = json.loads(path.read_text())
+    report["summary"]["scr_db"] = float("inf")
+    report["summary"]["outer_history"][1]["scnr_db"] = float("nan")
+    path.write_text(json.dumps(report))
+    assert compare.nonfinite_reports(run) == [
+        "FAIL  small/report.json: summary.outer_history[1].scnr_db is NaN",
+        "FAIL  small/report.json: summary.scr_db is Infinity",
+    ]

@@ -73,7 +73,7 @@ class TestOptimize:
             assert np.all(np.abs(np.abs(point.entries) - 1.0) <= 1e-12)
         for h in result.history:
             assert h.seq_trace is not None
-            assert np.isfinite(h.scnr_db)
+            assert np.isfinite(h.figures.scnr_db)
 
     def test_final_pair_is_self_consistent(self):
         # the returned worst steering solves the worst-case problem of the
@@ -91,9 +91,9 @@ class TestOptimize:
         for k in range(3):
             scene = random_scene(16, 40, np.random.default_rng(100 + k))
             result = driver.optimize(scene, small_cfg(doppler_interval=WIDE, max_outer=6), seed=40 + k)
-            scrs = [h.scr_db for h in result.history]
+            scrs = [h.figures.scr_db for h in result.history]
             assert all(b >= a - 1e-6 for a, b in zip(scrs, scrs[1:])), scrs
-            final = radar.scr(result.sequence, result.worst_steering, scene)
+            final = radar.figures(result.sequence, scene, steering=result.worst_steering).scr_db
             assert final == pytest.approx(scrs[-1], abs=1e-12)
 
     def test_adversary_runs_once(self, monkeypatch):
@@ -295,6 +295,16 @@ class TestMonteCarlo:
             got = (st.mean_db, st.std_db, st.min_db, st.max_db)
             assert np.allclose(got, expected[name], rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("model", driver.ERROR_MODELS)
+    def test_a_figures_record_stands_for_its_design(self, model, rng):
+        # the montecarlo command passes each design's record, so both models read its one energy
+        n = 16
+        scene = random_scene(n, 5, rng)
+        designs = {"a": random_point(n, 50), "b": random_sequence(n, rng)}
+        records = {name: radar.figures(seq, scene) for name, seq in designs.items()}
+        kwargs = dict(seed=5, doppler_interval=(-0.02, 0.03))
+        assert monte_carlo_scr(records, scene, 50, model, **kwargs) == monte_carlo_scr(designs, scene, 50, model, **kwargs)
+
     def test_matches_per_trial_reference_across_phase_blocks(self, rng):
         # n = 1024 draws phases in blocks of 64 trials: 600 trials are nine
         # full blocks and a partial one
@@ -410,7 +420,7 @@ class TestMonteCarlo:
         st_tilde = np.exp(2j * np.pi * v * np.arange(scene.n)) * s.entries
         from wrtr.manifold import UnitModulusSequence
 
-        expected = radar.scr(s, UnitModulusSequence(st_tilde), scene)
+        expected = radar.figures(s, scene, steering=UnitModulusSequence(st_tilde)).scr_db
         assert stats["d"].mean_db == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_given_seed(self):

@@ -13,8 +13,8 @@ from wrtr.radar import (
     ClutterScene,
     DegenerateSceneError,
     clutter_energy,
-    scnr,
-    scr,
+    figures,
+    ratio_db,
     staf,
     staf_blocks,
 )
@@ -325,42 +325,95 @@ class TestClutterEnergy:
         )
 
 
-class TestScnr:
-    def test_noise_only(self):
+class TestFigures:
+    def test_each_figure_is_its_quotient_bit_for_bit(self, rng):
+        # one clutter energy u, and the dB of n^2 / u, c / u and c / (n + u),
+        # each with the expression and operand order the reports are pinned to
+        n, eps = 16, 5.0
+        scene = random_scene(n, 4, rng)
+        s, st = random_point(n, 10), random_sequence(n, rng)
+        fig = figures(s, scene, steering=st, epsilon=eps)
+        u = clutter_energy(s, scene)
+        c = abs(np.vdot(s.entries, st.entries)) ** 2
+        assert fig.energy == u
+        assert fig.nominal_scr_db == 10.0 * np.log10(n**2 / u)
+        assert fig.scr_db == float(10.0 * np.log10(c / u))
+        assert fig.scnr_db == float(10.0 * np.log10(c / (n + u)))
+        assert fig.worst_case_scr_db == fig.nominal_scr_db + 20.0 * np.log10(1.0 - eps / (2 * n))
+
+    def test_only_the_asked_figures_are_set(self, rng):
         n = 8
-        s = random_point(n, 8)
-        scene = ClutterScene([ClutterScatterer(1, 0.2, 0.0)], n)
-        assert scnr(s, s, scene) == pytest.approx(
-            10 * np.log10(n), abs=1e-10
-        )
+        fig = figures(random_point(n, 11), random_scene(n, 3, rng))
+        assert (fig.scr_db, fig.scnr_db, fig.worst_case_scr_db) == (None, None, None)
 
-    def test_orthogonal_steering_is_minus_inf(self):
-        scene = ClutterScene([ClutterScatterer(0, 0.0, 0.0)], 2)
-        s = UnitModulusSequence(np.array([1.0 + 0j, 1.0 + 0j]))
-        st = UnitModulusSequence(np.array([1.0 + 0j, -1.0 + 0j]))
-        assert scnr(s, st, scene) == float("-inf")
-
-    def test_zero_denominator_raises(self):
-        # the SCNR's noise term is n, so only the noise-free SCR can divide by zero
-        scene = ClutterScene([ClutterScatterer(0, 0.0, 0.0)], 4)
-        s = random_point(4, 9)
-        with pytest.raises(DegenerateSceneError):
-            scr(s, s, scene)
-
-    def test_noise_term_uses_constant_sequence_norm(self, rng):
-        # powers are in noise units, so the noise term is exactly ||s||^2 = n on M
-        n = 16
-        scene = ClutterScene([ClutterScatterer(3, 0.4, 0.0)], n)
+    def test_noise_term_uses_constant_sequence_norm(self):
+        # powers are in noise units, so the noise term is exactly ||s||^2 = n
+        # on M; the identity scatterer of power p gives every s energy p n^2
+        n, p = 16, 1e-3
+        scene = ClutterScene([ClutterScatterer(0, 0.0, p)], n)
         for seed in range(3):
             s = random_point(n, seed)
-            assert scnr(s, s, scene) == pytest.approx(10 * np.log10(n**2 / n), abs=1e-12)
+            fig = figures(s, scene, steering=s)
+            assert fig.energy == pytest.approx(p * n**2, rel=1e-12)
+            assert fig.scnr_db == pytest.approx(10 * np.log10(n**2 / (n + p * n**2)), abs=1e-12)
 
-    def test_scr_reduces_to_clutter_only(self, rng):
+    def test_matched_steering_scr_is_the_nominal_scr(self, rng):
         n = 8
-        scene = random_scene(n, 4, rng)
         s = random_point(n, 10)
-        expected = 10 * np.log10(n**2 / clutter_energy(s, scene))
-        assert scr(s, s, scene) == pytest.approx(expected, rel=1e-12)
+        fig = figures(s, random_scene(n, 4, rng), steering=s)
+        assert fig.scr_db == pytest.approx(fig.nominal_scr_db, abs=1e-12)
+
+    def test_orthogonal_steering_is_null(self):
+        scene = ClutterScene([ClutterScatterer(0, 0.0, 1.0)], 2)
+        s = UnitModulusSequence(np.array([1.0 + 0j, 1.0 + 0j]))
+        st = UnitModulusSequence(np.array([1.0 + 0j, -1.0 + 0j]))
+        fig = figures(s, scene, steering=st)
+        assert (fig.scr_db, fig.scnr_db) == (None, None)
+        assert np.isfinite(fig.nominal_scr_db)
+
+    @pytest.mark.parametrize("eps_over_n", [0.0, 0.5, 1.999])
+    def test_worst_case_is_the_ball_coupling_over_the_energy(self, rng, eps_over_n):
+        # the worst coupling over the eps-ball is (n - eps/2)^2 for every design
+        n = 12
+        s = random_point(n, 12)
+        fig = figures(s, random_scene(n, 3, rng), epsilon=eps_over_n * n)
+        expected = 10 * np.log10((n - eps_over_n * n / 2) ** 2 / fig.energy)
+        assert fig.worst_case_scr_db == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("eps_over_n", [2.0, 3.0])
+    def test_worst_case_is_null_from_two_n_on(self, rng, eps_over_n):
+        n = 12
+        assert figures(random_point(n, 13), random_scene(n, 3, rng), epsilon=eps_over_n * n).worst_case_scr_db is None
+
+    def test_zero_energy_raises(self):
+        scene = ClutterScene([ClutterScatterer(0, 0.0, 0.0)], 4)
+        with pytest.raises(DegenerateSceneError):
+            figures(random_point(4, 9), scene)
+
+    @pytest.mark.parametrize("power", [5e-324, 1e-310])
+    def test_subnormal_power_figures_are_finite(self, power):
+        # n^2 / u overflows for these powers; the figures come from the logs,
+        # with no overflow warning (the suite turns warnings into errors)
+        n = 9
+        scene = ClutterScene([ClutterScatterer(0, 0.0, power)], n)
+        s = random_point(n, 14)
+        fig = figures(s, scene, steering=s, epsilon=1.0)
+        assert n**2 / fig.energy == float("inf")
+        values = [fig.nominal_scr_db, fig.scr_db, fig.scnr_db, fig.worst_case_scr_db]
+        assert all(np.isfinite(values))
+        assert fig.nominal_scr_db == pytest.approx(20 * np.log10(n) - 10 * np.log10(fig.energy), rel=1e-15)
+        assert fig.scnr_db == pytest.approx(10 * np.log10(n), abs=1e-9)
+
+    def test_ratio_db_takes_logs_only_where_the_quotient_overflows(self):
+        num = np.array([1e300, 1e-300, 2.0, 1e10])
+        den = 1e-20
+        db = ratio_db(num, den)
+        with np.errstate(over="ignore"):
+            ratio = num / den
+        finite = np.isfinite(ratio)
+        assert finite.tolist() == [False, True, True, True]
+        assert db[finite].tobytes() == (10.0 * np.log10(ratio[finite])).tobytes()
+        assert db[0] == pytest.approx(3200.0, rel=1e-15)
 
 
 class TestStaf:

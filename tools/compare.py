@@ -34,9 +34,11 @@ benchmark workload gives each tree's largest peak among that workload's
 commands, the figure its `peak_rss_mb` reports; they are for reading only.
 Each figure is one pinned sample per tree, not a median: on a shared
 2-vCPU host the same code read up to 0.15 s apart per command.
-A failed command, or an n = 300 STAF pair that differs within a tree, prints
-`FAIL`. The exit status is 0 only when every command succeeded, both STAF
-pairs are equal and every file is equal.
+A failed command, an n = 300 STAF pair that differs within a tree, or a
+`report.json` that holds NaN, Infinity or -Infinity (which strict JSON has
+no word for; the `FAIL` line names the file and the key) prints `FAIL`.
+The exit status is 0 only when every command succeeded, both STAF pairs
+are equal, every report is strict JSON and every file is equal.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def run_tree(tree: Path, run: Path) -> tuple:
         usage[" ".join(argv)] = peak, cpu
         if code != 0:
             failures.append(f"FAIL  {' '.join(argv)}: exit {code}: {last}")
-    return failures + staf_mismatch(run), usage, groups
+    return failures + staf_mismatch(run) + nonfinite_reports(run), usage, groups
 
 
 def staf_mismatch(run: Path) -> list:
@@ -160,6 +162,28 @@ def staf_mismatch(run: Path) -> list:
     if detail is None:
         return []
     return [f"FAIL  {pair[0].relative_to(run)} != {pair[1].relative_to(run)}: {detail}"]
+
+
+class _Constant(str):
+    """NaN, Infinity or -Infinity as json reads it from a report; strict JSON has none of them."""
+
+
+def _constants(value, path: str = "") -> list:
+    """(key path, constant) for every _Constant in a JSON value."""
+    if isinstance(value, dict):
+        return [c for key, v in value.items() for c in _constants(v, f"{path}.{key}" if path else key)]
+    if isinstance(value, list):
+        return [c for i, v in enumerate(value) for c in _constants(v, f"{path}[{i}]")]
+    return [(path or "(top level)", value)] if isinstance(value, _Constant) else []
+
+
+def nonfinite_reports(run: Path) -> list:
+    """A FAIL line for each NaN or +-Infinity in a report.json under run, naming the file and the key."""
+    lines = []
+    for path in sorted(run.rglob("report.json")):
+        report = json.loads(path.read_text(encoding="utf-8"), parse_constant=_Constant)
+        lines += [f"FAIL  {path.relative_to(run)}: {key} is {name}" for key, name in _constants(report)]
+    return lines
 
 
 def rss_lines(usage: dict) -> list:
