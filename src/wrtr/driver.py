@@ -28,8 +28,8 @@ optimize, not when the config is read, so commands that run no
 adversary do not pay for the grid.
 
 The diagnostics work in tangent coordinates (see manifold): the Hessian
-matrix is the objective's hessian_matrix, the matrix of rhess, and its
-spectrum is that of the Riemannian Hessian on T_x M.
+matrix is rhess applied to each coordinate vector, and its spectrum is
+that of the Riemannian Hessian on T_x M.
 """
 
 from __future__ import annotations
@@ -147,15 +147,18 @@ def optimize(scene: ClutterScene, cfg: WrtrConfig, seed: int) -> WrtrResult:
 
 
 def hessian_matrix(problem, x: UnitModulusSequence) -> np.ndarray:
-    """Matrix of the Riemannian Hessian in tangent coordinates, problem.hessian_matrix(x).
+    """Matrix of the Riemannian Hessian in tangent coordinates: column j is problem.rhess(x, e_j).
 
-    For the sequence cost that is the matrix its rhess multiplies by, the
-    point's cached, read-only one; the tests check it against a Hessian
-    built from dense clutter operators. For the adversary it is built from
-    the same parts as its O(n) rhess, and the tests keep rhess of the
-    identity columns as its oracle.
+    The sequence cost's rhess multiplies by its point's matrix, so each
+    column is that matrix's, bit for bit.
     """
-    return problem.hessian_matrix(x)
+    h = np.empty((x.n, x.n))
+    e = np.zeros(x.n)
+    for j in range(x.n):
+        e[j] = 1.0
+        h[:, j] = problem.rhess(x, e)
+        e[j] = 0.0
+    return h
 
 
 def hessian_spectrum(problem, x: UnitModulusSequence) -> np.ndarray:

@@ -227,16 +227,15 @@ def write_spectrum_csv(path, eigenvalues) -> None:
 
 
 def _trace_line(outer, phase, i, it) -> str:
-    if hasattr(it, "rho"):
-        return "%d,%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%s" % (outer, phase, i, it.cost, it.grad_norm,
-                                                                it.rho, it.delta, it.step_norm, it.accepted,
-                                                                it.tcg_stop.value)
-    # an RCG row has no trust region
-    return "%d,%s,%d,%.17g,%.17g,,,%.17g,1," % (outer, phase, i, it.cost, it.grad_norm, it.step_norm)
+    """One trace row; None (an RCG row has no rho, radius or tCG stop) is an empty field."""
+    rho, delta = ("" if v is None else "%.17g" % v for v in (it.rho, it.delta))
+    stop = "" if it.tcg_stop is None else it.tcg_stop.value
+    return "%d,%s,%d,%.17g,%.17g,%s,%s,%.17g,%d,%s" % (outer, phase, i, it.cost, it.grad_norm, rho, delta,
+                                                        it.step_norm, it.accepted, stop)
 
 
 def write_trace_csv(path, sections) -> None:
-    """sections: iterable of (outer, phase, trace) with rtr or rcg traces."""
+    """sections: iterable of (outer, phase, trace), each trace an rtr.solve or rcg.solve_rcg one, or None."""
     _write_csv(path, ["outer", "phase", "iteration", "cost", "grad_norm", "rho", "delta",
                       "step_norm", "accepted", "tcg_stop"],
                (_trace_line(outer, phase, i, it) for outer, phase, trace in sections if trace is not None

@@ -23,7 +23,9 @@ x (.) e^{j phi} the point moved by the real phases phi, rgrad(x) and
 rhess(x, a) are the gradient of phi -> f(x (.) e^{j phi}) at phi = 0 and
 its Hessian applied to a, real n-vectors. t -> x (.) e^{j t a} is a
 geodesic of the circle product, so these are the Riemannian gradient and
-Hessian in the tangent coordinates of manifold. Every derivative is
+Hessian in the tangent coordinates of manifold. cost, rgrad and rhess are
+each objective's whole interface, for the solvers and for
+driver.hessian_matrix alike. Every derivative is
 validated against finite differences along retract and dense oracles in
 the tests; no automatic differentiation is involved.
 """
@@ -101,29 +103,12 @@ class WorstCaseObjective:
         a, b = self._correlation(st), np.conj(self.s.entries) * st.entries
         return 2.0 * a.imag * b.real - 2.0 * LAM * (a.real - self._target) * b.imag
 
-    def _hessian_parts(self, st: UnitModulusSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Re b, Im b, radial), the pieces of the Hessian at st."""
+    def rhess(self, st: UnitModulusSequence, v: np.ndarray) -> np.ndarray:
+        """2 (Re b . v) Re b + 2 LAM (Im b . v) Im b - radial (.) v, in O(n): no matrix is built."""
         a, b = self._correlation(st), np.conj(self.s.entries) * st.entries
         re, im = b.real, b.imag
-        return re, im, 2.0 * a.imag * im + 2.0 * LAM * (a.real - self._target) * re
-
-    def rhess(self, st: UnitModulusSequence, v: np.ndarray) -> np.ndarray:
-        re, im, radial = self._hessian_parts(st)
+        radial = 2.0 * a.imag * im + 2.0 * LAM * (a.real - self._target) * re
         return 2.0 * float(re @ v) * re + 2.0 * LAM * float(im @ v) * im - radial * v
-
-    def hessian_matrix(self, st: UnitModulusSequence) -> np.ndarray:
-        """The n x n matrix of rhess(st, .): 2 re re^T + 2 LAM im im^T - diag(radial).
-
-        It serves the Hessian spectrum only; rtr's tCG calls rhess, which
-        is O(n) here, never this matrix: an uncapped adversary solve took
-        0.94-1.03 ms on rhess and 1.06-1.24 ms on this matrix at n = 64,
-        1.2-1.4 and 21-25 ms at n = 512, 1.6-1.9 and 87-96 ms at n = 1024
-        (one vCPU; 21-22 products over 9 points).
-        """
-        re, im, radial = self._hessian_parts(st)
-        h = 2.0 * np.outer(re, re) + (2.0 * LAM) * np.outer(im, im)
-        h[np.diag_indices(self.s.n)] -= radial
-        return h
 
     def boundary_residuals(self, st: UnitModulusSequence) -> tuple[float, float]:
         """(|‖st-s‖²-eps|, |Re(s^H st)-(n-eps/2)|) for the Theorem-1 boundary check."""
@@ -137,10 +122,11 @@ class SequenceObjective:
 
     Per point it keeps the lag products of s, q_k = s^H Psi_k s, the
     products p = d (.) lags with the diagonals d of sum_k conj(q_k) Psi_k,
-    the gradient and its radial part and, from the first rhess or
-    hessian_matrix there, the point's one Hessian: the read-only n x n
-    matrix (2 / n^2) (G^T G + S) - diag(radial) of ClutterBank.hessian_gram.
-    rhess(x, a) is that matrix times a, one matrix-vector product. The
+    the gradient and its radial part and, from the first rhess there, the
+    point's one Hessian: the read-only n x n matrix
+    (2 / n^2) (G^T G + S) - diag(radial) of ClutterBank.hessian_gram.
+    rhess(x, a) is that matrix times a, one matrix-vector product; the
+    matrix itself is private to rhess. The
     state holds no factor G (2 N_t x n), which the bank builds and
     multiplies out. The Gram product is the price: on the
     nonrobust-n128 scene (2 N_t = 1,024) it took 0.41 ms against 38 us
@@ -192,10 +178,10 @@ class SequenceObjective:
         return self._derivative_state(s)["grad"]
 
     def rhess(self, x: UnitModulusSequence, a: np.ndarray) -> np.ndarray:
-        return self.hessian_matrix(x) @ a
+        return self._hessian(x) @ a
 
-    def hessian_matrix(self, x: UnitModulusSequence) -> np.ndarray:
-        """The n x n matrix (2 / n^2) (G^T G + S) - diag(radial) of rhess(x, .), read-only.
+    def _hessian(self, x: UnitModulusSequence) -> np.ndarray:
+        """The n x n matrix (2 / n^2) (G^T G + S) - diag(radial) that rhess(x, .) multiplies, read-only.
 
         Built once per point from ClutterBank.hessian_gram: the Gram matrix
         and S are scaled in place, the radial part leaves S's diagonal,

@@ -24,7 +24,7 @@ build them. Dense matrices exist only in the test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -343,6 +343,12 @@ def figures(s: UnitModulusSequence, scene: ClutterScene, steering: UnitModulusSe
     """The figures of merit of design s on scene; raises DegenerateSceneError at zero clutter energy."""
     energy = clutter_energy(s, scene)
     if energy == 0.0:
+        # the energy scales with the powers: it underflowed if the powers over the largest give s some
+        largest = max((sc.power for sc in scene.scatterers), default=0.0)
+        unit = [replace(sc, power=sc.power / largest) for sc in scene.scatterers] if largest > 0.0 else []
+        if unit and clutter_energy(s, ClutterScene(unit, scene.n)) > 0.0:
+            raise DegenerateSceneError(f"the sequence's clutter energy underflowed to 0 (the largest scatterer "
+                                       f"power is {largest:.3g}), so its SCR cannot be computed")
         raise DegenerateSceneError("the sequence sees zero clutter energy, so its SCR is infinite")
     n = s.n
     nominal = float(ratio_db(n**2, energy))

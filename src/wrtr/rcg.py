@@ -6,29 +6,22 @@ previous direction, Armijo backtracking line search (c = 1e-4, step
 halving, at most 60 halvings), and the trust-region solver's stopping
 rule ||grad|| <= grad_tol * g_ref with g_ref its own initial gradient
 norm. It takes the trust-region solver's config and reads its grad_tol
-and max_iters, and it returns the trust-region solver's trace type with
-hvps 0; its iterations are RcgIteration rows (no rho, radius or tCG stop).
+and max_iters, and it records the solve as the trust-region solver
+does: a TrustRegionTrace with hvps 0, whose rows are
+TrustRegionIteration rows with no rho, radius or tCG stop (None) and
+every step accepted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .manifold import UnitModulusSequence, norm, retract, transport
-from .rtr import TrustRegionConfig, TrustRegionTrace
+from .rtr import TrustRegionConfig, TrustRegionIteration, TrustRegionTrace
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
-
-
-@dataclass(frozen=True)
-class RcgIteration:
-    cost: float
-    grad_norm: float
-    step_norm: float
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -66,7 +59,8 @@ def solve_rcg(problem, x0: UnitModulusSequence, cfg: TrustRegionConfig):
         if not accepted:
             break
         step_norm = t * norm(d)
-        trace.iterations.append(RcgIteration(cost=fx, grad_norm=gn, step_norm=step_norm))
+        trace.iterations.append(TrustRegionIteration(cost=fx, grad_norm=gn, rho=None, delta=None, accepted=True,
+                                                     step_norm=step_norm, tcg_stop=None))
         g_next = problem.rgrad(candidate)
         trace.grad_evals += 1
         gn_next = norm(g_next)

@@ -75,13 +75,15 @@ class TrustRegionConfig:
 
 @dataclass(frozen=True)
 class TrustRegionIteration:
+    """One iteration of a solve; rcg.solve_rcg's rows have no rho, delta or tcg_stop (None) and are accepted."""
+
     cost: float
     grad_norm: float
-    rho: float
-    delta: float
+    rho: float | None
+    delta: float | None
     accepted: bool
     step_norm: float
-    tcg_stop: TcgStop
+    tcg_stop: TcgStop | None
 
 
 @dataclass
@@ -91,7 +93,7 @@ class TrustRegionTrace:
     hvps counts Hessian-vector products (tCG's inner ones and one per model
     decrease), cost_evals and grad_evals the calls of cost and rgrad.
     final_cost is the cost at the returned point. rcg.solve_rcg returns this
-    type too, with rcg.RcgIteration rows and hvps 0.
+    type too, with hvps 0; either solver's rows are TrustRegionIteration.
     """
 
     iterations: list = field(default_factory=list)

@@ -4,7 +4,7 @@ A scenario file is a JSON object; its clutter, at least one scatterer,
 can be given as explicit scatterers (linear power) and/or rectangular
 blocks of range bins x Doppler bins with a power in dB (10 log10 of the
 linear power). Powers are in units of the noise power, and the target's
-power is 1 (see radar.scnr). Doppler bin h maps to normalized Doppler
+power is 1 (see radar.Figures). Doppler bin h maps to normalized Doppler
 h/n. Bins are a list or a {start, stop} object spanning at most n bins;
 range bins lie in 0..n-1. A block's bins must be distinct, Doppler bins
 modulo n (h and h + n are one Doppler): a repeated bin would add a

@@ -14,6 +14,28 @@ def dense_psi(scatterer: ClutterScatterer, n: int) -> np.ndarray:
     return np.sqrt(scatterer.power) * shift @ np.diag(phase)
 
 
+class CountingProblem:
+    """Forwards to a problem and counts its cost, gradient and Hessian-vector product calls."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.cost_calls = 0
+        self.grad_calls = 0
+        self.hvp_calls = 0
+
+    def cost(self, x):
+        self.cost_calls += 1
+        return self.problem.cost(x)
+
+    def rgrad(self, x):
+        self.grad_calls += 1
+        return self.problem.rgrad(x)
+
+    def rhess(self, x, a):
+        self.hvp_calls += 1
+        return self.problem.rhess(x, a)
+
+
 def random_scene(n: int, n_scatterers: int, rng, power_scale: float = 1.0) -> ClutterScene:
     scatterers = [
         ClutterScatterer(

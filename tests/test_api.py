@@ -27,7 +27,9 @@ SMALL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "small.json"
 DELETED = ("TangentVector", "zero_tangent", "DegenerateRetractionError", "tangent_basis",
            "NearOrthogonalSteeringError", "steering_vector",
            # every SCR, SCNR and worst case is read from a radar.figures record
-           "scr", "scnr", "_coupling_db", "_nominal_scr_db")
+           "scr", "scnr", "_coupling_db", "_nominal_scr_db",
+           # RCG writes rtr.TrustRegionIteration rows
+           "RcgIteration")
 # the ambient (Wirtinger) derivative convention; derivatives are phase coordinates only
 DELETED_METHODS = (
     (ClutterBank, "apply"),
@@ -37,6 +39,9 @@ DELETED_METHODS = (
     (SequenceObjective, "egrad"),
     # every caller reads UnitModulusSequence.n
     (UnitModulusSequence, "__len__"),
+    # a cost is cost, rgrad and rhess; driver.hessian_matrix builds the matrix from rhess
+    (WorstCaseObjective, "hessian_matrix"),
+    (SequenceObjective, "hessian_matrix"),
 )
 
 
@@ -56,7 +61,7 @@ def test_every_exported_name_resolves():
 
 def test_deleted_names_are_not_exported():
     for name in DELETED:
-        assert not any(hasattr(module, name) for module in (manifold, driver, objectives, radar, cli))
+        assert not any(hasattr(module, name) for module in (manifold, driver, objectives, radar, rcg, cli))
 
 
 def test_deleted_methods_are_gone():

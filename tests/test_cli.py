@@ -872,6 +872,25 @@ class TestSubnormalClutterPower:
                         for k in ("mean_db", "min_db", "max_db")]
             assert figures and all(math.isfinite(v) for v in figures), name
 
+    @pytest.mark.parametrize("command", [["wrtr"], ["baseline", "--method", "rtr_nonrobust"],
+                                         ["baseline", "--method", "rcg_nonrobust"],
+                                         ["baseline", "--method", "random"], ["staf"]])
+    def test_an_underflowing_energy_exits_3_and_writes_nothing(self, tmp_path, capsys, command):
+        # the seed-3 start sees an energy that underflows to exactly 0 (so do
+        # 204 of seeds 0-2999); each command takes its records before it writes
+        raw = {"n": 9, "doppler_interval": [-0.01, 0.01],
+               "scatterers": [{"range_shift": 2, "doppler": 0.1, "power": 5e-324}]}
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(raw))
+        if command == ["staf"]:
+            write_sequence_csv(tmp_path / "start.csv", random_point(9, 3))
+            command = ["staf", str(tmp_path / "start.csv")]
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(config), "--out", str(out), "--seed", "3"]) == 3
+        err = capsys.readouterr().err
+        assert "clutter energy underflowed to 0 (the largest scatterer power is 4.94e-324)" in err
+        assert list(out.iterdir()) == []
+
     def test_an_infinite_figure_is_not_written(self, tmp_path):
         with pytest.raises(ValueError):
             fileio.write_report(tmp_path / "report.json", {"summary": {"scr_db": float("inf")}})

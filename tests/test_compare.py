@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import shutil
 import time
 from pathlib import Path
@@ -45,7 +46,27 @@ def test_a_flipped_byte_is_reported(small_runs, tmp_path):
     data[-3] ^= 1
     csv.write_bytes(bytes(data))
     lines = data.count(b"\n")
-    assert unequal(parent, change) == [("DIFF", "small/sequence_final.csv", f"line {lines}; {lines} vs {lines} lines")]
+    [(status, rel, detail)] = unequal(parent, change)
+    assert (status, rel) == ("DIFF", "small/sequence_final.csv")
+    assert detail.startswith(f"line {lines}; {lines} vs {lines} lines; max |diff| ")
+
+
+def test_an_unequal_csv_says_how_far_its_numbers_moved(tmp_path):
+    # a change in the last digit of one value reads about 1e-16 of the
+    # parent's largest magnitude; a changed row count keeps the plain line
+    from wrtr.fileio import write_spectrum_csv
+
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    values = [-3.5, 0.25, 70.656412345]
+    write_spectrum_csv(parent / "spectrum.csv", values)
+    write_spectrum_csv(change / "spectrum.csv", values[:2] + [math.nextafter(values[2], 100.0)])
+    [(_, _, detail)] = unequal(parent, change)
+    assert detail.startswith("line 4; 4 vs 4 lines; max |diff| 1.42e-14, ")
+    assert 1e-17 < float(detail.split(", ")[1].split()[0]) < 1e-15
+    write_spectrum_csv(change / "spectrum.csv", values[:2])
+    assert unequal(parent, change) == [("DIFF", "spectrum.csv", "line 4; 4 vs 3 lines")]
 
 
 def test_a_file_in_one_tree_is_reported(small_runs, tmp_path):
@@ -65,7 +86,8 @@ def test_a_flipped_byte_in_the_n300_staf_pair_is_reported(tmp_path):
     assert compare.staf_mismatch(tmp_path) == []
     recomputed.write_bytes(b"0,-12.5\n-3.24,0\n")
     assert compare.staf_mismatch(tmp_path) == [
-        "FAIL  n300/random/staf_initial.csv != n300/staf/staf_recomputed.csv: line 2; 2 vs 2 lines"
+        "FAIL  n300/random/staf_initial.csv != n300/staf/staf_recomputed.csv: line 2; 2 vs 2 lines; "
+        "max |diff| 0.01, 0.00308 relative"
     ]
     initial.unlink()
     assert compare.staf_mismatch(tmp_path) == [

@@ -10,7 +10,6 @@ import pytest
 from wrtr import fileio
 from wrtr.driver import ScrStats
 from wrtr.manifold import random_point
-from wrtr.rcg import RcgIteration
 from wrtr.rtr import TcgStop, TrustRegionIteration
 
 # Values that exercise every branch of %g: the STAF floor, signed zeros,
@@ -144,7 +143,11 @@ def test_trace(tmp_path, oracle):
         )
         for k, c in enumerate(AWKWARD)
     ]
-    rcg_rows = [RcgIteration(cost=c, grad_norm=abs(c), step_norm=c / 9) for c in AWKWARD]
+    rcg_rows = [
+        TrustRegionIteration(cost=c, grad_norm=abs(c), rho=None, delta=None, step_norm=c / 9, accepted=True,
+                             tcg_stop=None)
+        for c in AWKWARD
+    ]
     sections = [
         (0, "worst", SimpleNamespace(iterations=rtr_rows)),
         (0, "seq", None),

@@ -387,8 +387,19 @@ class TestFigures:
 
     def test_zero_energy_raises(self):
         scene = ClutterScene([ClutterScatterer(0, 0.0, 0.0)], 4)
-        with pytest.raises(DegenerateSceneError):
+        with pytest.raises(DegenerateSceneError, match="sees zero clutter energy"):
             figures(random_point(4, 9), scene)
+
+    def test_an_exact_null_is_not_an_underflow(self):
+        # (1, 1, 1, -1) has a zero lag product at shift 2, whatever the power
+        scene = ClutterScene([ClutterScatterer(2, 0.0, 1.0)], 4)
+        with pytest.raises(DegenerateSceneError, match="sees zero clutter energy"):
+            figures(UnitModulusSequence(np.array([1.0, 1.0, 1.0, -1.0], dtype=complex)), scene)
+
+    def test_an_underflowing_energy_names_the_largest_power(self):
+        scene = ClutterScene([ClutterScatterer(2, 0.1, 5e-324), ClutterScatterer(1, 0.3, 0.0)], 9)
+        with pytest.raises(DegenerateSceneError, match=r"underflowed to 0 \(the largest scatterer power is 4.94e-324\)"):
+            figures(random_point(9, 3), scene)
 
     @pytest.mark.parametrize("power", [5e-324, 1e-310])
     def test_subnormal_power_figures_are_finite(self, power):

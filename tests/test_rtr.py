@@ -6,10 +6,10 @@ import pytest
 from wrtr import rtr
 from wrtr.manifold import inner, norm, random_point, random_tangent, retract
 from wrtr.objectives import SequenceObjective, WorstCaseObjective
-from wrtr.rcg import solve_rcg
-from wrtr.rtr import TcgStop, TrustRegionConfig, solve, tcg
+from wrtr.rcg import MAX_BACKTRACKS, solve_rcg
+from wrtr.rtr import TcgStop, TrustRegionConfig, TrustRegionIteration, solve, tcg
 
-from conftest import random_scene
+from conftest import CountingProblem, random_scene
 
 
 class QuadraticModelProblem:
@@ -63,26 +63,20 @@ class RisingCostProblem:
         return np.array(a, dtype=float)
 
 
-class CountingProblem:
-    """Forwards to a problem and counts its cost, gradient and Hessian-vector product calls."""
+class FlatCostProblem:
+    """A constant cost of 0 with a fixed nonzero gradient (test double): no step passes Armijo's test."""
 
-    def __init__(self, problem):
-        self.problem = problem
-        self.cost_calls = 0
-        self.grad_calls = 0
-        self.hvp_calls = 0
+    def __init__(self, grad_coords):
+        self.grad_coords = np.asarray(grad_coords, dtype=float)
 
     def cost(self, x):
-        self.cost_calls += 1
-        return self.problem.cost(x)
+        return 0.0
 
     def rgrad(self, x):
-        self.grad_calls += 1
-        return self.problem.rgrad(x)
+        return self.grad_coords
 
     def rhess(self, x, a):
-        self.hvp_calls += 1
-        return self.problem.rhess(x, a)
+        return np.zeros_like(a)
 
 
 def spd_matrix(n, rng):
@@ -330,6 +324,29 @@ class TestSolve:
         assert problem.cost_calls >= 1 + len(trace)
         assert problem.hvp_calls == 0
 
+    def test_rcg_rows_are_trust_region_rows(self, rng):
+        # RCG records its solve as RTR does: every row accepted, with no
+        # rho, radius or tCG stop, so accepted_costs reads every RCG trace
+        n = 16
+        problem = SequenceObjective(random_scene(n, 6, rng))
+        _, trace = solve_rcg(problem, random_point(n, 19), TrustRegionConfig(max_iters=10))
+        assert len(trace) == 10
+        assert all(type(it) is TrustRegionIteration for it in trace.iterations)
+        assert all(it.rho is it.delta is it.tcg_stop is None and it.accepted for it in trace.iterations)
+        assert trace.accepted_costs() == [it.cost for it in trace.iterations]
+
+    def test_rcg_stops_when_the_line_search_fails(self, rng):
+        # a constant cost with a nonzero gradient: each of the MAX_BACKTRACKS
+        # halvings of the first step fails Armijo's test, and the solve ends
+        # where it began
+        n = 8
+        x0 = random_point(n, 18)
+        problem = CountingProblem(FlatCostProblem(rng.standard_normal(n)))
+        x, trace = solve_rcg(problem, x0, TrustRegionConfig())
+        assert x is x0
+        assert len(trace) == 0 and not trace.converged
+        assert trace.cost_evals == problem.cost_calls == 1 + MAX_BACKTRACKS == 61
+
 
 class TestCheckTermination:
     """The stopping rule of solve: converged iff the final gradient norm is
@@ -387,27 +404,14 @@ class TestConfigValidation:
         assert trace.iterations[0].delta == pytest.approx(1.0)
 
 
-class MatrixCountingProblem(CountingProblem):
-    """CountingProblem that also counts hessian_matrix."""
-
-    def __init__(self, problem):
-        super().__init__(problem)
-        self.matrix_calls = 0
-
-    def hessian_matrix(self, x):
-        self.matrix_calls += 1
-        return self.problem.hessian_matrix(x)
-
-
 class TestDenseHessianProducts:
     """The solver multiplies only through rhess; the sequence cost's rhess
     reads its point's matrix, built once per point from the bank's G."""
 
     def test_worst_case_adversary_keeps_rhess(self):
         obj, start = worst_case_instance(32, 101)
-        problem = MatrixCountingProblem(obj)
+        problem = CountingProblem(obj)
         _, trace = solve(problem, start, TrustRegionConfig(max_iters=10))
-        assert problem.matrix_calls == 0
         assert problem.hvp_calls == trace.hvps > 0
 
     @pytest.mark.parametrize("n,cap", [(16, None), (64, 4), (128, 10), (128, None)])
@@ -438,7 +442,7 @@ class TestDenseHessianProducts:
     @pytest.mark.parametrize("n,cap", [(16, None), (16, 4), (64, None), (64, 10)])
     def test_the_solver_reads_only_cost_rgrad_and_rhess(self, rng, n, cap):
         # CountingProblem exposes only those three: the bare objective, which
-        # also has hessian_matrix, takes bit for bit the same path
+        # also has its private matrix, takes bit for bit the same path
         scene = random_scene(n, 2 * n, rng)
         x0, cfg = random_point(n, 105), TrustRegionConfig(grad_tol=0.0, max_iters=15, tcg_max_inner=cap)
         x, trace = solve(SequenceObjective(scene), x0, cfg)

@@ -25,7 +25,11 @@ paths recorded in `report.json` are the same on both sides. Every CSV and
 every other file is compared byte for byte, and every `report.json` as JSON
 without `elapsed_seconds` and `export_seconds`. One line per file says
 `same`, `DIFF` (with the first differing line and the line counts, or the
-differing report keys) or `ONLY` (present in one tree). Then one `rss`
+differing report keys) or `ONLY` (present in one tree). A `DIFF` of two
+CSVs with one header and one shape also gives how far the numbers moved:
+the largest absolute difference over their numeric fields, and that over
+the parent file's largest magnitude, so a change in the last digits
+(about 1e-16 relative) reads apart from a real one. Then one `rss`
 line per command gives each tree's peak resident memory in MB and its CPU
 seconds (user + sys), both read with `os.wait4` (the benchmark reports only
 a workload's largest peak and its total time, and these lines show which
@@ -44,7 +48,9 @@ are equal, every report is strict JSON and every file is equal.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -237,7 +243,39 @@ def _file_diff(a: Path, b: Path):
         return None
     la, lb = da.splitlines(), db.splitlines()
     first = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
-    return f"line {first + 1}; {len(la)} vs {len(lb)} lines"
+    detail = f"line {first + 1}; {len(la)} vs {len(lb)} lines"
+    moved = _largest_change(da, db) if a.suffix == ".csv" else None
+    if moved is None:
+        return detail
+    change, scale = moved
+    return f"{detail}; max |diff| {change:.3g}, {change / scale if scale else math.inf:.3g} relative"
+
+
+def _largest_change(da: bytes, db: bytes):
+    """(largest |a - b|, largest finite |a|) over the numeric fields of two CSVs, or None.
+
+    None unless both have one header and one shape and every field that is
+    not a number on both sides is equal. A difference that is not finite
+    (inf against a number, say) reads inf.
+    """
+    ra, rb = (list(csv.reader(d.decode("utf-8").splitlines(keepends=True))) for d in (da, db))
+    if ra[:1] != rb[:1] or [len(r) for r in ra] != [len(r) for r in rb]:
+        return None
+    change = scale = 0.0
+    for row_a, row_b in zip(ra[1:], rb[1:]):
+        for x, y in zip(row_a, row_b):
+            try:
+                fx, fy = float(x), float(y)
+            except ValueError:
+                if x != y:
+                    return None
+                continue
+            if math.isfinite(fx):
+                scale = max(scale, abs(fx))
+            if x != y:
+                diff = abs(fx - fy)
+                change = max(change, diff if math.isfinite(diff) else math.inf)
+    return change, scale
 
 
 def compare_dirs(a: Path, b: Path) -> list:
